@@ -1,0 +1,47 @@
+"""Golden outputs: SHA-256 of trace.csv + summary.csv for fixed-seed runs.
+
+A refactor that keeps every RNG draw and every float operation in place
+leaves these hashes unchanged. A change that alters behaviour on purpose
+re-pins them and says which draws or values moved, and why.
+
+The hashes depend on the float results of `math` (sin, cos, exp, sqrt via
+the platform libm) and on CPython's `random` and float `repr`. They were
+taken with CPython 3.11 on x86-64 Linux (glibc libm); another interpreter
+or libm may legitimately print different bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from fuzzygep import cli
+
+GOLDEN = {
+    "f3-seed42": (
+        ["--problem", "f3", "--seed", "42", "--pop-size", "30", "--generations", "20", "--runs", "6"],
+        "0c19ee3ec32c7ca12fd7f4e2c0c27226e21518bd4e63d6213d8b6ab466aeb509",
+    ),
+    "f9-d30": (
+        ["--problem", "f9", "--dim", "30", "--seed", "1", "--pop-size", "30", "--generations", "20",
+         "--runs", "1"],
+        "77712a3e91bfd29114bd3acdd49a8c9290dfad5866dd8ff03bf8fdcc993aaf87",
+    ),
+    "f6": (
+        ["--problem", "f6", "--seed", "3", "--pop-size", "30", "--generations", "20", "--runs", "2"],
+        "8a22786e353cdf6ea90cbfbef241fba96565e249630f463ac975f1656e50cd8b",
+    ),
+    "f12-d5-baseline": (
+        ["--problem", "f12", "--dim", "5", "--mode", "baseline", "--seed", "5", "--pop-size", "30",
+         "--generations", "20", "--runs", "2"],
+        "b5c97833e3c3ddef1e6441fec3085c3c8a869c0bf30dbba0fbbacca38587b3c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_hashes(name, tmp_path):
+    argv, expected = GOLDEN[name]
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.csv"
+    assert cli.main(["run", *argv, "--trace", str(trace), "--summary", str(summary)]) == 0
+    digest = hashlib.sha256(trace.read_bytes() + summary.read_bytes()).hexdigest()
+    assert digest == expected
