@@ -6,9 +6,7 @@ from .decode import build_tree, eval_chromosome, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import MembershipFamily, Universe, infer_1d, infer_2d
 from .genome import (
-    Chromosome,
     ConstantSet,
-    Gene,
     GeneLayout,
     SymbolSet,
     random_chromosome,
@@ -20,11 +18,9 @@ from .genome import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chromosome",
     "ConstantSet",
     "Engine",
     "EngineConfig",
-    "Gene",
     "GeneLayout",
     "Individual",
     "MembershipFamily",

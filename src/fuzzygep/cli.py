@@ -130,35 +130,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args, key: str, data: dict, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in data:
-        return data[key]
-    return default
+# config keys named after something other than their ExperimentConfig field
+_FIELD_OF_KEY = {"trace": "trace_path", "summary": "summary_path"}
+
+# keys that choose one problem and its files, which bench sets per problem
+_RUN_ONLY_KEYS = ("problem", "dim", "trace", "summary")
+
+
+def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
+    """The one place an ExperimentConfig is built and checked.
+
+    For each config key, a flag wins over the config file, which wins over
+    the ExperimentConfig default; `fixed` fields win over all three.
+    """
+    values = {}
+    for key in _CONFIG_COERCERS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[_FIELD_OF_KEY.get(key, key)] = flag
+        elif key in data:
+            values[_FIELD_OF_KEY.get(key, key)] = data[key]
+    values.update(fixed)
+    if values.get("problem") is None:
+        raise ConfigError("no problem selected; pass --problem or set it in the config file")
+    cfg = ExperimentConfig(**values)
+    validate_experiment(cfg)
+    return cfg
 
 
 def experiment_from_args(args) -> ExperimentConfig:
+    """The experiment of `fuzzygep run`."""
+    return _experiment(args, parse_config_file(args.config) if args.config else {})
+
+
+def bench_experiments(args, out_dir: str) -> list[ExperimentConfig]:
+    """One experiment per problem for `fuzzygep bench`; a config file may
+    not name a problem, a dimension or output files, which bench chooses."""
     data = parse_config_file(args.config) if args.config else {}
-    problem = _merged(args, "problem", data, None) if hasattr(args, "problem") else data.get("problem")
-    if problem is None:
-        raise ConfigError("no problem selected; pass --problem or set it in the config file")
-    cfg = ExperimentConfig(
-        problem=problem,
-        dim=_merged(args, "dim", data, None),
-        pop_size=_merged(args, "pop_size", data, 100),
-        generations=_merged(args, "generations", data, 1000),
-        runs=_merged(args, "runs", data, 50),
-        seed=_merged(args, "seed", data, 0),
-        mode=_merged(args, "mode", data, "adaptive"),
-        tolerance=_merged(args, "tolerance", data, 1e-6),
-        termination_tolerance=data.get("termination_tolerance", 1e-12),
-        trace_path=_merged(args, "trace", data, "trace.csv"),
-        summary_path=_merged(args, "summary", data, "summary.csv"),
-    )
-    validate_experiment(cfg)
-    return cfg
+    for key in _RUN_ONLY_KEYS:
+        if key in data:
+            raise ConfigError(f"{args.config}:{key}: bench runs every problem at its default "
+                              f"dimension into --out-dir; remove this key")
+    return [
+        _experiment(args, data, problem=name,
+                    trace_path=os.path.join(out_dir, f"{name}_trace.csv"),
+                    summary_path=os.path.join(out_dir, "summary.csv"))
+        for name in bench.problem_names()
+    ]
 
 
 def validate_experiment(cfg: ExperimentConfig):
@@ -265,7 +283,6 @@ def run_experiment(cfg: ExperimentConfig) -> Summary:
             pop_size=cfg.pop_size,
             max_gen=cfg.generations,
             mode=cfg.mode,
-            success_tol=cfg.tolerance,
             termination_tol=cfg.termination_tolerance,
         )
     except ValueError as err:
@@ -290,24 +307,11 @@ def main(argv=None) -> int:
             write_summary(cfg.summary_path, [summary])
             print(_oneline(summary))
         else:
-            data = parse_config_file(args.config) if args.config else {}
             out_dir = args.out_dir if args.out_dir is not None else "results"
+            experiments = bench_experiments(args, out_dir)
             os.makedirs(out_dir, exist_ok=True)
             summaries = []
-            for name in bench.problem_names():
-                cfg = ExperimentConfig(
-                    problem=name,
-                    pop_size=_merged(args, "pop_size", data, 100),
-                    generations=_merged(args, "generations", data, 1000),
-                    runs=_merged(args, "runs", data, 50),
-                    seed=_merged(args, "seed", data, 0),
-                    mode=_merged(args, "mode", data, "adaptive"),
-                    tolerance=_merged(args, "tolerance", data, 1e-6),
-                    termination_tolerance=data.get("termination_tolerance", 1e-12),
-                    trace_path=os.path.join(out_dir, f"{name}_trace.csv"),
-                    summary_path=os.path.join(out_dir, "summary.csv"),
-                )
-                validate_experiment(cfg)
+            for cfg in experiments:
                 summary = run_experiment(cfg)
                 summaries.append(summary)
                 print(_oneline(summary), flush=True)

@@ -3,7 +3,9 @@
 The coding region of a gene is read left to right; position 0 is the root and
 every function claims the next unclaimed positions as its children, exactly in
 the order the symbols appear.  The scan stops once all open slots are filled,
-so a gene usually expresses only a prefix of head+tail.
+so a gene usually expresses only a prefix of head+tail.  The gene-level
+functions take slices of the chromosome string: a gene's coding region
+(head + tail) and, for an ordinary gene, its Dc region.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .genome import DIGIT_VALUES, RNC_TERMINAL, Chromosome, ConstantSet, Gene, SymbolSet
+from .genome import (DIGIT_VALUES, RNC_TERMINAL, ConstantSet, GeneLayout, SymbolSet,
+                     gene_references, gene_slices)
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
@@ -62,47 +65,45 @@ def _child_starts(seq, arity) -> list[int]:
     return starts
 
 
-def expressed_length(gene: Gene, symbols: SymbolSet) -> int:
-    return len(_child_starts(gene.coding, symbols.arity))
+def expressed_length(coding: str, symbols: SymbolSet) -> int:
+    return len(_child_starts(coding, symbols.arity))
 
 
-def build_tree(gene: Gene, symbols: SymbolSet) -> Node:
+def build_tree(coding: str, symbols: SymbolSet) -> Node:
     """Expression tree of the expressed region; the gene suffix is ignored."""
-    seq = gene.coding
-    starts = _child_starts(seq, symbols.arity)
+    starts = _child_starts(coding, symbols.arity)
     n = len(starts)
     ordinals: dict[int, int] = {}
     for i in range(n):
-        if seq[i] == RNC_TERMINAL:
+        if coding[i] == RNC_TERMINAL:
             ordinals[i] = len(ordinals)
     nodes: list[Node | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        sym = seq[i]
+        sym = coding[i]
         ar = symbols.arity.get(sym, 0)
         first = starts[i]
         nodes[i] = Node(sym, ar, tuple(nodes[first:first + ar]), ordinals.get(i))
     return nodes[0]
 
 
-def eval_ordinary(gene: Gene, symbols: SymbolSet, constants: ConstantSet) -> float:
+def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: ConstantSet) -> float:
     """Value of one ordinary gene; the k-th expressed '?' reads dc[k]."""
-    seq = gene.coding
     arity = symbols.arity
-    starts = _child_starts(seq, arity)
+    starts = _child_starts(coding, arity)
     n = len(starts)
     values = [0.0] * n
     seen_rnc = 0
     rnc_of: dict[int, int] = {}
     for i in range(n):
-        if seq[i] == RNC_TERMINAL:
+        if coding[i] == RNC_TERMINAL:
             rnc_of[i] = seen_rnc
             seen_rnc += 1
     for i in range(n - 1, -1, -1):
-        sym = seq[i]
+        sym = coding[i]
         ar = arity.get(sym, 0)
         if ar == 0:
             if sym == RNC_TERMINAL:
-                letter = gene.dc[rnc_of[i]]
+                letter = dc[rnc_of[i]]
                 values[i] = constants.values[symbols.dc_index[letter]]
             else:
                 values[i] = DIGIT_VALUES[sym]
@@ -112,25 +113,30 @@ def eval_ordinary(gene: Gene, symbols: SymbolSet, constants: ConstantSet) -> flo
     return values[0]
 
 
-def eval_homeotic(gene: Gene, symbols: SymbolSet, ordinary_values) -> float:
-    """Value of one homeotic gene given the ordinary genes' values."""
-    seq = gene.coding
+def eval_homeotic(coding: str, symbols: SymbolSet, ordinary_values) -> float:
+    """Value of one homeotic gene; ordinary_values maps each reference
+    character to the value of the ordinary gene it names."""
     arity = symbols.arity
-    starts = _child_starts(seq, arity)
+    starts = _child_starts(coding, arity)
     n = len(starts)
     values = [0.0] * n
     for i in range(n - 1, -1, -1):
-        sym = seq[i]
+        sym = coding[i]
         ar = arity.get(sym, 0)
         if ar == 0:
-            values[i] = ordinary_values[int(sym[1:])]
+            values[i] = ordinary_values[sym]
         else:
             first = starts[i]
             values[i] = protected_apply(sym, values[first:first + ar])
     return values[0]
 
 
-def eval_chromosome(chromosome: Chromosome, symbols: SymbolSet, constants: ConstantSet) -> tuple[float, ...]:
+def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
+                    constants: ConstantSet) -> tuple[float, ...]:
     """Candidate point: one coordinate per homeotic gene."""
-    ordinary_values = [eval_ordinary(g, symbols, constants) for g in chromosome.ordinary]
-    return tuple(eval_homeotic(g, symbols, ordinary_values) for g in chromosome.homeotic)
+    ordinary, homeotic = gene_slices(layout)
+    ordinary_values = {
+        ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
+        for ref, (coding, dc) in zip(gene_references(layout.n_ordinary), ordinary)
+    }
+    return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)

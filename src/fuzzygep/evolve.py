@@ -25,10 +25,11 @@ from .fuzzy import (
     infer_2d,
 )
 from .genome import (
-    Chromosome,
     GeneLayout,
     SymbolSet,
     flatten,
+    gene_references,
+    gene_slices,
     position_alphabets,
     random_chromosome,
     random_constant_set,
@@ -51,7 +52,7 @@ CONSTANT_UNIVERSE = Universe(0.0, 0.5)
 
 @dataclass(frozen=True)
 class Individual:
-    chromosome: Chromosome
+    chromosome: str
     point: tuple[float, ...]
     fitness: float
 
@@ -76,7 +77,6 @@ class EngineConfig:
     max_gen: int = 1000
     mutations_per_individual: int = 2
     mode: str = "adaptive"
-    success_tol: float = 1e-6
     termination_tol: float | None = 1e-12  # None keeps every run at max_gen
     n_constants: int = 10
     ordinary_head_len: int = 6
@@ -92,8 +92,6 @@ class EngineConfig:
             raise ValueError("mutations_per_individual must be positive")
         if self.mode not in ("adaptive", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.success_tol < 0.0:
-            raise ValueError("success_tol must be non-negative")
         if self.termination_tol is not None and self.termination_tol < 0.0:
             raise ValueError("termination_tol must be non-negative")
         if self.n_constants < 1:
@@ -192,21 +190,16 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig, controllers: RateControll
     return Rates(p_c, p_m, r_c)
 
 
-def crossover(a: Chromosome, b: Chromosome, p_c: float, layout: GeneLayout,
-              rng: random.Random) -> tuple[Chromosome, Chromosome]:
-    """One-point crossover on the flat chromosome with probability p_c."""
+def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]:
+    """One-point crossover of two chromosome strings with probability p_c."""
     if rng.random() >= p_c:
         return a, b
-    flat_a = flatten(a)
-    flat_b = flatten(b)
-    cut = rng.randrange(len(flat_a))
-    child_a = rebuild(flat_a[:cut] + flat_b[cut:], layout)
-    child_b = rebuild(flat_b[:cut] + flat_a[cut:], layout)
-    return child_a, child_b
+    cut = rng.randrange(len(a))
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
-def mutate(chromosome: Chromosome, p_m: float, k: int, layout: GeneLayout,
-           alphabets, rng: random.Random) -> Chromosome:
+def mutate(chromosome: str, p_m: float, k: int, layout: GeneLayout,
+           alphabets, rng: random.Random) -> str:
     """With probability p_m, rewrite k distinct positions to new legal symbols."""
     if rng.random() >= p_m:
         return chromosome
@@ -276,12 +269,20 @@ class Engine:
             max_arity=self.symbols.max_arity,
         )
         self.alphabets = position_alphabets(self.layout, self.symbols)
+        ordinary, self.homeotic_slices = gene_slices(self.layout)
+        # (reference character, (coding slice, dc slice)) per ordinary gene
+        self.ordinary_slices = tuple(zip(gene_references(self.layout.n_ordinary), ordinary))
         self.controllers = RateControllers(self.cfg.max_gen)
         self.constants = None
 
-    def evaluate(self, chromosome: Chromosome) -> Individual:
-        ordinary = [eval_ordinary(g, self.symbols, self.constants) for g in chromosome.ordinary]
-        point = tuple(eval_homeotic(g, self.symbols, ordinary) for g in chromosome.homeotic)
+    def evaluate(self, chromosome: str) -> Individual:
+        symbols = self.symbols
+        ordinary = {
+            ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, self.constants)
+            for ref, (coding, dc) in self.ordinary_slices
+        }
+        point = tuple([eval_homeotic(chromosome[coding], symbols, ordinary)
+                       for coding in self.homeotic_slices])
         return Individual(chromosome, point, self._fitness(point))
 
     def _fitness(self, point) -> float:
@@ -297,7 +298,6 @@ class Engine:
     def build_temp_population(self, parents, rates: Rates):
         """Parents plus four same-size offspring batches, duplicates shared."""
         rng = self.rng
-        layout = self.layout
         cache = {ind.chromosome: ind for ind in parents}
 
         def materialize(chromosome):
@@ -313,7 +313,7 @@ class Engine:
             out = []
             i = 0
             while i + 1 < len(order):
-                a, b = crossover(genomes[order[i]], genomes[order[i + 1]], rates.p_c, layout, rng)
+                a, b = crossover(genomes[order[i]], genomes[order[i + 1]], rates.p_c, rng)
                 out.append(a)
                 out.append(b)
                 i += 2
@@ -323,7 +323,7 @@ class Engine:
 
         def mutated(genomes):
             k = self.cfg.mutations_per_individual
-            return [mutate(g, rates.p_m, k, layout, self.alphabets, rng) for g in genomes]
+            return [mutate(g, rates.p_m, k, self.layout, self.alphabets, rng) for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]
         offspring = []

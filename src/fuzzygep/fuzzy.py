@@ -109,9 +109,12 @@ def centroid(xs: np.ndarray, mus: np.ndarray, universe: Universe) -> float:
     return float((xs * mus).sum() / total)
 
 
-@lru_cache(maxsize=None)
-def _output_grids(family: MembershipFamily):
-    xs = np.linspace(family.universe.lower, family.universe.upper, GRID_POINTS)
+# keyed by the universe's value, not by family identity, so the families
+# that every new RateControllers builds share three entries
+@lru_cache(maxsize=32)
+def _output_grids(universe: Universe):
+    family = MembershipFamily(universe)
+    xs = np.linspace(universe.lower, universe.upper, GRID_POINTS)
     grids = {
         label: np.array([family.membership(label, x) for x in xs])
         for label in LABELS
@@ -120,7 +123,7 @@ def _output_grids(family: MembershipFamily):
 
 
 def _defuzzify(strengths: dict[str, float], out_family: MembershipFamily) -> float:
-    xs, grids = _output_grids(out_family)
+    xs, grids = _output_grids(out_family.universe)
     aggregate = np.zeros(GRID_POINTS)
     for label, strength in strengths.items():
         if strength > 0.0:

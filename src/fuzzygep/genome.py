@@ -1,9 +1,11 @@
 """Linear genomes for multicellular gene expression programming.
 
-A chromosome carries two kinds of genes.  Ordinary genes have a head, a tail
-and a Dc region; they decode to one real number each.  Homeotic genes have a
-head and a tail only; their terminals are references to ordinary genes, and
-each homeotic gene produces one coordinate of the candidate point.
+A chromosome is one string with one character per slot.  It holds two kinds
+of genes at fixed offsets given by GeneLayout: first the ordinary genes, each
+a head, a tail and a Dc region, which decode to one real number each; then
+the homeotic genes, each a head and a tail, whose terminals are reference
+characters naming ordinary genes.  Each homeotic gene produces one
+coordinate of the candidate point.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 import string
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import contains
 
 FUNCTION_ARITIES = {
     "+": 2,
@@ -40,8 +43,12 @@ def tail_length(head_len: int, max_arity: int) -> int:
 
 @lru_cache(maxsize=None)
 def gene_references(n_ordinary: int) -> tuple[str, ...]:
-    """Terminal symbols g0..g(n-1) used inside homeotic genes."""
-    return tuple(f"g{i}" for i in range(n_ordinary))
+    """Terminals of the homeotic genes, one character per ordinary gene.
+
+    "0".."9" name the first ten genes, code points from U+0100 upward the
+    rest; SymbolSet admits neither, so references never meet another alphabet.
+    """
+    return tuple(str(i) if i < 10 else chr(0x100 + i - 10) for i in range(n_ordinary))
 
 
 class SymbolSet:
@@ -58,6 +65,9 @@ class SymbolSet:
         for sym, ar in functions:
             if ar < 1:
                 raise ValueError(f"function {sym!r} must take arguments")
+        for sym in self.functions + self.terminals + self.dc_alphabet:
+            if len(sym) != 1 or not sym.isascii() or sym.isdigit():
+                raise ValueError(f"symbol {sym!r} must be one ASCII character other than a digit")
         if RNC_TERMINAL not in self.terminals:
             raise ValueError("terminal set must include '?'")
         f, t, d = set(self.functions), set(self.terminals), set(self.dc_alphabet)
@@ -132,27 +142,6 @@ class GeneLayout:
 
 
 @dataclass(frozen=True)
-class Gene:
-    head: tuple[str, ...]
-    tail: tuple[str, ...]
-    dc: tuple[str, ...] = ()
-
-    @classmethod
-    def from_strings(cls, head: str, tail: str, dc: str = "") -> "Gene":
-        return cls(tuple(head), tuple(tail), tuple(dc))
-
-    @property
-    def coding(self) -> tuple[str, ...]:
-        return self.head + self.tail
-
-
-@dataclass(frozen=True)
-class Chromosome:
-    ordinary: tuple[Gene, ...]
-    homeotic: tuple[Gene, ...]
-
-
-@dataclass(frozen=True)
 class ConstantSet:
     """Shared pool of random numerical constants indexed by Dc letters."""
 
@@ -168,110 +157,94 @@ def random_constant_set(n: int, lower: float, upper: float, rng: random.Random) 
 
 
 def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
-    """Legal symbols for every slot of the flattened chromosome, in order."""
+    """Legal symbols for every slot of the chromosome string, in order."""
+    return _alphabets(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
+
+
+# keyed by value, so a new SymbolSet for every run adds no entry
+@lru_cache(maxsize=64)
+def _alphabets(layout, functions, terminals, dc_alphabet):
     refs = gene_references(layout.n_ordinary)
-    ordinary_head = symbols.functions + symbols.terminals
-    homeotic_head = symbols.functions + refs
+    ordinary_head = functions + terminals
+    homeotic_head = functions + refs
     table: list[tuple[str, ...]] = []
     for _ in range(layout.n_ordinary):
         table += [ordinary_head] * layout.ordinary_head_len
-        table += [symbols.terminals] * layout.ordinary_tail_len
-        table += [symbols.dc_alphabet] * layout.dc_len
+        table += [terminals] * layout.ordinary_tail_len
+        table += [dc_alphabet] * layout.dc_len
     for _ in range(layout.n_homeotic):
         table += [homeotic_head] * layout.homeotic_head_len
         table += [refs] * layout.homeotic_tail_len
     return tuple(table)
 
 
-def random_chromosome(layout: GeneLayout, symbols: SymbolSet, rng: random.Random) -> Chromosome:
-    """Uniform draw per position from that position's legal alphabet."""
-    refs = gene_references(layout.n_ordinary)
-    ordinary_head = symbols.functions + symbols.terminals
-    homeotic_head = symbols.functions + refs
-    ordinary = tuple(
-        Gene(
-            tuple(rng.choices(ordinary_head, k=layout.ordinary_head_len)),
-            tuple(rng.choices(symbols.terminals, k=layout.ordinary_tail_len)),
-            tuple(rng.choices(symbols.dc_alphabet, k=layout.dc_len)),
-        )
-        for _ in range(layout.n_ordinary)
-    )
-    homeotic = tuple(
-        Gene(
-            tuple(rng.choices(homeotic_head, k=layout.homeotic_head_len)),
-            tuple(rng.choices(refs, k=layout.homeotic_tail_len)),
-        )
-        for _ in range(layout.n_homeotic)
-    )
-    return Chromosome(ordinary, homeotic)
+@lru_cache(maxsize=64)
+def _allowed_sets(layout, functions, terminals, dc_alphabet):
+    return tuple(frozenset(alpha) for alpha in _alphabets(layout, functions, terminals, dc_alphabet))
 
 
-def flatten(chromosome: Chromosome) -> list[str]:
-    flat: list[str] = []
-    for gene in chromosome.ordinary:
-        flat += gene.head
-        flat += gene.tail
-        flat += gene.dc
-    for gene in chromosome.homeotic:
-        flat += gene.head
-        flat += gene.tail
-    return flat
+def random_chromosome(layout: GeneLayout, symbols: SymbolSet, rng: random.Random) -> str:
+    """Uniform draw per slot from that slot's legal alphabet.
+
+    Each slot takes alpha[floor(rng.random() * len(alpha))], which is the
+    draw rng.choices makes, so the string equals a region-by-region
+    rng.choices draw from an identically seeded generator.
+    """
+    rand = rng.random
+    return "".join([alpha[int(rand() * len(alpha))] for alpha in position_alphabets(layout, symbols)])
 
 
-def rebuild(flat, layout: GeneLayout) -> Chromosome:
+def flatten(chromosome: str) -> list[str]:
+    """The chromosome's slots as a list, for editing in place."""
+    return list(chromosome)
+
+
+def rebuild(flat, layout: GeneLayout) -> str:
     """Inverse of flatten for a given layout."""
     if len(flat) != layout.total_len:
         raise ValueError(f"expected {layout.total_len} symbols, got {len(flat)}")
-    pos = 0
-
-    def take(n: int) -> tuple[str, ...]:
-        nonlocal pos
-        chunk = tuple(flat[pos:pos + n])
-        pos += n
-        return chunk
-
-    ordinary = tuple(
-        Gene(take(layout.ordinary_head_len), take(layout.ordinary_tail_len), take(layout.dc_len))
-        for _ in range(layout.n_ordinary)
-    )
-    homeotic = tuple(
-        Gene(take(layout.homeotic_head_len), take(layout.homeotic_tail_len))
-        for _ in range(layout.n_homeotic)
-    )
-    return Chromosome(ordinary, homeotic)
+    return "".join(flat)
 
 
-def validate(chromosome: Chromosome, layout: GeneLayout, symbols: SymbolSet) -> list[str]:
+def gene_slices(layout: GeneLayout) -> tuple[tuple[tuple[slice, slice], ...], tuple[slice, ...]]:
+    """Where the genes sit in a chromosome string: a (coding, dc) slice pair
+    per ordinary gene, then the coding slice of each homeotic gene."""
+    ordinary = []
+    for g in range(layout.n_ordinary):
+        start = g * layout.ordinary_gene_len
+        dc = start + layout.ordinary_head_len + layout.ordinary_tail_len
+        ordinary.append((slice(start, dc), slice(dc, dc + layout.dc_len)))
+    base = layout.n_ordinary * layout.ordinary_gene_len
+    size = layout.homeotic_gene_len
+    homeotic = tuple(slice(base + g * size, base + (g + 1) * size) for g in range(layout.n_homeotic))
+    return tuple(ordinary), homeotic
+
+
+def _slot_name(layout: GeneLayout, pos: int) -> str:
+    """Gene, region and offset of one slot, e.g. 'ordinary gene 1 dc, position 3'."""
+    ordinary_end = layout.n_ordinary * layout.ordinary_gene_len
+    if pos < ordinary_end:
+        kind = "ordinary"
+        gene, offset = divmod(pos, layout.ordinary_gene_len)
+        regions = (("head", layout.ordinary_head_len), ("tail", layout.ordinary_tail_len),
+                   ("dc", layout.dc_len))
+    else:
+        kind = "homeotic"
+        gene, offset = divmod(pos - ordinary_end, layout.homeotic_gene_len)
+        regions = (("head", layout.homeotic_head_len), ("tail", layout.homeotic_tail_len))
+    for region, size in regions:
+        if offset < size:
+            break
+        offset -= size
+    return f"{kind} gene {gene} {region}, position {offset}"
+
+
+def validate(chromosome: str, layout: GeneLayout, symbols: SymbolSet) -> list[str]:
     """Structural check; returns human-readable violations, empty when valid."""
-    problems: list[str] = []
-    refs = set(gene_references(layout.n_ordinary))
-    functions = set(symbols.functions)
-    terminals = set(symbols.terminals)
-    dc_letters = set(symbols.dc_alphabet)
-    ordinary_head = functions | terminals
-    homeotic_head = functions | refs
-
-    if len(chromosome.ordinary) != layout.n_ordinary:
-        problems.append(f"expected {layout.n_ordinary} ordinary genes, got {len(chromosome.ordinary)}")
-    if len(chromosome.homeotic) != layout.n_homeotic:
-        problems.append(f"expected {layout.n_homeotic} homeotic genes, got {len(chromosome.homeotic)}")
-
-    def check_region(region, where, allowed, expected_len):
-        if len(region) != expected_len:
-            problems.append(f"{where}: expected {expected_len} symbols, got {len(region)}")
-        if allowed.issuperset(region):
-            return
-        for i, sym in enumerate(region):
-            if sym not in allowed:
-                problems.append(f"{where}, position {i}: symbol {sym!r} not allowed")
-
-    for g, gene in enumerate(chromosome.ordinary):
-        check_region(gene.head, f"ordinary gene {g} head", ordinary_head, layout.ordinary_head_len)
-        check_region(gene.tail, f"ordinary gene {g} tail", terminals, layout.ordinary_tail_len)
-        check_region(gene.dc, f"ordinary gene {g} dc", dc_letters, layout.dc_len)
-    for g, gene in enumerate(chromosome.homeotic):
-        check_region(gene.head, f"homeotic gene {g} head", homeotic_head, layout.homeotic_head_len)
-        check_region(gene.tail, f"homeotic gene {g} tail", refs, layout.homeotic_tail_len)
-        if gene.dc:
-            problems.append(f"homeotic gene {g}: unexpected dc region")
-    return problems
+    if len(chromosome) != layout.total_len:
+        return [f"expected {layout.total_len} symbols, got {len(chromosome)}"]
+    allowed = _allowed_sets(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
+    if all(map(contains, allowed, chromosome)):
+        return []
+    return [f"{_slot_name(layout, pos)}: symbol {sym!r} not allowed"
+            for pos, (sym, ok) in enumerate(zip(chromosome, allowed)) if sym not in ok]

@@ -50,7 +50,7 @@ def test_bulk_generated_and_operated_genomes_all_validate():
     chroms = [random_chromosome(layout, symbols, rng) for _ in range(100_000)]
     invalid = sum(validate(c, layout, symbols) != [] for c in chroms)
     for i in range(10_000):
-        a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, layout, rng)
+        a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, rng)
         invalid += (validate(a, layout, symbols) != []) + (validate(b, layout, symbols) != [])
     for i in range(10_000):
         invalid += validate(mutate(chroms[i], 1.0, 2, layout, alphabets, rng),

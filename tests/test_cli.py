@@ -287,3 +287,30 @@ def test_bench_smoke_covers_all_problems(tmp_path, capsys):
         assert os.path.exists(out_dir / f"{name}_trace.csv")
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == len(names)
+
+
+@pytest.mark.parametrize("line", [
+    "problem = f1", "dim = 5", "trace = t.csv", "summary = s.csv",
+])
+def test_bench_rejects_config_keys_it_would_ignore(tmp_path, capsys, line):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"runs = 1\n{line}\n")
+    out_dir = tmp_path / "results"
+    rc = cli.main(["bench", "--config", str(conf), "--out-dir", str(out_dir)])
+    assert rc == 1
+    key = line.split(" = ")[0]
+    assert f"sweep.conf:{key}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_bench_takes_shared_keys_from_config(tmp_path):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("runs = 2\nseed = 4\npop_size = 12\ntermination_tolerance = none\n")
+    args = cli.build_parser().parse_args(
+        ["bench", "--config", str(conf), "--seed", "9", "--generations", "3"])
+    experiments = cli.bench_experiments(args, str(tmp_path))
+    assert [e.problem for e in experiments] == list(bench.problem_names())
+    for e in experiments:
+        assert (e.runs, e.seed, e.pop_size, e.generations) == (2, 9, 12, 3)
+        assert e.termination_tolerance is None and e.dim is None
+        assert e.trace_path == str(tmp_path / f"{e.problem}_trace.csv")

@@ -12,75 +12,72 @@ from fuzzygep.decode import (
     protected_apply,
 )
 from fuzzygep.genome import (
-    Chromosome,
     ConstantSet,
-    Gene,
     GeneLayout,
     SymbolSet,
+    gene_references,
+    gene_slices,
     position_alphabets,
     random_chromosome,
 )
 
 SYM = SymbolSet.create()
 CONSTS = ConstantSet((0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), -1.0, 1.0)
+# two ordinary genes (head 3, tail 4, dc 4), two homeotic genes (head 3, tail 4)
+SMALL = GeneLayout(ordinary_head_len=3, homeotic_head_len=3, n_ordinary=2, n_homeotic=2)
 
 
-def gene(head, tail, dc=""):
-    return Gene.from_strings(head, tail, dc)
+def ordinary(coding, dc):
+    return eval_ordinary(coding, dc, SYM, CONSTS)
 
 
 def test_single_terminal_root():
-    g = gene("aab", "aaaa", "AAAA")
-    assert expressed_length(g, SYM) == 1
-    tree = build_tree(g, SYM)
+    assert expressed_length("aabaaaa", SYM) == 1
+    tree = build_tree("aabaaaa", SYM)
     assert tree.symbol == "a" and tree.children == ()
-    assert eval_ordinary(g, SYM, CONSTS) == 0.0
+    assert ordinary("aabaaaa", "AAAA") == 0.0
 
 
 def test_breadth_first_structure():
-    g = gene("+*a", "bcaa", "AAAA")
-    tree = build_tree(g, SYM)
+    tree = build_tree("+*abcaa", SYM)
     assert tree.symbol == "+"
     assert tree.children[0].symbol == "*"
     assert tree.children[1].symbol == "a"
     assert [n.symbol for n in tree.children[0].children] == ["b", "c"]
     # (1*2) + 0
-    assert eval_ordinary(g, SYM, CONSTS) == 2.0
+    assert ordinary("+*abcaa", "AAAA") == 2.0
 
 
 def test_digit_terminals():
-    assert eval_ordinary(gene("+bc", "aaaa", "AAAA"), SYM, CONSTS) == 3.0
-    assert eval_ordinary(gene("jaa", "aaaa", "AAAA"), SYM, CONSTS) == 9.0
+    assert ordinary("+bcaaaa", "AAAA") == 3.0
+    assert ordinary("jaaaaaa", "AAAA") == 9.0
 
 
 def test_rnc_binding_uses_dc_order():
-    g = gene("*?b", "aaaa", "DAAB")
-    assert eval_ordinary(g, SYM, CONSTS) == 0.87227
-    tree = build_tree(g, SYM)
+    assert ordinary("*?baaaa", "DAAB") == 0.87227
+    tree = build_tree("*?baaaa", SYM)
     assert tree.children[0].rnc_ordinal == 0
     assert tree.rnc_ordinal is None
 
 
 def test_multiple_rnc_terminals():
     # expressed: + ? ?  -> dc[0] and dc[1]
-    g = gene("+??", "?aaa", "ABCD")
-    assert expressed_length(g, SYM) == 3
-    v = eval_ordinary(g, SYM, CONSTS)
+    assert expressed_length("+???aaa", SYM) == 3
+    v = ordinary("+???aaa", "ABCD")
     assert v == CONSTS.values[0] + CONSTS.values[1]
 
 
 def test_unexpressed_suffix_is_ignored():
-    a = gene("+ab", "aaaa", "AAAA")
-    b = gene("+ab", "jijj", "AAAA")  # same expressed prefix, junk after
-    assert eval_ordinary(a, SYM, CONSTS) == eval_ordinary(b, SYM, CONSTS) == 1.0
+    # same expressed prefix, junk after
+    assert ordinary("+abaaaa", "AAAA") == ordinary("+abjijj", "AAAA") == 1.0
 
 
 def test_expressed_length_worst_case_heads():
     for h in range(1, 9):
         layout_tail = h + 1
-        g = Gene(("+",) * h, ("a",) * layout_tail, ("A",) * layout_tail)
-        assert expressed_length(g, SYM) == 2 * h + 1
-        assert eval_ordinary(g, SYM, CONSTS) == 0.0
+        coding = "+" * h + "a" * layout_tail
+        assert expressed_length(coding, SYM) == 2 * h + 1
+        assert ordinary(coding, "A" * layout_tail) == 0.0
 
 
 def test_protected_division():
@@ -114,29 +111,29 @@ def test_exact_ieee_for_ordinary_ops():
 
 
 def test_homeotic_gene_refs():
-    g = Gene(("+", "g0", "g1"), ("g0",) * 4)
-    assert eval_homeotic(g, SYM, [2.0, 3.0]) == 5.0
-    root_only = Gene(("g1", "g0", "g0"), ("g0",) * 4)
-    assert eval_homeotic(root_only, SYM, [2.0, 3.0]) == 3.0
+    values = {"0": 2.0, "1": 3.0}
+    assert eval_homeotic("+010000", SYM, values) == 5.0
+    assert eval_homeotic("1000000", SYM, values) == 3.0  # root only
+
+
+def test_homeotic_refs_beyond_ten_genes():
+    refs = gene_references(12)
+    values = {ref: float(i) for i, ref in enumerate(refs)}
+    assert eval_homeotic("*" + refs[11] + refs[10] + "0000", SYM, values) == 110.0
 
 
 def test_eval_chromosome_full():
-    ord0 = gene("+bc", "aaaa", "AAAA")  # 3
-    ord1 = gene("*cd", "aaaa", "AAAA")  # 6
-    hom0 = Gene(("+", "g0", "g1"), ("g0",) * 4)  # 9
-    hom1 = Gene(("g1", "g0", "g0"), ("g0",) * 4)  # 6
-    c = Chromosome((ord0, ord1), (hom0, hom1))
-    assert eval_chromosome(c, SYM, CONSTS) == (9.0, 6.0)
+    c = ("+bcaaaa" "AAAA"  # 3
+         "*cdaaaa" "AAAA"  # 6
+         "+010000"         # 9
+         "1000000")        # 6
+    assert eval_chromosome(c, SMALL, SYM, CONSTS) == (9.0, 6.0)
 
 
 def test_homeotic_genes_are_independent():
-    ord0 = gene("+bc", "aaaa", "AAAA")
-    ord1 = gene("*cd", "aaaa", "AAAA")
-    hom0 = Gene(("+", "g0", "g1"), ("g0",) * 4)
-    hom1a = Gene(("g1", "g0", "g0"), ("g0",) * 4)
-    hom1b = Gene(("g0", "g0", "g0"), ("g0",) * 4)
-    a = eval_chromosome(Chromosome((ord0, ord1), (hom0, hom1a)), SYM, CONSTS)
-    b = eval_chromosome(Chromosome((ord0, ord1), (hom0, hom1b)), SYM, CONSTS)
+    genes = "+bcaaaaAAAA*cdaaaaAAAA+010000"
+    a = eval_chromosome(genes + "1000000", SMALL, SYM, CONSTS)
+    b = eval_chromosome(genes + "0000000", SMALL, SYM, CONSTS)
     assert a[0] == b[0]
     assert a[1] != b[1]
 
@@ -144,50 +141,35 @@ def test_homeotic_genes_are_independent():
 def test_exp_clamp_keeps_single_chain_finite():
     sym = SymbolSet.create(("E",))
     # E(E(9)) hits the clamp: exp(min(8103, 700)) = exp(700), large but finite
-    g = Gene(("E", "E", "j"), ("a",) * 4, ("A",) * 4)
-    assert eval_ordinary(g, sym, CONSTS) == math.exp(700.0)
+    assert eval_ordinary("EEjaaaa", "AAAA", sym, CONSTS) == math.exp(700.0)
 
 
 def test_non_finite_propagation_without_raising():
     sym = SymbolSet.create(("E",))
     # exp(700) * exp(700) overflows to inf
-    g = Gene(("*", "E", "E", "E", "E"), ("j",) * 6, ("A",) * 6)
-    assert math.isinf(eval_ordinary(g, sym, CONSTS))
+    assert math.isinf(eval_ordinary("*EEEE" + "j" * 6, "A" * 6, sym, CONSTS))
     # inf - inf propagates as nan, still no exception
-    g2 = Gene(("-", "*", "*", "E", "E", "E", "E", "E", "E", "E", "E"),
-              ("j",) * 12, ("A",) * 12)
-    assert math.isnan(eval_ordinary(g2, sym, CONSTS))
+    assert math.isnan(eval_ordinary("-**EEEEEEEE" + "j" * 12, "A" * 12, sym, CONSTS))
 
 
 def _randomize_unexpressed(c, layout, sym, rng):
     """Rewrite every slot the decoder never reads; value must not move."""
     alphabets = position_alphabets(layout, sym)
-    new_ordinary = []
-    offset = 0
-    for g in c.ordinary:
-        n_expr = expressed_length(g, sym)
-        n_rnc = sum(1 for s in g.coding[:n_expr] if s == "?")
-        coding = list(g.coding)
-        for i in range(n_expr, len(coding)):
-            coding[i] = rng.choice(alphabets[offset + i])
-        dc = list(g.dc)
-        dc_off = offset + layout.ordinary_head_len + layout.ordinary_tail_len
-        for i in range(n_rnc, len(dc)):
-            dc[i] = rng.choice(alphabets[dc_off + i])
-        new_ordinary.append(Gene(tuple(coding[:layout.ordinary_head_len]),
-                                 tuple(coding[layout.ordinary_head_len:]),
-                                 tuple(dc)))
-        offset += layout.ordinary_gene_len
-    new_homeotic = []
-    for g in c.homeotic:
-        n_expr = expressed_length(g, sym)
-        coding = list(g.coding)
-        for i in range(n_expr, len(coding)):
-            coding[i] = rng.choice(alphabets[offset + i])
-        new_homeotic.append(Gene(tuple(coding[:layout.homeotic_head_len]),
-                                 tuple(coding[layout.homeotic_head_len:])))
-        offset += layout.homeotic_gene_len
-    return Chromosome(tuple(new_ordinary), tuple(new_homeotic))
+    slots = list(c)
+
+    def scramble(start, stop):
+        for pos in range(start, stop):
+            slots[pos] = rng.choice(alphabets[pos])
+
+    ordinary, homeotic = gene_slices(layout)
+    for coding, dc in ordinary:
+        n_expr = expressed_length(c[coding], sym)
+        n_rnc = c[coding][:n_expr].count("?")
+        scramble(coding.start + n_expr, coding.stop)
+        scramble(dc.start + n_rnc, dc.stop)
+    for coding in homeotic:
+        scramble(coding.start + expressed_length(c[coding], sym), coding.stop)
+    return "".join(slots)
 
 
 def test_unexpressed_regions_never_change_value():
@@ -196,8 +178,8 @@ def test_unexpressed_regions_never_change_value():
     rng = random.Random(17)
     for _ in range(100):
         c = random_chromosome(layout, sym, rng)
-        base = eval_chromosome(c, sym, CONSTS)
+        base = eval_chromosome(c, layout, sym, CONSTS)
         shuffled = _randomize_unexpressed(c, layout, sym, rng)
-        again = eval_chromosome(shuffled, sym, CONSTS)
+        again = eval_chromosome(shuffled, layout, sym, CONSTS)
         for u, v in zip(base, again):
             assert u == v or (math.isnan(u) and math.isnan(v))

@@ -20,11 +20,9 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
-    Chromosome,
-    Gene,
     GeneLayout,
     SymbolSet,
-    flatten,
+    gene_references,
     position_alphabets,
     random_chromosome,
     validate,
@@ -146,11 +144,11 @@ def test_baseline_rates_fixed_everywhere():
     {"max_gen": 0},
     {"mode": "turbo"},
     {"mutations_per_individual": 0},
-    {"success_tol": -1.0},
     {"termination_tol": -0.5},
     {"n_constants": 0},
     {"ordinary_head_len": 0},
     {"n_ordinary_genes": 0},
+    {"homeotic_head_len": 0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -172,7 +170,7 @@ def test_crossover_never_fires_at_zero_rate():
     rng = random.Random(0)
     a = random_chromosome(LAYOUT, SYM, rng)
     b = random_chromosome(LAYOUT, SYM, rng)
-    assert crossover(a, b, 0.0, LAYOUT, rng) == (a, b)
+    assert crossover(a, b, 0.0, rng) == (a, b)
 
 
 def test_crossover_cut_zero_swaps_parents():
@@ -180,7 +178,7 @@ def test_crossover_cut_zero_swaps_parents():
     a = random_chromosome(LAYOUT, SYM, rng)
     b = random_chromosome(LAYOUT, SYM, rng)
     scripted = ScriptedRng(randoms=[0.0], randranges=[0])
-    assert crossover(a, b, 1.0, LAYOUT, scripted) == (b, a)
+    assert crossover(a, b, 1.0, scripted) == (b, a)
 
 
 def test_crossover_exchanges_suffixes():
@@ -189,10 +187,9 @@ def test_crossover_exchanges_suffixes():
     b = random_chromosome(LAYOUT, SYM, rng)
     cut = 13
     scripted = ScriptedRng(randoms=[0.0], randranges=[cut])
-    child_a, child_b = crossover(a, b, 1.0, LAYOUT, scripted)
-    fa, fb = flatten(a), flatten(b)
-    assert flatten(child_a) == fa[:cut] + fb[cut:]
-    assert flatten(child_b) == fb[:cut] + fa[cut:]
+    child_a, child_b = crossover(a, b, 1.0, scripted)
+    assert child_a == a[:cut] + b[cut:]
+    assert child_b == b[:cut] + a[cut:]
 
 
 def test_crossover_offspring_always_valid():
@@ -200,7 +197,7 @@ def test_crossover_offspring_always_valid():
     for _ in range(1000):
         a = random_chromosome(LAYOUT, SYM, rng)
         b = random_chromosome(LAYOUT, SYM, rng)
-        for child in crossover(a, b, 1.0, LAYOUT, rng):
+        for child in crossover(a, b, 1.0, rng):
             assert validate(child, LAYOUT, SYM) == []
 
 
@@ -217,7 +214,7 @@ def test_mutate_changes_k_distinct_positions():
     for _ in range(200):
         c = random_chromosome(LAYOUT, SYM, rng)
         m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
-        diff = sum(1 for x, y in zip(flatten(c), flatten(m)) if x != y)
+        diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
 
 
@@ -341,19 +338,11 @@ def test_constant_mutation_reset_reevaluates():
     eng = make_engine(max_gen=10)
     rng = random.Random(31)
     eng.constants = _fresh_constants(eng, rng)
-    # one chromosome whose genes express '?', one with digits only
-    with_rnc = Chromosome(
-        (Gene(("?",) + ("a",) * 5, ("a",) * 7, ("A",) * 7),
-         Gene(("?",) + ("a",) * 5, ("a",) * 7, ("B",) * 7)),
-        (Gene(("g0", "g0", "g0", "g0"), ("g0",) * 5),
-         Gene(("g1", "g0", "g0", "g0"), ("g1",) * 5)),
-    )
-    digits_only = Chromosome(
-        (Gene(("c",) + ("a",) * 5, ("a",) * 7, ("A",) * 7),
-         Gene(("d",) + ("a",) * 5, ("a",) * 7, ("A",) * 7)),
-        (Gene(("g0", "g0", "g0", "g0"), ("g0",) * 5),
-         Gene(("g1", "g0", "g0", "g0"), ("g1",) * 5)),
-    )
+    # one chromosome whose genes express '?', one with digits only; each
+    # ordinary gene is 6 head + 7 tail + 7 dc slots, each homeotic 4 + 5
+    homeotic = "0000" + "0" * 5 + "1000" + "1" * 5
+    with_rnc = "?" + "a" * 12 + "A" * 7 + "?" + "a" * 12 + "B" * 7 + homeotic
+    digits_only = "c" + "a" * 12 + "A" * 7 + "d" + "a" * 12 + "A" * 7 + homeotic
     pop = [eng.evaluate(with_rnc), eng.evaluate(digits_only)]
     old_constants = eng.constants
     out, reset = eng.maybe_mutate_constants(8, 1.0, pop)
@@ -370,11 +359,7 @@ def test_evaluate_penalizes_objective_blowups():
     rng = random.Random(77)
     eng.constants = _fresh_constants(eng, rng)
     # homeotic output -exp(700): far outside the box, exp(-0.001*x) overflows
-    c = Chromosome(
-        (Gene(("E", "j") + ("a",) * 4, ("a",) * 7, ("A",) * 7),
-         Gene(("E", "E", "j") + ("a",) * 3, ("a",) * 7, ("A",) * 7)),
-        (Gene(("-", "g0", "g1", "g0"), ("g0",) * 5),),
-    )
+    c = "Ej" + "a" * 11 + "A" * 7 + "EEj" + "a" * 10 + "A" * 7 + "-010" + "0" * 5
     ind = eng.evaluate(c)
     assert math.isfinite(ind.point[0]) and ind.point[0] < -1e300
     assert math.isnan(ind.fitness)
@@ -384,15 +369,23 @@ def test_sphere_zero_chromosome_has_zero_fitness():
     eng = make_engine("f1", max_gen=10)
     rng = random.Random(13)
     eng.constants = _fresh_constants(eng, rng)
-    zero = Chromosome(
-        (Gene(("a",) * 6, ("a",) * 7, ("A",) * 7),
-         Gene(("a",) * 6, ("a",) * 7, ("A",) * 7)),
-        (Gene(("g0",) * 4, ("g0",) * 5),
-         Gene(("g1",) * 4, ("g1",) * 5)),
-    )
+    zero = ("a" * 13 + "A" * 7) * 2 + "0" * 9 + "1" * 9
     ind = eng.evaluate(zero)
     assert ind.point == (0.0, 0.0)
     assert ind.fitness == 0.0
+
+
+def test_engine_with_more_than_ten_ordinary_genes():
+    """References past "9" are code points from U+0100 up; runs and decoding use them."""
+    cfg = EngineConfig(pop_size=10, max_gen=4, n_ordinary_genes=12, termination_tol=None)
+    eng = Engine(builtin("f1"), cfg, seed=5)
+    res = eng.run()
+    assert res.generations == 4
+    assert validate(res.best.chromosome, eng.layout, eng.symbols) == []
+    # eleven ordinary genes worth 0, then gene 11 worth 7; both homeotic genes read gene 11
+    ref = gene_references(12)[11]
+    c = ("a" * 13 + "A" * 7) * 11 + "h" + "a" * 12 + "A" * 7 + ref * 9 * 2
+    assert eng.evaluate(c).point == (7.0, 7.0)
 
 
 # --- full runs ---

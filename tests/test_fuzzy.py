@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from fuzzygep import fuzzy
+from fuzzygep.evolve import RateControllers
 from fuzzygep.fuzzy import (
     CONSTANT_MUTATION_RULES,
     CROSSOVER_RULES,
@@ -150,3 +152,17 @@ def test_monotone_rate_responses():
         assert b <= a + 1e-12
     for a, b in zip(mut, mut[1:]):
         assert b >= a - 1e-12
+
+
+def test_output_grids_are_shared_across_controllers():
+    """The grid cache is keyed by universe value: a sweep of runs, each with
+    its own RateControllers, keeps one entry per output universe."""
+    fuzzy._output_grids.cache_clear()
+    for max_gen in range(2, 302):
+        controllers = RateControllers(max_gen)
+        controllers.crossover_rate(0.8)
+        controllers.mutation_rate(0.8)
+        controllers.constant_rate(max_gen, 0.8)
+    info = fuzzy._output_grids.cache_info()
+    assert info.currsize == 3
+    assert info.hits == 3 * 300 - 3

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from fuzzygep.genome import (
-    Chromosome,
-    Gene,
     GeneLayout,
     SymbolSet,
     flatten,
     gene_references,
+    gene_slices,
     position_alphabets,
     random_chromosome,
     random_constant_set,
@@ -103,8 +102,55 @@ def test_symbolset_rejects_overlapping_alphabets():
         SymbolSet((("+", 0),), ("?",), ("A",))
 
 
+def test_symbolset_rejects_symbols_that_are_not_one_ascii_non_digit():
+    for functions, terminals, dc in (
+        ((("+", 2),), ("?", "ab"), ("A",)),      # two characters
+        ((("+", 2),), ("?", "a"), ("7",)),       # a digit, which names a gene
+        ((("\u0100", 2),), ("?", "a"), ("A",)),  # a reference code point
+    ):
+        with pytest.raises(ValueError, match="one ASCII character"):
+            SymbolSet(functions, terminals, dc)
+
+
 def test_gene_references():
-    assert gene_references(3) == ("g0", "g1", "g2")
+    assert gene_references(3) == ("0", "1", "2")
+    assert gene_references(12)[9:] == ("9", "\u0100", "\u0101")
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 40])
+def test_gene_references_are_distinct_single_characters_outside_other_alphabets(n):
+    refs = gene_references(n)
+    assert len(refs) == n and len(set(refs)) == n
+    assert all(len(r) == 1 for r in refs)
+    sym = SymbolSet.create(("S", "C", "Q", "E"), n_constants=22)
+    assert not set(refs) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
+
+
+@pytest.mark.parametrize("layout", [
+    GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=1),
+    GeneLayout(n_homeotic=30),
+    GeneLayout(ordinary_head_len=5, homeotic_head_len=3, n_ordinary=12, n_homeotic=4, max_arity=3),
+])
+def test_random_chromosome_equals_region_by_region_choices(layout):
+    """The single-pass draw is the rng.choices draw, slot for slot."""
+    sym = SymbolSet.create(("S", "Q")) if layout.max_arity == 2 else SymbolSet(
+        (("+", 2), ("*", 3)), ("?", "a", "b"), ("A", "B"))
+    refs = gene_references(layout.n_ordinary)
+    ordinary_head = sym.functions + sym.terminals
+    homeotic_head = sym.functions + refs
+    for seed in range(20):
+        twin = random.Random(seed)
+        parts = []
+        for _ in range(layout.n_ordinary):
+            parts += twin.choices(ordinary_head, k=layout.ordinary_head_len)
+            parts += twin.choices(sym.terminals, k=layout.ordinary_tail_len)
+            parts += twin.choices(sym.dc_alphabet, k=layout.dc_len)
+        for _ in range(layout.n_homeotic):
+            parts += twin.choices(homeotic_head, k=layout.homeotic_head_len)
+            parts += twin.choices(refs, k=layout.homeotic_tail_len)
+        rng = random.Random(seed)
+        assert random_chromosome(layout, sym, rng) == "".join(parts)
+        assert rng.random() == twin.random()  # same number of draws
 
 
 def test_random_chromosome_is_valid():
@@ -113,6 +159,7 @@ def test_random_chromosome_is_valid():
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(layout, sym, rng)
+        assert isinstance(c, str) and len(c) == layout.total_len
         assert validate(c, layout, sym) == []
 
 
@@ -193,9 +240,21 @@ def test_flatten_rebuild_roundtrip():
     rng = random.Random(3)
     for _ in range(50):
         c = random_chromosome(layout, sym, rng)
+        assert flatten(c) == list(c)
         assert rebuild(flatten(c), layout) == c
     with pytest.raises(ValueError):
         rebuild(flatten(c)[:-1], layout)
+
+
+def test_gene_slices_tile_the_chromosome():
+    layout = GeneLayout(n_ordinary=3, n_homeotic=2)
+    ordinary, homeotic = gene_slices(layout)
+    assert ordinary[0] == (slice(0, 13), slice(13, 20))
+    assert ordinary[2] == (slice(40, 53), slice(53, 60))
+    assert homeotic == (slice(60, 69), slice(69, 78))
+    covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
+    covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
+    assert covered == list(range(layout.total_len))
 
 
 def _valid_chromosome(layout, sym, seed=0):
@@ -208,12 +267,18 @@ def test_validate_accepts_valid():
     assert validate(_valid_chromosome(layout, sym), layout, sym) == []
 
 
+def _replace(c: str, pos: int, sym: str) -> str:
+    return c[:pos] + sym + c[pos + 1:]
+
+
+# small_layout(): ordinary genes of 3 head + 4 tail + 4 dc slots at 0 and 11,
+# then one homeotic gene of 2 head + 3 tail slots at 22
+
+
 def test_validate_flags_function_in_tail():
     sym = SymbolSet.create()
     layout = small_layout()
-    c = _valid_chromosome(layout, sym)
-    bad_gene = Gene(c.ordinary[0].head, ("+",) + c.ordinary[0].tail[1:], c.ordinary[0].dc)
-    bad = Chromosome((bad_gene,) + c.ordinary[1:], c.homeotic)
+    bad = _replace(_valid_chromosome(layout, sym), 3, "+")
     issues = validate(bad, layout, sym)
     assert len(issues) == 1
     assert "ordinary gene 0 tail" in issues[0] and "position 0" in issues[0]
@@ -222,31 +287,39 @@ def test_validate_flags_function_in_tail():
 def test_validate_flags_bad_dc_symbol():
     sym = SymbolSet.create()
     layout = small_layout()
-    c = _valid_chromosome(layout, sym)
-    g = c.ordinary[1]
-    bad = Chromosome((c.ordinary[0], Gene(g.head, g.tail, g.dc[:-1] + ("z",))), c.homeotic)
+    bad = _replace(_valid_chromosome(layout, sym), 21, "z")
     issues = validate(bad, layout, sym)
-    assert len(issues) == 1 and "ordinary gene 1 dc" in issues[0]
+    assert len(issues) == 1 and "ordinary gene 1 dc, position 3" in issues[0]
 
 
 def test_validate_flags_terminal_in_homeotic_head():
     sym = SymbolSet.create()
     layout = small_layout()
-    c = _valid_chromosome(layout, sym)
-    g = c.homeotic[0]
-    bad = Chromosome(c.ordinary, (Gene(("a",) + g.head[1:], g.tail),))
+    bad = _replace(_valid_chromosome(layout, sym), 22, "a")
     issues = validate(bad, layout, sym)
-    assert len(issues) == 1 and "homeotic gene 0 head" in issues[0]
+    assert len(issues) == 1 and "homeotic gene 0 head, position 0" in issues[0]
+
+
+def test_validate_flags_every_bad_slot_by_gene_region_and_offset():
+    sym = SymbolSet.create()
+    layout = GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=3)
+    bad = _replace(_replace(_valid_chromosome(layout, sym), 5, "A"), 36, "a")
+    assert validate(bad, layout, sym) == [
+        "ordinary gene 0 tail, position 2: symbol 'A' not allowed",
+        "homeotic gene 2 tail, position 2: symbol 'a' not allowed",
+    ]
 
 
 def test_validate_flags_wrong_lengths_and_counts():
+    """Gene counts and region sizes are fixed offsets in the string, so a
+    missing gene, a short region or a homeotic Dc region all show up as a
+    wrong total length."""
     sym = SymbolSet.create()
     layout = small_layout()
     c = _valid_chromosome(layout, sym)
-    g = c.ordinary[0]
-    short = Chromosome((Gene(g.head[:-1], g.tail, g.dc), c.ordinary[1]), c.homeotic)
-    assert any("expected 3 symbols" in v for v in validate(short, layout, sym))
-    missing = Chromosome((c.ordinary[0],), c.homeotic)
-    assert any("expected 2 ordinary genes" in v for v in validate(missing, layout, sym))
-    with_dc = Chromosome(c.ordinary, (Gene(c.homeotic[0].head, c.homeotic[0].tail, ("A",)),))
-    assert any("unexpected dc region" in v for v in validate(with_dc, layout, sym))
+    short = c[:2] + c[3:]  # one head slot of ordinary gene 0 missing
+    assert validate(short, layout, sym) == ["expected 27 symbols, got 26"]
+    missing = c[11:]  # ordinary gene 0 missing
+    assert validate(missing, layout, sym) == ["expected 27 symbols, got 16"]
+    with_dc = c + "A"  # a Dc slot after the homeotic gene
+    assert validate(with_dc, layout, sym) == ["expected 27 symbols, got 28"]
