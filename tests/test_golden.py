@@ -30,6 +30,16 @@ GOLDEN = {
         ["--problem", "f6", "--seed", "3", "--pop-size", "30", "--generations", "20", "--runs", "2"],
         "8a22786e353cdf6ea90cbfbef241fba96565e249630f463ac975f1656e50cd8b",
     ),
+    # two homeotic genes: most of the decode work is bypassed
+    "f8": (
+        ["--problem", "f8", "--seed", "7", "--pop-size", "30", "--generations", "30", "--runs", "2"],
+        "ba4f28fd19f7e557248788ab860fd45748e9023bd3d5e9f0f79e0a327d12e7d6",
+    ),
+    # maximizes off the box; ordinary genes and coordinates decode to -0.0
+    "f7": (
+        ["--problem", "f7", "--seed", "1", "--pop-size", "30", "--generations", "30", "--runs", "2"],
+        "2e5f70951b74a06c9203a63bf55c3b6f01a9d646e3f48b9d86e73c45929160ce",
+    ),
     "f12-d5-baseline": (
         ["--problem", "f12", "--dim", "5", "--mode", "baseline", "--seed", "5", "--pop-size", "30",
          "--generations", "20", "--runs", "2"],
