@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -17,7 +17,6 @@ class Problem:
     known_optimum: float | None
     func: Callable[[Sequence[float]], float]
     extra_operators: tuple[str, ...] = ()
-    params: dict = field(default_factory=dict)
 
     def evaluate(self, x: Sequence[float]) -> float:
         if len(x) != self.dim:
@@ -166,9 +165,6 @@ def builtin(name: str, dim: int | None = None) -> Problem:
         if dim < 1:
             raise ValueError("dim must be positive")
     lower, upper = entry.bounds
-    params = {}
-    if name == "f12":
-        params = {"a": 20.0, "b": 0.2, "c": 2.0 * math.pi}
     return Problem(
         name=name,
         dim=dim,
@@ -178,5 +174,4 @@ def builtin(name: str, dim: int | None = None) -> Problem:
         known_optimum=entry.optimum,
         func=entry.func,
         extra_operators=entry.extra_operators,
-        params=params,
     )

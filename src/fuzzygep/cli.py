@@ -112,6 +112,9 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--mode", default=None)
     parser.add_argument("--tolerance", type=float, default=None)
+    # "none" parses to None, so this flag is absent from the namespace unless given
+    parser.add_argument("--termination-tolerance", type=_parse_termination,
+                        default=argparse.SUPPRESS)
     parser.add_argument("--config", default=None)
 
 
@@ -143,11 +146,11 @@ def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
     For each config key, a flag wins over the config file, which wins over
     the ExperimentConfig default; `fixed` fields win over all three.
     """
+    flags = vars(args)
     values = {}
     for key in _CONFIG_COERCERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[_FIELD_OF_KEY.get(key, key)] = flag
+        if flags.get(key) is not None or key == "termination_tolerance" and key in flags:
+            values[_FIELD_OF_KEY.get(key, key)] = flags[key]
         elif key in data:
             values[_FIELD_OF_KEY.get(key, key)] = data[key]
     values.update(fixed)

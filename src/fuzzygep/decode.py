@@ -133,7 +133,11 @@ def eval_homeotic(coding: str, symbols: SymbolSet, ordinary_values) -> float:
 
 def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
                     constants: ConstantSet) -> tuple[float, ...]:
-    """Candidate point: one coordinate per homeotic gene."""
+    """Candidate point: one coordinate per homeotic gene.
+
+    This is the uncached reference decode: `Engine.evaluate` memoizes
+    coordinates and is tested to return the same bits as this function.
+    """
     ordinary, homeotic = gene_slices(layout)
     ordinary_values = {
         ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 from .bench import Problem
@@ -269,20 +270,36 @@ class Engine:
             max_arity=self.symbols.max_arity,
         )
         self.alphabets = position_alphabets(self.layout, self.symbols)
-        ordinary, self.homeotic_slices = gene_slices(self.layout)
-        # (reference character, (coding slice, dc slice)) per ordinary gene
-        self.ordinary_slices = tuple(zip(gene_references(self.layout.n_ordinary), ordinary))
+        # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
+        self.ordinary_slices, self.homeotic_slices = gene_slices(self.layout)
+        self.references = gene_references(self.layout.n_ordinary)
         self.controllers = RateControllers(self.cfg.max_gen)
         self.constants = None
+        # A homeotic gene's coordinate depends only on its coding string and
+        # the ordinary-gene values, so it is computed once per pair: packed
+        # ordinary values -> {homeotic coding string: coordinate}. The key is
+        # the values' bytes, not a float tuple, so that 0.0 and -0.0 stay
+        # apart and a NaN value still finds its entry.
+        self._pack_ordinary = struct.Struct(f"<{self.layout.n_ordinary}d").pack
+        self._coordinates: dict[bytes, dict[str, float]] = {}
 
     def evaluate(self, chromosome: str) -> Individual:
         symbols = self.symbols
-        ordinary = {
-            ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, self.constants)
-            for ref, (coding, dc) in self.ordinary_slices
-        }
-        point = tuple([eval_homeotic(chromosome[coding], symbols, ordinary)
-                       for coding in self.homeotic_slices])
+        values = [eval_ordinary(chromosome[coding], chromosome[dc], symbols, self.constants)
+                  for coding, dc in self.ordinary_slices]
+        key = self._pack_ordinary(*values)
+        coordinates = self._coordinates.get(key)
+        if coordinates is None:
+            coordinates = self._coordinates[key] = {}
+        ordinary = dict(zip(self.references, values))
+        point = []
+        for coding in self.homeotic_slices:
+            gene = chromosome[coding]
+            x = coordinates.get(gene)
+            if x is None:
+                x = coordinates[gene] = eval_homeotic(gene, symbols, ordinary)
+            point.append(x)
+        point = tuple(point)
         return Individual(chromosome, point, self._fitness(point))
 
     def _fitness(self, point) -> float:

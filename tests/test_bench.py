@@ -73,13 +73,6 @@ def test_extra_operator_sets():
     assert builtin("f12").extra_operators == ("S", "C", "Q", "E")
 
 
-def test_f12_params():
-    p = builtin("f12")
-    assert p.params["a"] == 20.0
-    assert p.params["b"] == 0.2
-    assert p.params["c"] == pytest.approx(2.0 * math.pi, abs=0.0)
-
-
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         builtin("f1", 2).evaluate([1.0, 2.0, 3.0])

@@ -83,6 +83,37 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.seed == 7        # file fills the gap
 
 
+@pytest.mark.parametrize("value, expected", [("1e-3", 1e-3), ("none", None)])
+def test_termination_tolerance_flag_overrides_config(tmp_path, value, expected):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem = f1\ntermination_tolerance = 0.5\n")
+    for command in (["run"], ["bench"]):
+        args = cli.build_parser().parse_args(
+            command + ["--config", str(conf), "--termination-tolerance", value])
+        assert args.termination_tolerance == expected
+    cfg = cli.experiment_from_args(cli.build_parser().parse_args(_run_args(
+        tmp_path, "--config", str(conf), "--termination-tolerance", value)))
+    assert cfg.termination_tolerance == expected
+
+
+def test_termination_tolerance_flag_reaches_the_engine(tmp_path):
+    # any finite best is within 1e300 of f1's optimum, so that run stops
+    # before generation 1; "none" runs all five (rows count the header)
+    for value, rows in (("1e300", 2), ("none", 7)):
+        argv = _run_args(tmp_path, "--problem", "f1", "--pop-size", "10", "--generations", "5",
+                         "--runs", "1", "--termination-tolerance", value)
+        assert cli.main(argv) == 0
+        assert len(_lines(tmp_path / "trace.csv")) == rows
+
+
+def test_termination_tolerance_flag_bad_value(tmp_path, capsys):
+    argv = _run_args(tmp_path, "--problem", "f1", "--termination-tolerance", "tight")
+    assert cli.main(argv) == 1
+    assert "--termination-tolerance" in capsys.readouterr().err
+    argv = _run_args(tmp_path, "--problem", "f1", "--termination-tolerance", "-1")
+    assert cli.main(argv) == 1
+
+
 def test_config_file_unknown_key(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("problem = f1\npopulation = 30\n")

@@ -1,10 +1,13 @@
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
 
+from fuzzygep import evolve
 from fuzzygep.bench import builtin
+from fuzzygep.decode import eval_chromosome
 from fuzzygep.evolve import (
     BASELINE_RATES,
     Engine,
@@ -20,6 +23,7 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
+    ConstantSet,
     GeneLayout,
     SymbolSet,
     gene_references,
@@ -386,6 +390,51 @@ def test_engine_with_more_than_ten_ordinary_genes():
     ref = gene_references(12)[11]
     c = ("a" * 13 + "A" * 7) * 11 + "h" + "a" * 12 + "A" * 7 + ref * 9 * 2
     assert eng.evaluate(c).point == (7.0, 7.0)
+
+
+@pytest.mark.parametrize("name, dim, n_ordinary", [
+    ("f9", 30, 2),
+    ("f12", 10, 2),  # S, C, Q and E
+    ("f9", 10, 12),
+])
+def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, n_ordinary, monkeypatch):
+    """Memoized coordinates carry the bits the uncached decode computes,
+    also once the constants are redrawn."""
+    eng = Engine(builtin(name, dim), EngineConfig(n_ordinary_genes=n_ordinary), seed=3)
+    rng = random.Random(17)
+    parents = [random_chromosome(eng.layout, eng.symbols, rng) for _ in range(40)]
+    # offspring keep most genes of a parent, so most coordinates come from the memo
+    chromosomes = parents + [mutate(c, 1.0, 2, eng.layout, eng.alphabets, rng) for c in parents]
+    chromosomes += [crossover(a, b, 1.0, rng)[0] for a, b in zip(parents, parents[1:])]
+    real = evolve.eval_homeotic
+    calls = Counter()
+
+    def counted(*args):
+        calls["eval_homeotic"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "eval_homeotic", counted)
+    pack = struct.Struct(f"<{dim}d").pack
+    for _ in range(2):
+        eng.constants = _fresh_constants(eng, rng)
+        for c in chromosomes:
+            want = eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+            assert pack(*eng.evaluate(c).point) == pack(*want)
+    assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
+
+
+def test_coordinate_memo_keeps_signed_zeros_apart():
+    """0.0 == -0.0, so a float-tuple memo key would hand the second
+    chromosome the first one's +0.0 coordinates."""
+    eng = make_engine("f1", max_gen=10)
+    eng.constants = ConstantSet((-3.0, 2.0) + (1.0,) * 8, -5.12, 5.12)
+    # first ordinary gene a*?: 0 * constant A = -0.0, 0 * constant B = +0.0;
+    # the second is 1; both homeotic genes read the first ordinary gene
+    second_and_homeotic = "b" + "a" * 12 + "A" * 7 + "0" * 9 * 2
+    positive = "*a?" + "a" * 10 + "B" * 7 + second_and_homeotic
+    negative = "*a?" + "a" * 10 + "A" * 7 + second_and_homeotic
+    assert [math.copysign(1.0, x) for x in eng.evaluate(positive).point] == [1.0, 1.0]
+    assert [math.copysign(1.0, x) for x in eng.evaluate(negative).point] == [-1.0, -1.0]
 
 
 # --- full runs ---
