@@ -1,4 +1,4 @@
-"""Golden outputs: SHA-256 of trace.csv + summary.csv for fixed-seed runs.
+"""Golden outputs: SHA-256 of the trace and summary CSVs of fixed-seed runs.
 
 A refactor that keeps every RNG draw and every float operation in place
 leaves these hashes unchanged. A change that alters behaviour on purpose
@@ -11,10 +11,11 @@ or libm may legitimately print different bytes.
 """
 
 import hashlib
+import os
 
 import pytest
 
-from fuzzygep import cli
+from fuzzygep import bench, cli
 
 GOLDEN = {
     "f3-seed42": (
@@ -55,3 +56,18 @@ def test_golden_output_hashes(name, tmp_path):
     assert cli.main(["run", *argv, "--trace", str(trace), "--summary", str(summary)]) == 0
     digest = hashlib.sha256(trace.read_bytes() + summary.read_bytes()).hexdigest()
     assert digest == expected
+
+
+# one run of every problem: twelve trace files, then the summary, in suite order
+BENCH_ARGV = ["--runs", "1", "--generations", "3", "--pop-size", "10", "--seed", "0"]
+BENCH_GOLDEN = "8015437555f71796b19494aead164901554b095490992d75aa698da05d763d98"
+
+
+def test_golden_bench_sweep_hash(tmp_path):
+    assert cli.main(["bench", "--out-dir", str(tmp_path), *BENCH_ARGV]) == 0
+    names = [f"{name}_trace.csv" for name in bench.problem_names()] + ["summary.csv"]
+    h = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest() == BENCH_GOLDEN
