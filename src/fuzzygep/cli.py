@@ -12,12 +12,20 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from . import bench, evolve
 
-TRACE_HEADER = "run,generation,best_fitness,avg_fitness,diversity_d,p_c,p_m,r_c,constant_reset"
-SUMMARY_HEADER = "problem,dim,mode,runs,best,mean_best,variance,success_rate,mean_gens_to_best"
+
+def _columns(row_type):
+    """A dataclass's fields as a CSV header, and a getter of their values."""
+    names = [f.name for f in fields(row_type)]
+    return ",".join(names), attrgetter(*names)
+
+
+_TRACE_COLUMNS, _trace_values = _columns(evolve.TraceRow)
+TRACE_HEADER = "run," + _TRACE_COLUMNS
 
 
 class ConfigError(Exception):
@@ -52,15 +60,21 @@ class Summary:
     mean_gens_to_best: float
 
 
+SUMMARY_HEADER, _summary_values = _columns(Summary)
+
+
 def _parse_termination(value: str):
     if value.lower() == "none":
         return None
     return float(value)
 
 
+# every key is also a flag; --help and argparse errors list them in this order
 _CONFIG_COERCERS = {
     "problem": str,
     "dim": int,
+    "trace": str,
+    "summary": str,
     "pop_size": int,
     "generations": int,
     "runs": int,
@@ -68,9 +82,10 @@ _CONFIG_COERCERS = {
     "mode": str,
     "tolerance": float,
     "termination_tolerance": _parse_termination,
-    "trace": str,
-    "summary": str,
 }
+
+# keys that choose one problem and its files, which bench sets per problem
+_RUN_ONLY_KEYS = ("problem", "dim", "trace", "summary")
 
 
 def parse_config_file(path: str) -> dict:
@@ -81,6 +96,7 @@ def parse_config_file(path: str) -> dict:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     data: dict = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +109,10 @@ def parse_config_file(path: str) -> dict:
         coerce = _CONFIG_COERCERS.get(key)
         if coerce is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first set on line {line_of[key]})")
+        line_of[key] = lineno
         try:
             data[key] = coerce(value)
         except ValueError:
@@ -105,39 +125,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--pop-size", type=int, default=None)
-    parser.add_argument("--generations", type=int, default=None)
-    parser.add_argument("--runs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--mode", default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
-    # "none" parses to None, so this flag is absent from the namespace unless given
-    parser.add_argument("--termination-tolerance", type=_parse_termination,
-                        default=argparse.SUPPRESS)
-    parser.add_argument("--config", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Every config key is also a flag (pop_size is --pop-size), absent from
+    the namespace unless given: "--termination-tolerance none" still wins."""
     parser = _Parser(prog="fuzzygep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="repeated seeded runs of one problem")
-    run_p.add_argument("--problem", default=None)
-    run_p.add_argument("--dim", type=int, default=None)
-    run_p.add_argument("--trace", default=None)
-    run_p.add_argument("--summary", default=None)
-    _add_common_flags(run_p)
     bench_p = sub.add_parser("bench", help="run the whole 12-problem suite")
     bench_p.add_argument("--out-dir", default=None)
-    _add_common_flags(bench_p)
+    for key, coerce in _CONFIG_COERCERS.items():
+        for p in (run_p,) if key in _RUN_ONLY_KEYS else (run_p, bench_p):
+            p.add_argument("--" + key.replace("_", "-"), type=coerce, default=argparse.SUPPRESS)
+    for p in (run_p, bench_p):
+        p.add_argument("--config", default=None)
     return parser
 
 
 # config keys named after something other than their ExperimentConfig field
 _FIELD_OF_KEY = {"trace": "trace_path", "summary": "summary_path"}
-
-# keys that choose one problem and its files, which bench sets per problem
-_RUN_ONLY_KEYS = ("problem", "dim", "trace", "summary")
 
 
 def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
@@ -146,13 +151,8 @@ def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
     For each config key, a flag wins over the config file, which wins over
     the ExperimentConfig default; `fixed` fields win over all three.
     """
-    flags = vars(args)
-    values = {}
-    for key in _CONFIG_COERCERS:
-        if flags.get(key) is not None or key == "termination_tolerance" and key in flags:
-            values[_FIELD_OF_KEY.get(key, key)] = flags[key]
-        elif key in data:
-            values[_FIELD_OF_KEY.get(key, key)] = data[key]
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_COERCERS}
+    values = {_FIELD_OF_KEY.get(key, key): value for key, value in {**data, **flags}.items()}
     values.update(fixed)
     if values.get("problem") is None:
         raise ConfigError("no problem selected; pass --problem or set it in the config file")
@@ -189,9 +189,9 @@ def validate_experiment(cfg: ExperimentConfig):
         raise ConfigError("pop-size must be at least 2")
     if cfg.generations < 1:
         raise ConfigError("generations must be at least 1")
-    if cfg.tolerance < 0.0:
+    if not cfg.tolerance >= 0.0:  # NaN fails too
         raise ConfigError("tolerance must be non-negative")
-    if cfg.termination_tolerance is not None and cfg.termination_tolerance < 0.0:
+    if cfg.termination_tolerance is not None and not cfg.termination_tolerance >= 0.0:
         raise ConfigError("termination_tolerance must be non-negative")
     if cfg.mode not in ("adaptive", "baseline"):
         raise ConfigError(f"mode must be adaptive or baseline, not {cfg.mode!r}")
@@ -215,39 +215,19 @@ def _write_lines(path: str, lines):
         fh.write("\n")
 
 
+def _csv_line(values) -> str:
+    return ",".join(map(_fmt, values))
+
+
 def write_trace(path: str, traces):
     lines = [TRACE_HEADER]
     for run_idx, rows in enumerate(traces):
-        for row in rows:
-            lines.append(",".join((
-                str(run_idx),
-                str(row.generation),
-                _fmt(row.best_fitness),
-                _fmt(row.avg_fitness),
-                _fmt(row.diversity_d),
-                _fmt(row.p_c),
-                _fmt(row.p_m),
-                _fmt(row.r_c),
-                _fmt(row.constant_reset),
-            )))
+        lines += [f"{run_idx},{_csv_line(_trace_values(row))}" for row in rows]
     _write_lines(path, lines)
 
 
 def write_summary(path: str, summaries):
-    lines = [SUMMARY_HEADER]
-    for s in summaries:
-        lines.append(",".join((
-            s.problem,
-            str(s.dim),
-            s.mode,
-            str(s.runs),
-            _fmt(s.best),
-            _fmt(s.mean_best),
-            _fmt(s.variance),
-            _fmt(s.success_rate),
-            _fmt(s.mean_gens_to_best),
-        )))
-    _write_lines(path, lines)
+    _write_lines(path, [SUMMARY_HEADER, *(_csv_line(_summary_values(s)) for s in summaries)])
 
 
 def succeeded(problem: bench.Problem, tolerance: float, fitness: float) -> bool:

@@ -73,16 +73,17 @@ def build_tree(coding: str, symbols: SymbolSet) -> Node:
     """Expression tree of the expressed region; the gene suffix is ignored."""
     starts = _child_starts(coding, symbols.arity)
     n = len(starts)
-    ordinals: dict[int, int] = {}
-    for i in range(n):
-        if coding[i] == RNC_TERMINAL:
-            ordinals[i] = len(ordinals)
+    # the reverse pass meets the expressed '?' terminals last to first
+    rnc = coding.count(RNC_TERMINAL, 0, n)
     nodes: list[Node | None] = [None] * n
     for i in range(n - 1, -1, -1):
         sym = coding[i]
+        if sym == RNC_TERMINAL:
+            rnc -= 1
         ar = symbols.arity.get(sym, 0)
         first = starts[i]
-        nodes[i] = Node(sym, ar, tuple(nodes[first:first + ar]), ordinals.get(i))
+        nodes[i] = Node(sym, ar, tuple(nodes[first:first + ar]),
+                        rnc if sym == RNC_TERMINAL else None)
     return nodes[0]
 
 
@@ -92,19 +93,15 @@ def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: ConstantS
     starts = _child_starts(coding, arity)
     n = len(starts)
     values = [0.0] * n
-    seen_rnc = 0
-    rnc_of: dict[int, int] = {}
-    for i in range(n):
-        if coding[i] == RNC_TERMINAL:
-            rnc_of[i] = seen_rnc
-            seen_rnc += 1
+    # the reverse pass meets the expressed '?' terminals last to first
+    rnc = coding.count(RNC_TERMINAL, 0, n)
     for i in range(n - 1, -1, -1):
         sym = coding[i]
         ar = arity.get(sym, 0)
         if ar == 0:
             if sym == RNC_TERMINAL:
-                letter = dc[rnc_of[i]]
-                values[i] = constants.values[symbols.dc_index[letter]]
+                rnc -= 1
+                values[i] = constants.values[symbols.dc_index[dc[rnc]]]
             else:
                 values[i] = DIGIT_VALUES[sym]
         else:

@@ -93,7 +93,7 @@ class EngineConfig:
             raise ValueError("mutations_per_individual must be positive")
         if self.mode not in ("adaptive", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.termination_tol is not None and self.termination_tol < 0.0:
+        if self.termination_tol is not None and not self.termination_tol >= 0.0:
             raise ValueError("termination_tol must be non-negative")
         if self.n_constants < 1:
             raise ValueError("n_constants must be positive")
@@ -130,7 +130,6 @@ class RunResult:
     first_best_gen: int
     generations: int
     trace: list[TraceRow]
-    temp_sizes: list[int]
 
 
 class RateControllers:
@@ -382,13 +381,11 @@ class Engine:
         generations = 0
         reading = diversity(population, direction)
         rates = adapt_rates(reading.d, 0, cfg, self.controllers)
-        trace = [TraceRow(0, best.fitness, _finite_mean(population), reading.d,
+        trace = [TraceRow(0, best.fitness, reading.f_ave, reading.d,
                           rates.p_c, rates.p_m, rates.r_c, False)]
-        temp_sizes: list[int] = []
         for gen in range(1, cfg.max_gen + 1):
             if self._reached_optimum(best.fitness):
                 break
-            reading = diversity(population, direction)
             rates = adapt_rates(reading.d, gen, cfg, self.controllers)
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)
             if reset:
@@ -396,23 +393,19 @@ class Engine:
                 if key(candidate) < key(best):
                     best, first_best_gen = candidate, gen
             temp = self.build_temp_population(population, rates)
-            temp_sizes.append(len(temp))
             population = select(temp, cfg, direction, self.rng)
             candidate = min(population, key=key)
             if key(candidate) < key(best):
                 best, first_best_gen = candidate, gen
             generations = gen
-            trace.append(TraceRow(gen, best.fitness, _finite_mean(population), reading.d,
+            # the rates were read from the parents; the next generation reads
+            # the selected population, whose mean fitness this row reports
+            selected = diversity(population, direction)
+            trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d,
                                   rates.p_c, rates.p_m, rates.r_c, reset))
+            reading = selected
         return RunResult(self.problem.name, self.seed, best, first_best_gen,
-                         generations, trace, temp_sizes)
-
-
-def _finite_mean(population) -> float:
-    fits = [ind.fitness for ind in population if math.isfinite(ind.fitness)]
-    if not fits:
-        return float("nan")
-    return sum(fits) / len(fits)
+                         generations, trace)
 
 
 def run(problem: Problem, cfg: EngineConfig | None = None, seed: int = 0) -> RunResult:

@@ -274,13 +274,22 @@ def test_cli_is_deterministic(tmp_path):
                     f"byte-identical CSVs: {ok}")
 
 
-def test_engine_trace_invariants_hold():
+def test_engine_trace_invariants_hold(monkeypatch):
+    sizes = []
+    build = evolve.Engine.build_temp_population
+
+    def recording(self, parents, rates):
+        temp = build(self, parents, rates)
+        sizes.append(len(temp))
+        return temp
+
+    monkeypatch.setattr(evolve.Engine, "build_temp_population", recording)
     problem = bench.builtin("f4")
     cfg = EngineConfig(max_gen=200, termination_tol=None)
     result = evolve.run(problem, cfg, seed=SEED_BASE)
     rows = result.trace
     eps = 1e-9
-    temp_ok = result.temp_sizes == [5 * cfg.pop_size] * 200
+    temp_ok = sizes == [5 * cfg.pop_size] * 200
     bests = [r.best_fitness for r in rows]
     monotone_ok = all(b <= a for a, b in zip(bests, bests[1:]))
     gate_ok = all(r.r_c == 0.0 for r in rows if r.generation <= 100)

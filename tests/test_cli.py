@@ -7,6 +7,9 @@ import pytest
 
 from fuzzygep import bench, cli
 
+TRACE_HEADER = "run,generation,best_fitness,avg_fitness,diversity_d,p_c,p_m,r_c,constant_reset"
+SUMMARY_HEADER = "problem,dim,mode,runs,best,mean_best,variance,success_rate,mean_gens_to_best"
+
 
 def _lines(path):
     with open(path, encoding="utf-8") as fh:
@@ -83,6 +86,33 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.seed == 7        # file fills the gap
 
 
+# for each config key: flag text and the parsed value, which is not the default
+FLAG_VALUES = {
+    "problem": ("f9", "f9"), "dim": ("5", 5), "pop_size": ("12", 12),
+    "generations": ("7", 7), "runs": ("3", 3), "seed": ("9", 9),
+    "mode": ("baseline", "baseline"), "tolerance": ("0.5", 0.5),
+    "termination_tolerance": ("none", None), "trace": ("t.csv", "t.csv"),
+    "summary": ("s.csv", "s.csv"),
+}
+
+
+@pytest.mark.parametrize("key", list(cli._CONFIG_COERCERS))
+def test_every_config_key_is_a_flag(tmp_path, key):
+    text, value = FLAG_VALUES[key]
+    flag = "--" + key.replace("_", "-")
+    field = cli._FIELD_OF_KEY.get(key, key)
+    assert getattr(cli.ExperimentConfig("f1"), field) != value
+    problem = [] if key == "problem" else ["--problem", "f9"]
+    cfg = cli.experiment_from_args(cli.build_parser().parse_args(["run", *problem, flag, text]))
+    assert getattr(cfg, field) == value
+    if key in cli._RUN_ONLY_KEYS:
+        with pytest.raises(cli.ConfigError, match="unrecognized arguments"):
+            cli.build_parser().parse_args(["bench", flag, text])
+    else:
+        args = cli.build_parser().parse_args(["bench", flag, text])
+        assert all(getattr(e, field) == value for e in cli.bench_experiments(args, str(tmp_path)))
+
+
 @pytest.mark.parametrize("value, expected", [("1e-3", 1e-3), ("none", None)])
 def test_termination_tolerance_flag_overrides_config(tmp_path, value, expected):
     conf = tmp_path / "exp.conf"
@@ -121,6 +151,16 @@ def test_config_file_unknown_key(tmp_path):
         cli.parse_config_file(str(conf))
 
 
+def test_config_file_duplicate_key(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("problem = f1\nruns = 5\n\nruns = 1\n")
+    with pytest.raises(cli.ConfigError,
+                       match=r"exp\.conf:4: duplicate key 'runs' \(first set on line 2\)"):
+        cli.parse_config_file(str(conf))
+    assert cli.main(_run_args(tmp_path, "--config", str(conf))) == 1
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_config_file_bad_value(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("problem = f1\n\nruns = many\n")
@@ -149,12 +189,28 @@ def test_config_file_unreadable():
     (dict(mode="fuzzy"), "mode"),
     (dict(problem="f99"), "unknown problem"),
     (dict(problem="f2", dim=5), "fixed"),
+    (dict(tolerance=float("nan")), "tolerance"),
+    (dict(termination_tolerance=float("nan")), "termination_tolerance"),
 ])
 def test_validate_rejects(kwargs, fragment):
     base = dict(problem="f1")
     base.update(kwargs)
     with pytest.raises(cli.ConfigError, match=fragment):
         cli.validate_experiment(cli.ExperimentConfig(**base))
+
+
+@pytest.mark.parametrize("key", ["tolerance", "termination_tolerance"])
+def test_nan_tolerance_exits_1_from_flag_or_config(tmp_path, capsys, key):
+    # a NaN tolerance would report no success and a NaN termination
+    # tolerance would turn early stopping off, both without a word
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"{key} = nan\n")
+    base = _run_args(tmp_path, "--problem", "f1", "--runs", "1", "--generations", "3",
+                     "--pop-size", "10")
+    for extra in (["--" + key.replace("_", "-"), "nan"], ["--config", str(conf)]):
+        assert cli.main(base + extra) == 1
+        assert f"{key} must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_missing_problem_exits_1(tmp_path, capsys):
@@ -190,8 +246,8 @@ def test_run_writes_both_files(tmp_path, capsys):
     assert rc == 0
     trace = _lines(tmp_path / "trace.csv")
     summary = _lines(tmp_path / "summary.csv")
-    assert trace[0] == cli.TRACE_HEADER
-    assert summary[0] == cli.SUMMARY_HEADER
+    assert trace[0] == TRACE_HEADER
+    assert summary[0] == SUMMARY_HEADER
     assert len(summary) == 2
     cells = summary[1].split(",")
     assert cells[0] == "f1" and cells[1] == "2"
@@ -311,7 +367,7 @@ def test_bench_smoke_covers_all_problems(tmp_path, capsys):
     ])
     assert rc == 0
     summary = _lines(out_dir / "summary.csv")
-    assert summary[0] == cli.SUMMARY_HEADER
+    assert summary[0] == SUMMARY_HEADER
     names = [line.split(",")[0] for line in summary[1:]]
     assert names == list(bench.problem_names())
     for name in names:
@@ -331,6 +387,17 @@ def test_bench_rejects_config_keys_it_would_ignore(tmp_path, capsys, line):
     assert rc == 1
     key = line.split(" = ")[0]
     assert f"sweep.conf:{key}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--problem", "f1"), ("--dim", "5"), ("--trace", "t.csv"), ("--summary", "s.csv"),
+])
+def test_bench_rejects_run_only_flags(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "results"
+    rc = cli.main(["bench", "--out-dir", str(out_dir), "--runs", "1", flag, value])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
     assert not out_dir.exists()
 
 

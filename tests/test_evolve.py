@@ -153,6 +153,7 @@ def test_baseline_rates_fixed_everywhere():
     {"ordinary_head_len": 0},
     {"n_ordinary_genes": 0},
     {"homeotic_head_len": 0},
+    {"termination_tol": float("nan")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -464,7 +465,6 @@ def test_run_trace_structure():
     assert res.generations == 8
     assert len(res.trace) == 9
     assert [row.generation for row in res.trace] == list(range(9))
-    assert res.temp_sizes == [100] * 8
     fits = [row.best_fitness for row in res.trace]
     for a, b in zip(fits, fits[1:]):
         assert b <= a
