@@ -41,6 +41,18 @@ GOLDEN = {
         ["--problem", "f7", "--seed", "1", "--pop-size", "30", "--generations", "30", "--runs", "2"],
         "2e5f70951b74a06c9203a63bf55c3b6f01a9d646e3f48b9d86e73c45929160ce",
     ),
+    # temp populations of 20 and 10 (at most 21): tournaments take random.sample's
+    # pool path; 200 generations reach the constant resets of the second half
+    "f8-pop4": (
+        ["--problem", "f8", "--seed", "11", "--pop-size", "4", "--generations", "200",
+         "--runs", "3"],
+        "f4384a31631e39fb1ab38d34f2269b22da99d48d44fa2a9f87032ca0e827671b",
+    ),
+    "f8-pop2": (
+        ["--problem", "f8", "--seed", "11", "--pop-size", "2", "--generations", "200",
+         "--runs", "3"],
+        "99c3cea9ab3aff0cf11d162476d1074ae001b2015d7431e091569881867cb457",
+    ),
     "f12-d5-baseline": (
         ["--problem", "f12", "--dim", "5", "--mode", "baseline", "--seed", "5", "--pop-size", "30",
          "--generations", "20", "--runs", "2"],
