@@ -69,6 +69,10 @@ def _parse_termination(value: str):
     return float(value)
 
 
+# argparse names the type in its error: "invalid float|none value: 'tight'"
+_parse_termination.__name__ = "float|none"
+
+
 # every key is also a flag; --help and argparse errors list them in this order
 _CONFIG_COERCERS = {
     "problem": str,
@@ -201,6 +205,15 @@ def validate_experiment(cfg: ExperimentConfig):
         raise ConfigError(str(err)) from None
 
 
+def _check_outputs(paths):
+    """Open each output file before any run starts, so that a missing
+    directory or a read-only file fails at once rather than after all the
+    compute; append mode leaves an existing file as it is."""
+    for path in paths:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -286,6 +299,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "run":
             cfg = experiment_from_args(args)
+            _check_outputs([cfg.trace_path, cfg.summary_path])
             summary = run_experiment(cfg)
             write_summary(cfg.summary_path, [summary])
             print(_oneline(summary))
@@ -293,6 +307,8 @@ def main(argv=None) -> int:
             out_dir = args.out_dir if args.out_dir is not None else "results"
             experiments = bench_experiments(args, out_dir)
             os.makedirs(out_dir, exist_ok=True)
+            _check_outputs([cfg.trace_path for cfg in experiments]
+                          + [os.path.join(out_dir, "summary.csv")])
             summaries = []
             for cfg in experiments:
                 summary = run_experiment(cfg)

@@ -50,6 +50,9 @@ CROSSOVER_UNIVERSE = Universe(0.1, 0.3)
 MUTATION_UNIVERSE = Universe(0.05, 0.25)
 CONSTANT_UNIVERSE = Universe(0.0, 0.5)
 
+# Engine.evaluate's region memo starts over after this many 5N temp populations
+REGION_MEMO_TEMP_POPULATIONS = 10
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -198,13 +201,37 @@ def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]
     return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
+def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
+    """`rng.sample(range(n), k)`, draw for draw, for a `random.Random`.
+
+    CPython 3.11 picks k of n by tracking a pool list when n is at most its
+    set size, and otherwise by rejection against a set of picks, drawing
+    `getrandbits(n.bit_length())` until the value is below n and new. The
+    second path is inlined here, without the range or the per-draw calls;
+    the first, and any invalid k, go to `rng.sample` unchanged.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize or not 0 <= k <= n:
+        return rng.sample(range(n), k)
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    picked = {}  # keeps draw order; a repeat adds nothing, so another is drawn
+    while len(picked) < k:
+        j = getrandbits(bits)
+        if j < n:
+            picked[j] = None
+    return list(picked)
+
+
 def mutate(chromosome: str, p_m: float, k: int, layout: GeneLayout,
            alphabets, rng: random.Random) -> str:
     """With probability p_m, rewrite k distinct positions to new legal symbols."""
     if rng.random() >= p_m:
         return chromosome
     flat = flatten(chromosome)
-    for pos in rng.sample(range(len(flat)), min(k, len(flat))):
+    for pos in _sample_indices(rng, len(flat), min(k, len(flat))):
         others = [s for s in alphabets[pos] if s != flat[pos]]
         if others:
             flat[pos] = others[rng.randrange(len(others))]
@@ -212,13 +239,12 @@ def mutate(chromosome: str, p_m: float, k: int, layout: GeneLayout,
 
 
 def _sort_key(direction: str):
+    """Ascending key, best first; NaN and infinities rank after every finite value."""
     sign = 1.0 if direction == "minimize" else -1.0
 
-    def key(ind: Individual):
+    def key(ind: Individual) -> float:
         f = ind.fitness
-        if not math.isfinite(f):
-            return (1, 0.0)
-        return (0, sign * f)
+        return sign * f if math.isfinite(f) else math.inf
 
     return key
 
@@ -235,20 +261,13 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random, *,
         raise ValueError("temp population smaller than pop_size")
     elite = cfg.elite_count if elite_count is None else elite_count
     size = cfg.tournament_size(len(temp)) if tournament_size is None else tournament_size
-    key = _sort_key(direction)
-    ranked = sorted(temp, key=key)
-    chosen = list(ranked[:elite])
-    indices = range(len(temp))
+    keys = list(map(_sort_key(direction), temp))
+    rank = keys.__getitem__
+    # a stable sort of positions by key orders temp as sorted(temp, key=...) does
+    chosen = [temp[i] for i in sorted(range(len(temp)), key=rank)[:elite]]
     for _ in range(cfg.pop_size - elite):
-        best = None
-        best_key = None
-        for idx in rng.sample(indices, size):
-            contender = temp[idx]
-            ck = key(contender)
-            if best is None or ck < best_key:
-                best = contender
-                best_key = ck
-        chosen.append(best)
+        # min keeps the first of equal keys in draw order, as a strict < scan does
+        chosen.append(temp[min(_sample_indices(rng, len(temp), size), key=rank)])
     return chosen
 
 
@@ -276,27 +295,46 @@ class Engine:
         self.constants = None
         # A homeotic gene's coordinate depends only on its coding string and
         # the ordinary-gene values, so it is computed once per pair: packed
-        # ordinary values -> {homeotic coding string: coordinate}. The key is
-        # the values' bytes, not a float tuple, so that 0.0 and -0.0 stay
-        # apart and a NaN value still finds its entry.
+        # ordinary values -> ({homeotic coding string: coordinate},
+        # {reference: ordinary value}). The key is the values' bytes, not a
+        # float tuple, so that 0.0 and -0.0 stay apart and a NaN value still
+        # finds its entry.
         self._pack_ordinary = struct.Struct(f"<{self.layout.n_ordinary}d").pack
-        self._coordinates: dict[bytes, dict[str, float]] = {}
+        self._coordinates: dict[bytes, tuple[dict[str, float], dict[str, float]]] = {}
+        # The ordinary values depend only on the ordinary region and the
+        # constants, so a second memo maps the region string to its
+        # _coordinates pair. It is emptied when self.constants becomes another
+        # object (a reset, or a caller assigning it), and when it holds
+        # REGION_MEMO_TEMP_POPULATIONS temp populations' worth of regions:
+        # reuse comes from recent ancestors, and without the limit a run would
+        # keep every region it saw before its first constant reset.
+        self._ordinary_end = self.ordinary_slices[-1][1].stop
+        self._regions: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
+        self._regions_constants = None
+        self._regions_limit = REGION_MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
 
     def evaluate(self, chromosome: str) -> Individual:
-        symbols = self.symbols
-        values = [eval_ordinary(chromosome[coding], chromosome[dc], symbols, self.constants)
-                  for coding, dc in self.ordinary_slices]
-        key = self._pack_ordinary(*values)
-        coordinates = self._coordinates.get(key)
-        if coordinates is None:
-            coordinates = self._coordinates[key] = {}
-        ordinary = dict(zip(self.references, values))
+        if self.constants is not self._regions_constants or len(self._regions) >= self._regions_limit:
+            self._regions = {}
+            self._regions_constants = self.constants
+        region = chromosome[:self._ordinary_end]
+        entry = self._regions.get(region)
+        if entry is None:
+            symbols, constants = self.symbols, self.constants
+            values = [eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
+                      for coding, dc in self.ordinary_slices]
+            key = self._pack_ordinary(*values)
+            entry = self._coordinates.get(key)
+            if entry is None:
+                entry = self._coordinates[key] = ({}, dict(zip(self.references, values)))
+            self._regions[region] = entry
+        coordinates, ordinary = entry
         point = []
         for coding in self.homeotic_slices:
             gene = chromosome[coding]
             x = coordinates.get(gene)
             if x is None:
-                x = coordinates[gene] = eval_homeotic(gene, symbols, ordinary)
+                x = coordinates[gene] = eval_homeotic(gene, self.symbols, ordinary)
             point.append(x)
         point = tuple(point)
         return Individual(chromosome, point, self._fitness(point))

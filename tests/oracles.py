@@ -3,7 +3,10 @@
 Everything here is written from the underlying definitions, not from the
 package source: a brute-force Mamdani pipeline over dense sample grids, a
 second copy of each benchmark objective, and numeric argmax refinement for
-the two maximization problems.
+the two maximization problems. The exception is the pair `ref_select` and
+`ref_mutate`: the engine's selection and mutation as they were when they
+drew through `random.sample`, kept so that the engine's inlined draws can be
+checked against them draw for draw.
 """
 
 import math
@@ -181,3 +184,47 @@ def refined_max_1d(f, lo, hi):
     res = minimize_scalar(lambda t: -f(t), bounds=(left, right), method="bounded",
                           options={"xatol": 1e-13})
     return float(-res.fun)
+
+
+def _ref_sort_key(direction):
+    sign = 1.0 if direction == "minimize" else -1.0
+
+    def key(ind):
+        f = ind.fitness
+        if not math.isfinite(f):
+            return (1, 0.0)
+        return (0, sign * f)
+
+    return key
+
+
+def ref_select(temp, pop_size, elite, size, direction, rng):
+    """Elites by a stable sort, then pop_size - elite tournaments of `size`
+    contenders drawn by rng.sample; the first best contender in draw order wins."""
+    key = _ref_sort_key(direction)
+    chosen = list(sorted(temp, key=key)[:elite])
+    indices = range(len(temp))
+    for _ in range(pop_size - elite):
+        best = None
+        best_key = None
+        for idx in rng.sample(indices, size):
+            contender = temp[idx]
+            ck = key(contender)
+            if best is None or ck < best_key:
+                best = contender
+                best_key = ck
+        chosen.append(best)
+    return chosen
+
+
+def ref_mutate(chromosome, p_m, k, alphabets, rng):
+    """With probability p_m, k distinct positions drawn by rng.sample, each
+    rewritten to a uniformly drawn other symbol of its slot's alphabet."""
+    if rng.random() >= p_m:
+        return chromosome
+    flat = list(chromosome)
+    for pos in rng.sample(range(len(flat)), min(k, len(flat))):
+        others = [s for s in alphabets[pos] if s != flat[pos]]
+        if others:
+            flat[pos] = others[rng.randrange(len(others))]
+    return "".join(flat)

@@ -139,7 +139,9 @@ def test_termination_tolerance_flag_reaches_the_engine(tmp_path):
 def test_termination_tolerance_flag_bad_value(tmp_path, capsys):
     argv = _run_args(tmp_path, "--problem", "f1", "--termination-tolerance", "tight")
     assert cli.main(argv) == 1
-    assert "--termination-tolerance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --termination-tolerance: invalid float|none value: 'tight'" in err
+    assert "_parse_termination" not in err
     argv = _run_args(tmp_path, "--problem", "f1", "--termination-tolerance", "-1")
     assert cli.main(argv) == 1
 
@@ -356,6 +358,29 @@ def test_unwritable_trace_path_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _refuse_runs(monkeypatch):
+    """Make evolve.run fail loudly; returns the list of attempted calls."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("evolve.run called before the outputs were checked")
+
+    monkeypatch.setattr(cli.evolve, "run", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--summary"])
+def test_run_checks_outputs_before_any_run(tmp_path, capsys, monkeypatch, flag):
+    calls = _refuse_runs(monkeypatch)
+    (tmp_path / "trace.csv").write_text("kept\n")
+    argv = _run_args(tmp_path, "--problem", "f1", flag, str(tmp_path / "missing" / "out.csv"))
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert "missing" in capsys.readouterr().err
+    assert (tmp_path / "trace.csv").read_text() == "kept\n"
+
+
 # --- bench sweep -----------------------------------------------------------
 
 
@@ -399,6 +424,16 @@ def test_bench_rejects_run_only_flags(tmp_path, capsys, flag, value):
     assert rc == 1
     assert flag in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("blocked", ["summary.csv", "f12_trace.csv"])
+def test_bench_checks_outputs_before_any_run(tmp_path, capsys, monkeypatch, blocked):
+    calls = _refuse_runs(monkeypatch)
+    out_dir = tmp_path / "results"
+    (out_dir / blocked).mkdir(parents=True)  # a directory where the file must go
+    assert cli.main(["bench", "--out-dir", str(out_dir), "--runs", "1"]) == 2
+    assert calls == []
+    assert blocked in capsys.readouterr().err
 
 
 def test_bench_takes_shared_keys_from_config(tmp_path):

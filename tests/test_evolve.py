@@ -3,6 +3,7 @@ import random
 import struct
 from collections import Counter
 
+import oracles
 import pytest
 
 from fuzzygep import evolve
@@ -273,6 +274,63 @@ def test_select_requires_enough_candidates():
         select([stub(1.0)], EngineConfig(pop_size=10), "minimize", random.Random(0))
 
 
+# --- draws inlined from random.sample ---
+
+@pytest.mark.parametrize("n", [2, 21, 22, 37, 38, 500])
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+def test_sample_indices_matches_random_sample(n, k):
+    """Draw for draw on both of random.sample's paths: the pool for n up to
+    21 (85 once k > 5), the set above; k > n raises as sample does."""
+    ours, twin = random.Random(100 * n + k), random.Random(100 * n + k)
+    if k > n:
+        with pytest.raises(ValueError):
+            evolve._sample_indices(ours, n, k)
+        with pytest.raises(ValueError):
+            twin.sample(range(n), k)
+    else:
+        for _ in range(300):
+            assert evolve._sample_indices(ours, n, k) == twin.sample(range(n), k)
+    assert ours.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("temp_size", [20, 500])
+@pytest.mark.parametrize("direction", ["minimize", "maximize"])
+@pytest.mark.parametrize("tournament_size", [None, 6, 20])
+def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
+    """The same members, by identity, as the rng.sample version picks; ties,
+    signed zeros and non-finite fitnesses keep their draw-order tie-break."""
+    rng = random.Random(temp_size)
+    values = [float(v) for v in range(temp_size // 8)]
+    values += [-0.0, float("nan"), float("inf"), float("-inf")]
+    temp = [stub(rng.choice(values)) for _ in range(temp_size)]
+    cfg = EngineConfig(pop_size=temp_size // 5)
+    size = cfg.tournament_size(temp_size) if tournament_size is None else tournament_size
+    for seed in range(10):
+        ours, twin = random.Random(seed), random.Random(seed)
+        got = select(temp, cfg, direction, ours, tournament_size=tournament_size)
+        want = oracles.ref_select(temp, cfg.pop_size, cfg.elite_count, size, direction, twin)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+        assert ours.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("layout", [
+    GeneLayout(ordinary_head_len=1, homeotic_head_len=1, n_ordinary=1, n_homeotic=1),  # 8 slots
+    LAYOUT,  # 58 slots
+    GeneLayout(n_homeotic=30),  # 310 slots
+])
+@pytest.mark.parametrize("k", [1, 2, 6, 10])
+def test_mutate_matches_stdlib_reference(layout, k):
+    alphabets = position_alphabets(layout, SYM)
+    genomes = random.Random(k)
+    ours, twin = random.Random(k), random.Random(k)
+    for _ in range(300):
+        c = random_chromosome(layout, SYM, genomes)
+        assert (mutate(c, 0.5, k, layout, alphabets, ours)
+                == oracles.ref_mutate(c, 0.5, k, alphabets, twin))
+    assert ours.getstate() == twin.getstate()
+
+
 # --- engine pieces ---
 
 def make_engine(name="f1", **cfg_kwargs):
@@ -436,6 +494,44 @@ def test_coordinate_memo_keeps_signed_zeros_apart():
     negative = "*a?" + "a" * 10 + "A" * 7 + second_and_homeotic
     assert [math.copysign(1.0, x) for x in eng.evaluate(positive).point] == [1.0, 1.0]
     assert [math.copysign(1.0, x) for x in eng.evaluate(negative).point] == [-1.0, -1.0]
+
+
+def test_region_memo_follows_the_constant_set():
+    """Assigning eng.constants directly, as the tests above do, decodes the
+    ordinary genes afresh; regions with the same ordinary values share the
+    _coordinates pair."""
+    eng = make_engine("f1", max_gen=10)
+    first = ConstantSet((-3.0,) + (1.0,) * 9, -5.12, 5.12)
+    second = ConstantSet((4.5,) + (1.0,) * 9, -5.12, 5.12)
+    # first ordinary gene +a?: 0 + constant A; the second is 1, and its slot
+    # after the head is not expressed; both homeotic genes read the first
+    tail = "a" * 11 + "A" * 7 + "0" * 9 * 2
+    c1 = "+a?" + "a" * 10 + "A" * 7 + "ba" + tail
+    c2 = "+a?" + "a" * 10 + "A" * 7 + "bc" + tail
+    end = eng.layout.n_ordinary * eng.layout.ordinary_gene_len
+    pack = struct.Struct("<2d").pack
+    for constants, x in ((first, -3.0), (second, 4.5), (first, -3.0)):
+        eng.constants = constants
+        for c in (c1, c2):
+            point = eng.evaluate(c).point
+            assert point == (x, x)
+            assert pack(*point) == pack(*eval_chromosome(c, eng.layout, eng.symbols, constants))
+        shared = eng._coordinates[pack(x, 1.0)]
+        assert eng._regions[c1[:end]] is shared
+        assert eng._regions[c2[:end]] is shared
+
+
+def test_region_memo_stays_bounded():
+    eng = Engine(builtin("f9", 10), EngineConfig(pop_size=2), seed=1)
+    limit = evolve.REGION_MEMO_TEMP_POPULATIONS * 5 * 2
+    rng = random.Random(5)
+    eng.constants = _fresh_constants(eng, rng)
+    pack = struct.Struct("<10d").pack
+    for _ in range(3 * limit):
+        c = random_chromosome(eng.layout, eng.symbols, rng)
+        want = eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+        assert pack(*eng.evaluate(c).point) == pack(*want)
+        assert len(eng._regions) <= limit
 
 
 # --- full runs ---
