@@ -2,7 +2,7 @@
 optimization over real boxes."""
 
 from .bench import Problem, builtin, problem_names
-from .decode import build_tree, eval_chromosome, protected_apply
+from .decode import build_tree, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import MembershipFamily, Universe, infer_1d, infer_2d
 from .genome import (
@@ -33,7 +33,6 @@ __all__ = [
     "build_tree",
     "builtin",
     "diversity",
-    "eval_chromosome",
     "infer_1d",
     "infer_2d",
     "problem_names",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 
@@ -120,31 +120,25 @@ def ackley(x):
     return -a * math.exp(-b * math.sqrt(sq / n)) - math.exp(cs / n) + a + math.exp(1.0)
 
 
-@dataclass(frozen=True)
-class _Entry:
-    func: Callable
-    bounds: tuple[float, float]
-    direction: str
-    optimum: float | None
-    extra_operators: tuple[str, ...]
-    fixed_dim: int | None = None
-    default_dim: int | None = None
+# name, dim (the default, where _SCALABLE allows another), lower, upper,
+# direction, known optimum, objective, extra operators
+_REGISTRY: dict[str, Problem] = {p.name: p for p in (
+    Problem("f1", 2, -5.12, 5.12, "minimize", 0.0, sphere),
+    Problem("f2", 2, -2.048, 2.048, "minimize", 0.0, rosenbrock),
+    Problem("f3", 2, -100.0, 100.0, "minimize", 0.0, schaffer, ("S", "Q")),
+    Problem("f4", 2, -100.0, 100.0, "minimize", 0.0, sine_envelope, ("S", "Q")),
+    Problem("f5", 1, 0.0, 18.0, "minimize", 0.0, damped_cosine, ("C", "E")),
+    Problem("f6", 2, 0.0, 10.0, "maximize", 18.5547210767, two_humps, ("S",)),
+    Problem("f7", 1, -1.0, 2.0, "maximize", 2.8502737668, rippled_line, ("S", "C")),
+    Problem("f8", 2, -2.0, 2.0, "minimize", 3.0, goldstein_price),
+    Problem("f9", 30, -10.0, 10.0, "minimize", 0.0, weighted_sphere),
+    Problem("f10", 30, -10.0, 10.0, "minimize", 0.0, abs_sum_product),
+    Problem("f11", 50, -10.0, 10.0, "minimize", 0.0, alpine, ("S",)),
+    Problem("f12", 50, -32.0, 32.0, "minimize", 0.0, ackley, ("S", "C", "Q", "E")),
+)}
 
-
-_REGISTRY: dict[str, _Entry] = {
-    "f1": _Entry(sphere, (-5.12, 5.12), "minimize", 0.0, (), default_dim=2),
-    "f2": _Entry(rosenbrock, (-2.048, 2.048), "minimize", 0.0, (), fixed_dim=2),
-    "f3": _Entry(schaffer, (-100.0, 100.0), "minimize", 0.0, ("S", "Q"), fixed_dim=2),
-    "f4": _Entry(sine_envelope, (-100.0, 100.0), "minimize", 0.0, ("S", "Q"), fixed_dim=2),
-    "f5": _Entry(damped_cosine, (0.0, 18.0), "minimize", 0.0, ("C", "E"), fixed_dim=1),
-    "f6": _Entry(two_humps, (0.0, 10.0), "maximize", 18.5547210767, ("S",), fixed_dim=2),
-    "f7": _Entry(rippled_line, (-1.0, 2.0), "maximize", 2.8502737668, ("S", "C"), fixed_dim=1),
-    "f8": _Entry(goldstein_price, (-2.0, 2.0), "minimize", 3.0, (), fixed_dim=2),
-    "f9": _Entry(weighted_sphere, (-10.0, 10.0), "minimize", 0.0, (), default_dim=30),
-    "f10": _Entry(abs_sum_product, (-10.0, 10.0), "minimize", 0.0, (), default_dim=30),
-    "f11": _Entry(alpine, (-10.0, 10.0), "minimize", 0.0, ("S",), default_dim=50),
-    "f12": _Entry(ackley, (-32.0, 32.0), "minimize", 0.0, ("S", "C", "Q", "E"), default_dim=50),
-}
+# the problems whose dim may be chosen; the others are fixed at theirs
+_SCALABLE = frozenset({"f1", "f9", "f10", "f11", "f12"})
 
 
 def problem_names() -> tuple[str, ...]:
@@ -153,25 +147,23 @@ def problem_names() -> tuple[str, ...]:
 
 def builtin(name: str, dim: int | None = None) -> Problem:
     """Look up a benchmark by name; dim applies to the scalable ones only."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
+    problem = _REGISTRY.get(name)
+    if problem is None:
         raise ValueError(f"unknown problem {name!r}; choose one of {', '.join(_REGISTRY)}")
-    if entry.fixed_dim is not None:
-        if dim is not None and dim != entry.fixed_dim:
-            raise ValueError(f"{name} is fixed at dim {entry.fixed_dim}")
-        dim = entry.fixed_dim
-    else:
-        dim = entry.default_dim if dim is None else dim
-        if dim < 1:
-            raise ValueError("dim must be positive")
-    lower, upper = entry.bounds
-    return Problem(
-        name=name,
-        dim=dim,
-        lower=lower,
-        upper=upper,
-        direction=entry.direction,
-        known_optimum=entry.optimum,
-        func=entry.func,
-        extra_operators=entry.extra_operators,
-    )
+    if dim is None:
+        dim = problem.dim
+    elif name not in _SCALABLE:
+        if dim != problem.dim:
+            raise ValueError(f"{name} is fixed at dim {problem.dim}")
+    elif dim < 1:
+        raise ValueError("dim must be positive")
+    return replace(problem, dim=dim)
+
+
+def reached_optimum(problem: Problem, tolerance: float | None, fitness: float) -> bool:
+    """|fitness - known optimum| <= tolerance; never without a known optimum,
+    without a tolerance, or for a non-finite fitness."""
+    opt = problem.known_optimum
+    if tolerance is None or opt is None or not math.isfinite(fitness):
+        return False
+    return abs(fitness - opt) <= tolerance

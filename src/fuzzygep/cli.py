@@ -243,11 +243,8 @@ def write_summary(path: str, summaries):
     _write_lines(path, [SUMMARY_HEADER, *(_csv_line(_summary_values(s)) for s in summaries)])
 
 
-def succeeded(problem: bench.Problem, tolerance: float, fitness: float) -> bool:
-    opt = problem.known_optimum
-    if opt is None or not math.isfinite(fitness):
-        return False
-    return abs(fitness - opt) <= tolerance
+# a run succeeds when its best is within --tolerance of the known optimum
+succeeded = bench.reached_optimum
 
 
 def summarize(problem: bench.Problem, cfg: ExperimentConfig, results) -> Summary:

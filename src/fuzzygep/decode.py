@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .genome import (DIGIT_VALUES, RNC_TERMINAL, ConstantSet, GeneLayout, SymbolSet,
-                     gene_references, gene_slices)
+from .genome import DIGIT_VALUES, RNC_TERMINAL, ConstantSet, SymbolSet
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
@@ -126,18 +125,3 @@ def eval_homeotic(coding: str, symbols: SymbolSet, ordinary_values) -> float:
             first = starts[i]
             values[i] = protected_apply(sym, values[first:first + ar])
     return values[0]
-
-
-def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
-                    constants: ConstantSet) -> tuple[float, ...]:
-    """Candidate point: one coordinate per homeotic gene.
-
-    This is the uncached reference decode: `Engine.evaluate` memoizes
-    coordinates and is tested to return the same bits as this function.
-    """
-    ordinary, homeotic = gene_slices(layout)
-    ordinary_values = {
-        ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
-        for ref, (coding, dc) in zip(gene_references(layout.n_ordinary), ordinary)
-    }
-    return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)

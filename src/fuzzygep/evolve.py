@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from .bench import Problem
+from .bench import Problem, reached_optimum
 from .decode import eval_homeotic, eval_ordinary
 from .fuzzy import (
     CONSTANT_MUTATION_RULES,
@@ -397,13 +397,6 @@ class Engine:
             self.cfg.n_constants, self.problem.lower, self.problem.upper, self.rng)
         return [self.evaluate(ind.chromosome) for ind in population], True
 
-    def _reached_optimum(self, fitness: float) -> bool:
-        tol = self.cfg.termination_tol
-        opt = self.problem.known_optimum
-        if tol is None or opt is None or not math.isfinite(fitness):
-            return False
-        return abs(fitness - opt) <= tol
-
     def run(self) -> RunResult:
         cfg = self.cfg
         direction = self.problem.direction
@@ -422,7 +415,7 @@ class Engine:
         trace = [TraceRow(0, best.fitness, reading.f_ave, reading.d,
                           rates.p_c, rates.p_m, rates.r_c, False)]
         for gen in range(1, cfg.max_gen + 1):
-            if self._reached_optimum(best.fitness):
+            if reached_optimum(self.problem, cfg.termination_tol, best.fitness):
                 break
             rates = adapt_rates(reading.d, gen, cfg, self.controllers)
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)

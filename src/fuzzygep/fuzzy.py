@@ -4,7 +4,8 @@ Every linguistic variable uses the same five-label family over its own
 universe: XL and XH are shoulders saturating at the ends, ML/M/MH are unit
 triangles on the interior breakpoints.  Breakpoints are evenly spaced, so the
 family is a partition of unity.  Implication is min, aggregation is max,
-defuzzification is the centroid over a fixed 1001-point grid.
+defuzzification is the centroid over a fixed 1001-point grid, summed in
+closed form.
 
 Monotonicity: the 1D crossover and mutation tables are bijections, so their
 outputs are monotone in diversity.  The 2D constant-mutation table is
@@ -18,10 +19,8 @@ about 5e-3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 GRID_POINTS = 1001
@@ -101,34 +100,60 @@ class MembershipFamily:
         return tuple(self.membership(label, x) for label in LABELS)
 
 
-def centroid(xs: np.ndarray, mus: np.ndarray, universe: Universe) -> float:
-    """Centre of gravity; an all-zero aggregate falls back to the midpoint."""
-    total = float(mus.sum())
-    if total <= 0.0:
+# grid steps between two adjacent breakpoints
+_SPAN = (GRID_POINTS - 1) // 4
+
+
+def _sum_below(n: int) -> int:
+    """0 + 1 + ... + (n - 1)."""
+    return n * (n - 1) // 2
+
+
+def _squares_below(n: int) -> int:
+    """0 + 1 + 4 + ... + (n - 1)**2."""
+    return (n - 1) * n * (2 * n - 1) // 6
+
+
+def centroid(strengths: dict[str, float], universe: Universe) -> float:
+    """Centre of gravity of the max of the clipped output labels, sampled on
+    GRID_POINTS evenly spaced points; an all-zero aggregate falls back to the
+    midpoint.
+
+    Between breakpoints k and k+1 (grid steps j = 0.._SPAN, t = j/_SPAN) only
+    label k falls (1 - t) and label k+1 rises (t).  With their strengths a
+    and b the aggregate is max(min(a, 1 - t), min(b, t)): a plateau at a, the
+    falling edge 1 - t, the rising edge t from where the two meet, a plateau
+    at b.  Each piece is linear, so its sums over the grid are arithmetic
+    series.  Every span owns its steps 0.._SPAN-1; the last grid point is
+    added alone.
+    """
+    s = [strengths.get(label, 0.0) for label in LABELS]
+    mass = s[4]
+    moment = (GRID_POINTS - 1) * s[4]
+    for k in range(4):
+        a, b = s[k], s[k + 1]
+        if a == 0.0 and b == 0.0:
+            continue
+        # the edges meet at t = a, 1/2 or 1 - b; with a or b at 0 one of them is empty
+        meet = min(a, 0.5) if a <= b else 1.0 - min(b, 0.5)
+        # first grid step of the falling edge, the rising edge and the b plateau
+        j1 = math.ceil(_SPAN * min(1.0 - a, meet))
+        jm = math.ceil(_SPAN * meet)
+        j2 = math.ceil(_SPAN * max(b, meet))
+        # both edges together, in units of 1/_SPAN: (_SPAN - j) on [j1, jm), j on [jm, j2)
+        edge_mass = _SPAN * (jm - j1) + _sum_below(j1) - 2 * _sum_below(jm) + _sum_below(j2)
+        edge_moment = (_SPAN * (_sum_below(jm) - _sum_below(j1))
+                       + _squares_below(j1) - 2 * _squares_below(jm) + _squares_below(j2))
+        span_mass = a * j1 + b * (_SPAN - j2) + edge_mass / _SPAN
+        span_moment = (a * _sum_below(j1) + b * (_sum_below(_SPAN) - _sum_below(j2))
+                       + edge_moment / _SPAN)
+        mass += span_mass
+        # span_moment counts grid steps from the span's first point
+        moment += k * _SPAN * span_mass + span_moment
+    if mass <= 0.0:
         return universe.midpoint
-    return float((xs * mus).sum() / total)
-
-
-# keyed by the universe's value, not by family identity, so the families
-# that every new RateControllers builds share three entries
-@lru_cache(maxsize=32)
-def _output_grids(universe: Universe):
-    family = MembershipFamily(universe)
-    xs = np.linspace(universe.lower, universe.upper, GRID_POINTS)
-    grids = {
-        label: np.array([family.membership(label, x) for x in xs])
-        for label in LABELS
-    }
-    return xs, grids
-
-
-def _defuzzify(strengths: dict[str, float], out_family: MembershipFamily) -> float:
-    xs, grids = _output_grids(out_family.universe)
-    aggregate = np.zeros(GRID_POINTS)
-    for label, strength in strengths.items():
-        if strength > 0.0:
-            np.maximum(aggregate, np.minimum(strength, grids[label]), out=aggregate)
-    return centroid(xs, aggregate, out_family.universe)
+    step = (universe.upper - universe.lower) / (GRID_POINTS - 1)
+    return universe.lower + step * (moment / mass)
 
 
 def infer_1d(table, in_family: MembershipFamily, out_family: MembershipFamily, x: float) -> float:
@@ -139,7 +164,7 @@ def infer_1d(table, in_family: MembershipFamily, out_family: MembershipFamily, x
         out_label = table[label]
         if mu > strengths.get(out_label, 0.0):
             strengths[out_label] = mu
-    return _defuzzify(strengths, out_family)
+    return centroid(strengths, out_family.universe)
 
 
 def infer_2d(table, family_a: MembershipFamily, family_b: MembershipFamily,
@@ -158,4 +183,4 @@ def infer_2d(table, family_a: MembershipFamily, family_b: MembershipFamily,
             out_label = table[(label_a, label_b)]
             if strength > strengths.get(out_label, 0.0):
                 strengths[out_label] = strength
-    return _defuzzify(strengths, out_family)
+    return centroid(strengths, out_family.universe)

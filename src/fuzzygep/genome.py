@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import contains
 
 FUNCTION_ARITIES = {
@@ -115,28 +115,28 @@ class GeneLayout:
         if self.max_arity < 1:
             raise ValueError("max_arity must be positive")
 
-    @property
+    @cached_property
     def ordinary_tail_len(self) -> int:
         return tail_length(self.ordinary_head_len, self.max_arity)
 
-    @property
+    @cached_property
     def homeotic_tail_len(self) -> int:
         return tail_length(self.homeotic_head_len, self.max_arity)
 
-    @property
+    @cached_property
     def dc_len(self) -> int:
         # one Dc slot per possible '?' in the expressed region
         return self.ordinary_tail_len
 
-    @property
+    @cached_property
     def ordinary_gene_len(self) -> int:
         return self.ordinary_head_len + self.ordinary_tail_len + self.dc_len
 
-    @property
+    @cached_property
     def homeotic_gene_len(self) -> int:
         return self.homeotic_head_len + self.homeotic_tail_len
 
-    @property
+    @cached_property
     def total_len(self) -> int:
         return self.n_ordinary * self.ordinary_gene_len + self.n_homeotic * self.homeotic_gene_len
 

@@ -3,16 +3,20 @@
 Everything here is written from the underlying definitions, not from the
 package source: a brute-force Mamdani pipeline over dense sample grids, a
 second copy of each benchmark objective, and numeric argmax refinement for
-the two maximization problems. The exception is the pair `ref_select` and
-`ref_mutate`: the engine's selection and mutation as they were when they
-drew through `random.sample`, kept so that the engine's inlined draws can be
-checked against them draw for draw.
+the two maximization problems. The exceptions are copies of package code
+that a faster version replaced or that the package no longer needs:
+`ref_select` and `ref_mutate`, `ref_defuzzify` and `eval_chromosome` (see
+their docstrings).
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from fuzzygep.decode import eval_homeotic, eval_ordinary
+from fuzzygep.fuzzy import MembershipFamily
+from fuzzygep.genome import ConstantSet, GeneLayout, SymbolSet, gene_references, gene_slices
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 
@@ -90,6 +94,35 @@ def ref_infer_2d(rules, universe_a, universe_b, out_universe, a, b, samples=100_
             if strength > 0.0:
                 np.maximum(agg, np.minimum(strength, grids[rules[(label_a, label_b)]]), out=agg)
     return _centroid(ys, agg, lo, hi)
+
+
+@lru_cache(maxsize=32)
+def _grid_1001(universe):
+    family = MembershipFamily(universe)
+    xs = np.linspace(universe.lower, universe.upper, 1001)
+    grids = {
+        label: np.array([family.membership(label, x) for x in xs])
+        for label in LABELS
+    }
+    return xs, grids
+
+
+def ref_defuzzify(strengths, universe):
+    """Centroid of the max of the clipped output labels on 1001 points.
+
+    A copy of the numpy defuzzifier that the closed form in `fuzzy.centroid`
+    replaced, kept so that the closed form can be checked against the grid
+    sums it stands for.
+    """
+    xs, grids = _grid_1001(universe)
+    aggregate = np.zeros(1001)
+    for label, strength in strengths.items():
+        if strength > 0.0:
+            np.maximum(aggregate, np.minimum(strength, grids[label]), out=aggregate)
+    total = float(aggregate.sum())
+    if total <= 0.0:
+        return universe.midpoint
+    return float((xs * aggregate).sum() / total)
 
 
 # --- second implementations of the benchmark objectives ---
@@ -228,3 +261,18 @@ def ref_mutate(chromosome, p_m, k, alphabets, rng):
         if others:
             flat[pos] = others[rng.randrange(len(others))]
     return "".join(flat)
+
+
+def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
+                    constants: ConstantSet) -> tuple[float, ...]:
+    """Candidate point: one coordinate per homeotic gene.
+
+    This is the uncached reference decode: `Engine.evaluate` memoizes
+    coordinates and is tested to return the same bits as this function.
+    """
+    ordinary, homeotic = gene_slices(layout)
+    ordinary_values = {
+        ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
+        for ref, (coding, dc) in zip(gene_references(layout.n_ordinary), ordinary)
+    }
+    return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)

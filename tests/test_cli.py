@@ -2,9 +2,12 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fuzzygep
 from fuzzygep import bench, cli
 
 TRACE_HEADER = "run,generation,best_fitness,avg_fitness,diversity_d,p_c,p_m,r_c,constant_reset"
@@ -23,6 +26,16 @@ def _run_args(tmp_path, *extra):
         "--summary", str(tmp_path / "summary.csv"),
         *extra,
     ]
+
+
+def test_package_imports_without_numpy():
+    """The package has no runtime dependency: importing it and its command
+    line in a fresh interpreter loads no numpy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzygep.__file__)))
+    code = "import sys, fuzzygep, fuzzygep.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- parsing ---------------------------------------------------------------

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
+from oracles import eval_chromosome
 
 from fuzzygep.decode import (
     build_tree,
-    eval_chromosome,
     eval_homeotic,
     eval_ordinary,
     expressed_length,

@@ -8,7 +8,6 @@ import pytest
 
 from fuzzygep import evolve
 from fuzzygep.bench import builtin
-from fuzzygep.decode import eval_chromosome
 from fuzzygep.evolve import (
     BASELINE_RATES,
     Engine,
@@ -477,7 +476,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, n_ordinary, mo
     for _ in range(2):
         eng.constants = _fresh_constants(eng, rng)
         for c in chromosomes:
-            want = eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+            want = oracles.eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
             assert pack(*eng.evaluate(c).point) == pack(*want)
     assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
 
@@ -515,7 +514,7 @@ def test_region_memo_follows_the_constant_set():
         for c in (c1, c2):
             point = eng.evaluate(c).point
             assert point == (x, x)
-            assert pack(*point) == pack(*eval_chromosome(c, eng.layout, eng.symbols, constants))
+            assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.layout, eng.symbols, constants))
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
@@ -529,7 +528,7 @@ def test_region_memo_stays_bounded():
     pack = struct.Struct("<10d").pack
     for _ in range(3 * limit):
         c = random_chromosome(eng.layout, eng.symbols, rng)
-        want = eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+        want = oracles.eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit
 

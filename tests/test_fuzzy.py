@@ -1,11 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 import oracles
-from fuzzygep import fuzzy
-from fuzzygep.evolve import RateControllers
 from fuzzygep.fuzzy import (
     CONSTANT_MUTATION_RULES,
     CROSSOVER_RULES,
@@ -72,11 +71,66 @@ def test_rule_tables_pinned():
 
 
 def test_centroid_fallback_and_symmetry():
-    xs = np.linspace(0.0, 1.0, 1001)
-    assert centroid(xs, np.zeros(1001), Universe(0.0, 1.0)) == 0.5
-    assert centroid(xs, np.ones(1001), Universe(0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
-    tri = np.minimum(xs, 1.0 - xs)
-    assert centroid(xs, tri, Universe(0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    for universe in (Universe(0.0, 1.0), CROSSOVER_OUT.universe, CONSTANT_OUT.universe):
+        assert centroid({}, universe) == universe.midpoint
+        assert centroid(dict.fromkeys(LABELS, 0.0), universe) == universe.midpoint
+        for strength in (1.0, 0.5, 0.3):
+            mine = centroid({"M": strength}, universe)
+            assert abs(mine - universe.midpoint) <= 4 * math.ulp(universe.midpoint)
+
+
+def _assert_near_grid(mine, strengths, universe):
+    """mine is within 32 ulps of the numpy defuzzifier's centroid."""
+    ref = oracles.ref_defuzzify(strengths, universe)
+    assert abs(mine - ref) <= 32 * math.ulp(ref), (strengths, universe, mine, ref)
+
+
+OUTPUT_UNIVERSES = (CROSSOVER_OUT.universe, MUTATION_OUT.universe, CONSTANT_OUT.universe)
+
+
+def test_closed_form_centroid_matches_1001_point_grid():
+    """The closed form sums the same grid as the numpy defuzzifier it
+    replaced, so the two agree to within rounding."""
+    rng = random.Random(12)
+    pairs = list(zip(LABELS, LABELS[1:]))
+    cases = [{label: 1.0} for label in LABELS]
+    # strengths of 0 and 1, and 0.5/0.2, whose cuts 1-a, a, b and 1-b fall on grid points
+    for a in (0.0, 0.2, 0.5, 1.0):
+        for b in (0.0, 0.2, 0.5, 1.0):
+            cases += [{lo: a, hi: b} for lo, hi in pairs]
+    for _ in range(200):
+        lo, hi = rng.choice(pairs)
+        cases.append({lo: rng.random(), hi: rng.random()})
+        cases.append({label: rng.random() for label in LABELS})
+        cases.append({label: rng.choice((0.0, 0.2, 0.5, 1.0, rng.random())) for label in LABELS})
+    for universe in OUTPUT_UNIVERSES:
+        for strengths in cases:
+            _assert_near_grid(centroid(strengths, universe), strengths, universe)
+
+
+def _strongest(fired):
+    """Max aggregation of (output label, strength) pairs, as the controllers do it."""
+    strengths = {}
+    for label, strength in fired:
+        strengths[label] = max(strengths.get(label, 0.0), strength)
+    return strengths
+
+
+def test_controllers_match_1001_point_grid_on_input_grid():
+    xs = [float(x) for x in np.linspace(0.6, 1.0, 101)]
+    gs = [float(g) for g in np.linspace(500.0, 1000.0, 101)]
+    for table, out in ((CROSSOVER_RULES, CROSSOVER_OUT), (MUTATION_RULES, MUTATION_OUT)):
+        for x in xs:
+            strengths = _strongest((table[label], DIVERSITY.membership(label, x)) for label in LABELS)
+            _assert_near_grid(infer_1d(table, DIVERSITY, out, x), strengths, out.universe)
+    for g in gs:
+        for x in xs:
+            strengths = _strongest(
+                (CONSTANT_MUTATION_RULES[(la, lb)],
+                 min(ITERATION.membership(la, g), DIVERSITY.membership(lb, x)))
+                for la in LABELS for lb in LABELS)
+            mine = infer_2d(CONSTANT_MUTATION_RULES, ITERATION, DIVERSITY, CONSTANT_OUT, g, x)
+            _assert_near_grid(mine, strengths, CONSTANT_OUT.universe)
 
 
 def test_single_rule_centroids():
@@ -152,17 +206,3 @@ def test_monotone_rate_responses():
         assert b <= a + 1e-12
     for a, b in zip(mut, mut[1:]):
         assert b >= a - 1e-12
-
-
-def test_output_grids_are_shared_across_controllers():
-    """The grid cache is keyed by universe value: a sweep of runs, each with
-    its own RateControllers, keeps one entry per output universe."""
-    fuzzy._output_grids.cache_clear()
-    for max_gen in range(2, 302):
-        controllers = RateControllers(max_gen)
-        controllers.crossover_rate(0.8)
-        controllers.mutation_rate(0.8)
-        controllers.constant_rate(max_gen, 0.8)
-    info = fuzzy._output_grids.cache_info()
-    assert info.currsize == 3
-    assert info.hits == 3 * 300 - 3
