@@ -25,33 +25,33 @@ GOLDEN = {
     "f9-d30": (
         ["--problem", "f9", "--dim", "30", "--seed", "1", "--pop-size", "30", "--generations", "20",
          "--runs", "1"],
-        "77712a3e91bfd29114bd3acdd49a8c9290dfad5866dd8ff03bf8fdcc993aaf87",
+        "3d8456e66dae739ce81c615800a574e2f0bd65979f44acf8fd48596d31eaaca9",
     ),
     "f6": (
         ["--problem", "f6", "--seed", "3", "--pop-size", "30", "--generations", "20", "--runs", "2"],
-        "8a22786e353cdf6ea90cbfbef241fba96565e249630f463ac975f1656e50cd8b",
+        "1fe8b1aaae8f26d4852fe4c859fafdda216ebbdffada90bb50ca3a1981821e04",
     ),
     # two homeotic genes: most of the decode work is bypassed
     "f8": (
         ["--problem", "f8", "--seed", "7", "--pop-size", "30", "--generations", "30", "--runs", "2"],
-        "ba4f28fd19f7e557248788ab860fd45748e9023bd3d5e9f0f79e0a327d12e7d6",
+        "431c1719d29c7f35808e901a2e9cff8d26dbcafbcb48f9e24e2d459e0ac1d0ba",
     ),
     # maximizes off the box; ordinary genes and coordinates decode to -0.0
     "f7": (
         ["--problem", "f7", "--seed", "1", "--pop-size", "30", "--generations", "30", "--runs", "2"],
-        "2e5f70951b74a06c9203a63bf55c3b6f01a9d646e3f48b9d86e73c45929160ce",
+        "ae379218106d59d27b230385905499d3cb3bf7b688c69c160302285d5fdff9c0",
     ),
     # temp populations of 20 and 10 (at most 21): tournaments take random.sample's
     # pool path; 200 generations reach the constant resets of the second half
     "f8-pop4": (
         ["--problem", "f8", "--seed", "11", "--pop-size", "4", "--generations", "200",
          "--runs", "3"],
-        "f4384a31631e39fb1ab38d34f2269b22da99d48d44fa2a9f87032ca0e827671b",
+        "ab500c68e1a3d50b4bcddb8d8140a8a3fc8bbf9f61f8075dc7e2fac47b75b6e2",
     ),
     "f8-pop2": (
         ["--problem", "f8", "--seed", "11", "--pop-size", "2", "--generations", "200",
          "--runs", "3"],
-        "99c3cea9ab3aff0cf11d162476d1074ae001b2015d7431e091569881867cb457",
+        "ae5fe967faed1d9e9c135b925cd84af64d4a3a0f67b018c5424e13a9a6a1eb07",
     ),
     "f12-d5-baseline": (
         ["--problem", "f12", "--dim", "5", "--mode", "baseline", "--seed", "5", "--pop-size", "30",
@@ -72,7 +72,7 @@ def test_golden_output_hashes(name, tmp_path):
 
 # one run of every problem: twelve trace files, then the summary, in suite order
 BENCH_ARGV = ["--runs", "1", "--generations", "3", "--pop-size", "10", "--seed", "0"]
-BENCH_GOLDEN = "8015437555f71796b19494aead164901554b095490992d75aa698da05d763d98"
+BENCH_GOLDEN = "48e27b76b309092c63f12df99955315ac70303d430f1fab6816f609746fd695a"
 
 
 def test_golden_bench_sweep_hash(tmp_path):
