@@ -119,10 +119,7 @@ def ref_defuzzify(strengths, universe):
     for label, strength in strengths.items():
         if strength > 0.0:
             np.maximum(aggregate, np.minimum(strength, grids[label]), out=aggregate)
-    total = float(aggregate.sum())
-    if total <= 0.0:
-        return universe.midpoint
-    return float((xs * aggregate).sum() / total)
+    return _centroid(xs, aggregate, universe.lower, universe.upper)
 
 
 # --- second implementations of the benchmark objectives ---

@@ -85,9 +85,6 @@ def _assert_near_grid(mine, strengths, universe):
     assert abs(mine - ref) <= 32 * math.ulp(ref), (strengths, universe, mine, ref)
 
 
-OUTPUT_UNIVERSES = (CROSSOVER_OUT.universe, MUTATION_OUT.universe, CONSTANT_OUT.universe)
-
-
 def test_closed_form_centroid_matches_1001_point_grid():
     """The closed form sums the same grid as the numpy defuzzifier it
     replaced, so the two agree to within rounding."""
@@ -103,7 +100,8 @@ def test_closed_form_centroid_matches_1001_point_grid():
         cases.append({lo: rng.random(), hi: rng.random()})
         cases.append({label: rng.random() for label in LABELS})
         cases.append({label: rng.choice((0.0, 0.2, 0.5, 1.0, rng.random())) for label in LABELS})
-    for universe in OUTPUT_UNIVERSES:
+    for family in (CROSSOVER_OUT, MUTATION_OUT, CONSTANT_OUT):
+        universe = family.universe
         for strengths in cases:
             _assert_near_grid(centroid(strengths, universe), strengths, universe)
 
