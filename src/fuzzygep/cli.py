@@ -36,15 +36,20 @@ class ConfigError(Exception):
 class ExperimentConfig:
     problem: str
     dim: int | None = None
-    pop_size: int = 100
-    generations: int = 1000
+    pop_size: int = evolve.EngineConfig.pop_size
+    generations: int = evolve.EngineConfig.max_gen
     runs: int = 50
     seed: int = 0
-    mode: str = "adaptive"
+    mode: str = evolve.EngineConfig.mode
     tolerance: float = 1e-6
-    termination_tolerance: float | None = 1e-12
+    termination_tolerance: float | None = evolve.EngineConfig.termination_tol
     trace_path: str = "trace.csv"
     summary_path: str = "summary.csv"
+
+    def engine_config(self) -> evolve.EngineConfig:
+        """The settings of each run; EngineConfig checks them."""
+        return evolve.EngineConfig(pop_size=self.pop_size, max_gen=self.generations,
+                                   mode=self.mode, termination_tol=self.termination_tolerance)
 
 
 @dataclass
@@ -187,19 +192,17 @@ def bench_experiments(args, out_dir: str) -> list[ExperimentConfig]:
 
 
 def validate_experiment(cfg: ExperimentConfig):
+    """Checks of what EngineConfig does not name (generations is its max_gen), then its own."""
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
-    if cfg.pop_size < 2:
-        raise ConfigError("pop-size must be at least 2")
     if cfg.generations < 1:
         raise ConfigError("generations must be at least 1")
     if not cfg.tolerance >= 0.0:  # NaN fails too
         raise ConfigError("tolerance must be non-negative")
-    if cfg.termination_tolerance is not None and not cfg.termination_tolerance >= 0.0:
-        raise ConfigError("termination_tolerance must be non-negative")
-    if cfg.mode not in ("adaptive", "baseline"):
-        raise ConfigError(f"mode must be adaptive or baseline, not {cfg.mode!r}")
+    if os.path.realpath(cfg.trace_path) == os.path.realpath(cfg.summary_path):
+        raise ConfigError(f"--trace and --summary name the same file: {cfg.summary_path}")
     try:
+        cfg.engine_config()
         bench.builtin(cfg.problem, cfg.dim)
     except ValueError as err:
         raise ConfigError(str(err)) from None
@@ -271,15 +274,7 @@ def summarize(problem: bench.Problem, cfg: ExperimentConfig, results) -> Summary
 def run_experiment(cfg: ExperimentConfig) -> Summary:
     """Execute cfg.runs seeded runs and write the trace file; no summary I/O."""
     problem = bench.builtin(cfg.problem, cfg.dim)
-    try:
-        engine_cfg = evolve.EngineConfig(
-            pop_size=cfg.pop_size,
-            max_gen=cfg.generations,
-            mode=cfg.mode,
-            termination_tol=cfg.termination_tolerance,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    engine_cfg = cfg.engine_config()
     results = [evolve.run(problem, engine_cfg, seed=cfg.seed + i) for i in range(cfg.runs)]
     write_trace(cfg.trace_path, [r.trace for r in results])
     return summarize(problem, cfg, results)

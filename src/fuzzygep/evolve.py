@@ -45,7 +45,10 @@ FUZZY_DIVERSITY_FLOOR = 0.6
 # fixed-rate reference mode: crossover, mutation, constant mutation
 BASELINE_RATES = (0.3, 0.2, 0.01)
 
-DIVERSITY_UNIVERSE = Universe(0.6, 1.0)
+# distinct slots each mutant rewrites
+MUTATIONS_PER_INDIVIDUAL = 2
+
+DIVERSITY_UNIVERSE = Universe(FUZZY_DIVERSITY_FLOOR, 1.0)
 CROSSOVER_UNIVERSE = Universe(0.1, 0.3)
 MUTATION_UNIVERSE = Universe(0.05, 0.25)
 CONSTANT_UNIVERSE = Universe(0.0, 0.5)
@@ -79,31 +82,18 @@ class DiversityReading:
 class EngineConfig:
     pop_size: int = 100
     max_gen: int = 1000
-    mutations_per_individual: int = 2
     mode: str = "adaptive"
     termination_tol: float | None = 1e-12  # None keeps every run at max_gen
-    n_constants: int = 10
-    ordinary_head_len: int = 6
-    homeotic_head_len: int = 4
-    n_ordinary_genes: int = 2
 
     def __post_init__(self):
         if self.pop_size < 2:
             raise ValueError("pop_size must be at least 2")
         if self.max_gen < 1:
             raise ValueError("max_gen must be positive")
-        if self.mutations_per_individual < 1:
-            raise ValueError("mutations_per_individual must be positive")
         if self.mode not in ("adaptive", "baseline"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be adaptive or baseline, not {self.mode!r}")
         if self.termination_tol is not None and not self.termination_tol >= 0.0:
             raise ValueError("termination_tol must be non-negative")
-        if self.n_constants < 1:
-            raise ValueError("n_constants must be positive")
-        if self.ordinary_head_len < 1 or self.homeotic_head_len < 1:
-            raise ValueError("head lengths must be positive")
-        if self.n_ordinary_genes < 1:
-            raise ValueError("n_ordinary_genes must be positive")
 
     @property
     def elite_count(self) -> int:
@@ -279,14 +269,8 @@ class Engine:
         self.cfg = cfg if cfg is not None else EngineConfig()
         self.seed = seed
         self.rng = random.Random(seed)
-        self.symbols = SymbolSet.create(problem.extra_operators, self.cfg.n_constants)
-        self.layout = GeneLayout(
-            ordinary_head_len=self.cfg.ordinary_head_len,
-            homeotic_head_len=self.cfg.homeotic_head_len,
-            n_ordinary=self.cfg.n_ordinary_genes,
-            n_homeotic=problem.dim,
-            max_arity=self.symbols.max_arity,
-        )
+        self.symbols = SymbolSet.create(problem.extra_operators)
+        self.layout = GeneLayout(n_homeotic=problem.dim, max_arity=self.symbols.max_arity)
         self.alphabets = position_alphabets(self.layout, self.symbols)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(self.layout)
@@ -376,8 +360,8 @@ class Engine:
             return out
 
         def mutated(genomes):
-            k = self.cfg.mutations_per_individual
-            return [mutate(g, rates.p_m, k, self.layout, self.alphabets, rng) for g in genomes]
+            return [mutate(g, rates.p_m, MUTATIONS_PER_INDIVIDUAL, self.layout, self.alphabets, rng)
+                    for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]
         offspring = []
@@ -394,7 +378,7 @@ class Engine:
         if self.rng.random() >= r_c:
             return population, False
         self.constants = random_constant_set(
-            self.cfg.n_constants, self.problem.lower, self.problem.upper, self.rng)
+            len(self.symbols.dc_alphabet), self.problem.lower, self.problem.upper, self.rng)
         return [self.evaluate(ind.chromosome) for ind in population], True
 
     def run(self) -> RunResult:
@@ -402,7 +386,7 @@ class Engine:
         direction = self.problem.direction
         key = _sort_key(direction)
         self.constants = random_constant_set(
-            cfg.n_constants, self.problem.lower, self.problem.upper, self.rng)
+            len(self.symbols.dc_alphabet), self.problem.lower, self.problem.upper, self.rng)
         population = [
             self.evaluate(random_chromosome(self.layout, self.symbols, self.rng))
             for _ in range(cfg.pop_size)

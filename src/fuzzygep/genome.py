@@ -146,14 +146,12 @@ class ConstantSet:
     """Shared pool of random numerical constants indexed by Dc letters."""
 
     values: tuple[float, ...]
-    lower: float
-    upper: float
 
 
 def random_constant_set(n: int, lower: float, upper: float, rng: random.Random) -> ConstantSet:
     if not lower < upper:
         raise ValueError(f"empty constant range [{lower}, {upper})")
-    return ConstantSet(tuple(rng.uniform(lower, upper) for _ in range(n)), lower, upper)
+    return ConstantSet(tuple(rng.uniform(lower, upper) for _ in range(n)))
 
 
 def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:

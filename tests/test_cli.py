@@ -197,15 +197,15 @@ def test_config_file_unreadable():
 
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(runs=0), "runs"),
-    (dict(pop_size=1), "pop-size"),
+    (dict(pop_size=1), "pop_size"),
     (dict(generations=0), "generations"),
     (dict(tolerance=-1.0), "tolerance"),
-    (dict(termination_tolerance=-1e-9), "termination_tolerance"),
+    (dict(termination_tolerance=-1e-9), "termination_tol"),
     (dict(mode="fuzzy"), "mode"),
     (dict(problem="f99"), "unknown problem"),
     (dict(problem="f2", dim=5), "fixed"),
     (dict(tolerance=float("nan")), "tolerance"),
-    (dict(termination_tolerance=float("nan")), "termination_tolerance"),
+    (dict(termination_tolerance=float("nan")), "termination_tol"),
 ])
 def test_validate_rejects(kwargs, fragment):
     base = dict(problem="f1")
@@ -218,13 +218,14 @@ def test_validate_rejects(kwargs, fragment):
 def test_nan_tolerance_exits_1_from_flag_or_config(tmp_path, capsys, key):
     # a NaN tolerance would report no success and a NaN termination
     # tolerance would turn early stopping off, both without a word
+    name = {"termination_tolerance": "termination_tol"}.get(key, key)  # EngineConfig's field
     conf = tmp_path / "exp.conf"
     conf.write_text(f"{key} = nan\n")
     base = _run_args(tmp_path, "--problem", "f1", "--runs", "1", "--generations", "3",
                      "--pop-size", "10")
     for extra in (["--" + key.replace("_", "-"), "nan"], ["--config", str(conf)]):
         assert cli.main(base + extra) == 1
-        assert f"{key} must be non-negative" in capsys.readouterr().err
+        assert f"error: {name} must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -392,6 +393,36 @@ def test_run_checks_outputs_before_any_run(tmp_path, capsys, monkeypatch, flag):
     assert calls == []
     assert "missing" in capsys.readouterr().err
     assert (tmp_path / "trace.csv").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--pop-size", "1", "pop_size must be at least 2"),
+    ("--mode", "turbo", "mode must be adaptive or baseline, not 'turbo'"),
+    ("--termination-tolerance", "-1", "termination_tol must be non-negative"),
+], ids=["pop_size", "mode", "termination_tol"])
+def test_engine_settings_are_checked_by_the_engine(tmp_path, capsys, monkeypatch,
+                                                    flag, value, message):
+    """EngineConfig's message reaches the user as a configuration error."""
+    calls = _refuse_runs(monkeypatch)
+    assert cli.main(_run_args(tmp_path, "--problem", "f1", flag, value)) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("summary", ["same.csv", "sub/../same.csv"])
+def test_run_rejects_one_file_for_trace_and_summary(tmp_path, capsys, monkeypatch, summary):
+    """The summary would overwrite the trace, so the run never starts."""
+    calls = _refuse_runs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "same.csv").write_text("kept\n")
+    argv = ["run", "--problem", "f1", "--trace", str(tmp_path / "same.csv"), "--summary", summary]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--trace" in err and "--summary" in err
+    assert calls == []
+    assert (tmp_path / "same.csv").read_text() == "kept\n"
 
 
 # --- bench sweep -----------------------------------------------------------

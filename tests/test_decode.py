@@ -22,7 +22,7 @@ from fuzzygep.genome import (
 )
 
 SYM = SymbolSet.create()
-CONSTS = ConstantSet((0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), -1.0, 1.0)
+CONSTS = ConstantSet((0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
 # two ordinary genes (head 3, tail 4, dc 4), two homeotic genes (head 3, tail 4)
 SMALL = GeneLayout(ordinary_head_len=3, homeotic_head_len=3, n_ordinary=2, n_homeotic=2)
 

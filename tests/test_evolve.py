@@ -26,7 +26,6 @@ from fuzzygep.genome import (
     ConstantSet,
     GeneLayout,
     SymbolSet,
-    gene_references,
     position_alphabets,
     random_chromosome,
     validate,
@@ -147,12 +146,7 @@ def test_baseline_rates_fixed_everywhere():
     {"pop_size": 1},
     {"max_gen": 0},
     {"mode": "turbo"},
-    {"mutations_per_individual": 0},
     {"termination_tol": -0.5},
-    {"n_constants": 0},
-    {"ordinary_head_len": 0},
-    {"n_ordinary_genes": 0},
-    {"homeotic_head_len": 0},
     {"termination_tol": float("nan")},
 ])
 def test_config_rejects_bad_values(kwargs):
@@ -346,7 +340,7 @@ def seeded_population(engine, n):
 
 def _fresh_constants(engine, rng):
     from fuzzygep.genome import random_constant_set
-    return random_constant_set(engine.cfg.n_constants, engine.problem.lower,
+    return random_constant_set(len(engine.symbols.dc_alphabet), engine.problem.lower,
                                engine.problem.upper, rng)
 
 
@@ -356,6 +350,7 @@ def test_engine_layout_matches_problem():
     assert eng.layout.n_ordinary == 2
     assert eng.layout.ordinary_head_len == 6
     assert eng.layout.homeotic_head_len == 4
+    assert len(eng.symbols.dc_alphabet) == 10
 
 
 def test_temp_population_is_parents_plus_four_batches():
@@ -437,28 +432,14 @@ def test_sphere_zero_chromosome_has_zero_fitness():
     assert ind.fitness == 0.0
 
 
-def test_engine_with_more_than_ten_ordinary_genes():
-    """References past "9" are code points from U+0100 up; runs and decoding use them."""
-    cfg = EngineConfig(pop_size=10, max_gen=4, n_ordinary_genes=12, termination_tol=None)
-    eng = Engine(builtin("f1"), cfg, seed=5)
-    res = eng.run()
-    assert res.generations == 4
-    assert validate(res.best.chromosome, eng.layout, eng.symbols) == []
-    # eleven ordinary genes worth 0, then gene 11 worth 7; both homeotic genes read gene 11
-    ref = gene_references(12)[11]
-    c = ("a" * 13 + "A" * 7) * 11 + "h" + "a" * 12 + "A" * 7 + ref * 9 * 2
-    assert eng.evaluate(c).point == (7.0, 7.0)
-
-
-@pytest.mark.parametrize("name, dim, n_ordinary", [
-    ("f9", 30, 2),
-    ("f12", 10, 2),  # S, C, Q and E
-    ("f9", 10, 12),
+@pytest.mark.parametrize("name, dim", [
+    ("f9", 30),
+    ("f12", 10),  # S, C, Q and E
 ])
-def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, n_ordinary, monkeypatch):
+def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     """Memoized coordinates carry the bits the uncached decode computes,
     also once the constants are redrawn."""
-    eng = Engine(builtin(name, dim), EngineConfig(n_ordinary_genes=n_ordinary), seed=3)
+    eng = Engine(builtin(name, dim), seed=3)
     rng = random.Random(17)
     parents = [random_chromosome(eng.layout, eng.symbols, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
@@ -485,7 +466,7 @@ def test_coordinate_memo_keeps_signed_zeros_apart():
     """0.0 == -0.0, so a float-tuple memo key would hand the second
     chromosome the first one's +0.0 coordinates."""
     eng = make_engine("f1", max_gen=10)
-    eng.constants = ConstantSet((-3.0, 2.0) + (1.0,) * 8, -5.12, 5.12)
+    eng.constants = ConstantSet((-3.0, 2.0) + (1.0,) * 8)
     # first ordinary gene a*?: 0 * constant A = -0.0, 0 * constant B = +0.0;
     # the second is 1; both homeotic genes read the first ordinary gene
     second_and_homeotic = "b" + "a" * 12 + "A" * 7 + "0" * 9 * 2
@@ -500,8 +481,8 @@ def test_region_memo_follows_the_constant_set():
     ordinary genes afresh; regions with the same ordinary values share the
     _coordinates pair."""
     eng = make_engine("f1", max_gen=10)
-    first = ConstantSet((-3.0,) + (1.0,) * 9, -5.12, 5.12)
-    second = ConstantSet((4.5,) + (1.0,) * 9, -5.12, 5.12)
+    first = ConstantSet((-3.0,) + (1.0,) * 9)
+    second = ConstantSet((4.5,) + (1.0,) * 9)
     # first ordinary gene +a?: 0 + constant A; the second is 1, and its slot
     # after the head is not expressed; both homeotic genes read the first
     tail = "a" * 11 + "A" * 7 + "0" * 9 * 2
