@@ -102,7 +102,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     data: dict = {}
     line_of: dict[str, int] = {}

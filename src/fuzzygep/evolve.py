@@ -74,7 +74,6 @@ class Rates:
 @dataclass(frozen=True)
 class DiversityReading:
     d: float
-    f_best: float
     f_ave: float
 
 
@@ -117,7 +116,6 @@ class TraceRow:
 
 @dataclass
 class RunResult:
-    problem: str
     seed: int
     best: Individual
     first_best_gen: int
@@ -130,41 +128,36 @@ class RateControllers:
 
     def __init__(self, max_gen: int):
         self.diversity = MembershipFamily(DIVERSITY_UNIVERSE)
-        self.crossover = MembershipFamily(CROSSOVER_UNIVERSE)
-        self.mutation = MembershipFamily(MUTATION_UNIVERSE)
-        self.constant = MembershipFamily(CONSTANT_UNIVERSE)
         self.iteration = MembershipFamily(Universe(max_gen / 2.0, float(max_gen)))
 
     def crossover_rate(self, d: float) -> float:
-        return infer_1d(CROSSOVER_RULES, self.diversity, self.crossover, d)
+        return infer_1d(CROSSOVER_RULES, self.diversity, CROSSOVER_UNIVERSE, d)
 
     def mutation_rate(self, d: float) -> float:
-        return infer_1d(MUTATION_RULES, self.diversity, self.mutation, d)
+        return infer_1d(MUTATION_RULES, self.diversity, MUTATION_UNIVERSE, d)
 
     def constant_rate(self, gen: int, d: float) -> float:
         return infer_2d(CONSTANT_MUTATION_RULES, self.iteration, self.diversity,
-                        self.constant, float(gen), d)
+                        CONSTANT_UNIVERSE, float(gen), d)
 
 
 def diversity(population, direction: str) -> DiversityReading:
     """Best-to-average fitness ratio oriented so 1.0 means converged."""
     fits = [ind.fitness for ind in population if math.isfinite(ind.fitness)]
     if not fits:
-        return DiversityReading(0.5, float("nan"), float("nan"))
+        return DiversityReading(0.5, float("nan"))
     f_ave = sum(fits) / len(fits)
     if direction == "minimize":
-        f_best = min(fits)
-        num, den = f_best, f_ave
+        num, den = min(fits), f_ave
     else:
-        f_best = max(fits)
-        num, den = f_ave, f_best
+        num, den = f_ave, max(fits)
     if num == den:
         d = 1.0
     elif den == 0.0:
         d = 0.0
     else:
         d = min(1.0, max(0.0, num / den))
-    return DiversityReading(d, f_best, f_ave)
+    return DiversityReading(d, f_ave)
 
 
 def adapt_rates(d: float, gen: int, cfg: EngineConfig, controllers: RateControllers) -> Rates:
@@ -269,7 +262,7 @@ class Engine:
         self.cfg = cfg if cfg is not None else EngineConfig()
         self.seed = seed
         self.rng = random.Random(seed)
-        self.symbols = SymbolSet.create(problem.extra_operators)
+        self.symbols = SymbolSet(problem.extra_operators)
         self.layout = GeneLayout(n_homeotic=problem.dim, max_arity=self.symbols.max_arity)
         self.alphabets = position_alphabets(self.layout, self.symbols)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
@@ -419,8 +412,7 @@ class Engine:
             trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d,
                                   rates.p_c, rates.p_m, rates.r_c, reset))
             reading = selected
-        return RunResult(self.problem.name, self.seed, best, first_best_gen,
-                         generations, trace)
+        return RunResult(self.seed, best, first_best_gen, generations, trace)
 
 
 def run(problem: Problem, cfg: EngineConfig | None = None, seed: int = 0) -> RunResult:

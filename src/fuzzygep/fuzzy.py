@@ -73,31 +73,21 @@ class MembershipFamily:
         width = universe.upper - universe.lower
         self.breakpoints = tuple(universe.lower + k * width / 4.0 for k in range(5))
 
-    def membership(self, label: str, x: float) -> float:
-        i = _LABEL_INDEX[label]
+    def fuzzify(self, x: float) -> list[float]:
+        """The five memberships, in LABELS order, of x clamped into the universe.
+
+        Only the two labels of the segment [p[k], p[k+1]] holding x can be
+        nonzero: label k falls across it and label k+1 rises.
+        """
         p = self.breakpoints
         x = self.universe.clamp(x)
-        if i == 0:
-            if x <= p[0]:
-                return 1.0
-            if x >= p[1]:
-                return 0.0
-            return (p[1] - x) / (p[1] - p[0])
-        if i == 4:
-            if x >= p[4]:
-                return 1.0
-            if x <= p[3]:
-                return 0.0
-            return (x - p[3]) / (p[4] - p[3])
-        left, peak, right = p[i - 1], p[i], p[i + 1]
-        if x <= left or x >= right:
-            return 0.0
-        if x <= peak:
-            return (x - left) / (peak - left)
-        return (right - x) / (right - peak)
-
-    def fuzzify(self, x: float) -> tuple[float, ...]:
-        return tuple(self.membership(label, x) for label in LABELS)
+        k = 0
+        while k < 3 and x > p[k + 1]:
+            k += 1
+        mus = [0.0] * 5
+        mus[k] = (p[k + 1] - x) / (p[k + 1] - p[k])
+        mus[k + 1] = (x - p[k]) / (p[k + 1] - p[k])
+        return mus
 
 
 # grid steps between two adjacent breakpoints
@@ -114,10 +104,10 @@ def _squares_below(n: int) -> int:
     return (n - 1) * n * (2 * n - 1) // 6
 
 
-def centroid(strengths: dict[str, float], universe: Universe) -> float:
-    """Centre of gravity of the max of the clipped output labels, sampled on
-    GRID_POINTS evenly spaced points; an all-zero aggregate falls back to the
-    midpoint.
+def centroid(s, universe: Universe) -> float:
+    """Centre of gravity of the max of the output labels clipped at their
+    strengths s (five, in LABELS order), sampled on GRID_POINTS evenly spaced
+    points; an all-zero aggregate falls back to the midpoint.
 
     Between breakpoints k and k+1 (grid steps j = 0.._SPAN, t = j/_SPAN) only
     label k falls (1 - t) and label k+1 rises (t).  With their strengths a
@@ -127,7 +117,6 @@ def centroid(strengths: dict[str, float], universe: Universe) -> float:
     series.  Every span owns its steps 0.._SPAN-1; the last grid point is
     added alone.
     """
-    s = [strengths.get(label, 0.0) for label in LABELS]
     mass = s[4]
     moment = (GRID_POINTS - 1) * s[4]
     for k in range(4):
@@ -156,31 +145,27 @@ def centroid(strengths: dict[str, float], universe: Universe) -> float:
     return universe.lower + step * (moment / mass)
 
 
-def infer_1d(table, in_family: MembershipFamily, out_family: MembershipFamily, x: float) -> float:
+def infer_1d(table, in_family: MembershipFamily, out_universe: Universe, x: float) -> float:
     """Single-input Mamdani step; clamps x into the input universe."""
-    strengths: dict[str, float] = {}
-    for label in LABELS:
-        mu = in_family.membership(label, x)
-        out_label = table[label]
-        if mu > strengths.get(out_label, 0.0):
-            strengths[out_label] = mu
-    return centroid(strengths, out_family.universe)
+    strengths = [0.0] * 5
+    for label, mu in zip(LABELS, in_family.fuzzify(x)):
+        out = _LABEL_INDEX[table[label]]
+        if mu > strengths[out]:
+            strengths[out] = mu
+    return centroid(strengths, out_universe)
 
 
 def infer_2d(table, family_a: MembershipFamily, family_b: MembershipFamily,
-             out_family: MembershipFamily, a: float, b: float) -> float:
+             out_universe: Universe, a: float, b: float) -> float:
     """Two-input Mamdani step with min conjunction of the antecedents."""
-    mus_a = family_a.fuzzify(a)
     mus_b = family_b.fuzzify(b)
-    strengths: dict[str, float] = {}
-    for i, label_a in enumerate(LABELS):
-        if mus_a[i] == 0.0:
+    strengths = [0.0] * 5
+    for label_a, mu_a in zip(LABELS, family_a.fuzzify(a)):
+        if mu_a == 0.0:
             continue
-        for j, label_b in enumerate(LABELS):
-            strength = min(mus_a[i], mus_b[j])
-            if strength == 0.0:
-                continue
-            out_label = table[(label_a, label_b)]
-            if strength > strengths.get(out_label, 0.0):
-                strengths[out_label] = strength
-    return centroid(strengths, out_family.universe)
+        for label_b, mu_b in zip(LABELS, mus_b):
+            strength = min(mu_a, mu_b)
+            out = _LABEL_INDEX[table[(label_a, label_b)]]
+            if strength > strengths[out]:
+                strengths[out] = strength
+    return centroid(strengths, out_universe)

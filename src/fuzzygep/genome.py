@@ -35,6 +35,9 @@ DIGIT_VALUES = {symbol: float(i) for i, symbol in enumerate(DIGIT_TERMINALS)}
 
 RNC_TERMINAL = "?"
 
+# Dc letters, each naming one random numerical constant
+N_CONSTANTS = 10
+
 
 def tail_length(head_len: int, max_arity: int) -> int:
     """Tail size that keeps any head expressible: h*(amax-1) + 1."""
@@ -46,56 +49,31 @@ def gene_references(n_ordinary: int) -> tuple[str, ...]:
     """Terminals of the homeotic genes, one character per ordinary gene.
 
     "0".."9" name the first ten genes, code points from U+0100 upward the
-    rest; SymbolSet admits neither, so references never meet another alphabet.
+    rest; no SymbolSet alphabet holds either, so references never meet them.
     """
     return tuple(str(i) if i < 10 else chr(0x100 + i - 10) for i in range(n_ordinary))
 
 
 class SymbolSet:
-    """Alphabets for one problem: functions, terminals, Dc index letters."""
+    """Alphabets for one problem: functions, terminals, Dc index letters.
 
-    def __init__(self, functions, terminals, dc_alphabet):
-        functions = tuple(functions)
-        self.functions = tuple(sym for sym, _ in functions)
-        self.arity = {sym: ar for sym, ar in functions}
-        self.terminals = tuple(terminals)
-        self.dc_alphabet = tuple(dc_alphabet)
-        if not functions:
-            raise ValueError("need at least one function symbol")
-        for sym, ar in functions:
-            if ar < 1:
-                raise ValueError(f"function {sym!r} must take arguments")
-        for sym in self.functions + self.terminals + self.dc_alphabet:
-            if len(sym) != 1 or not sym.isascii() or sym.isdigit():
-                raise ValueError(f"symbol {sym!r} must be one ASCII character other than a digit")
-        if RNC_TERMINAL not in self.terminals:
-            raise ValueError("terminal set must include '?'")
-        f, t, d = set(self.functions), set(self.terminals), set(self.dc_alphabet)
-        if f & t or f & d or t & d:
-            raise ValueError("function, terminal and Dc alphabets must be disjoint")
-        if len(f) != len(self.functions) or len(t) != len(self.terminals) or len(d) != len(self.dc_alphabet):
-            raise ValueError("duplicate symbol in alphabet")
-        self.max_arity = max(self.arity.values())
-        self.dc_index = {sym: i for i, sym in enumerate(self.dc_alphabet)}
+    The four arithmetic operators plus the problem's unaries; '?' and the
+    digit terminals; the first N_CONSTANTS capitals that are not function
+    symbols.  None holds a digit, so gene references never meet them.
+    """
 
-    @classmethod
-    def create(cls, extra_operators=(), n_constants: int = 10) -> "SymbolSet":
-        """Standard alphabets: four arithmetic ops plus per-problem unaries.
-
-        Dc letters are drawn from A..Z skipping any letter that doubles as a
-        function symbol, so the three alphabets stay disjoint.
-        """
-        functions = [(op, FUNCTION_ARITIES[op]) for op in BASE_OPERATORS]
-        for op in extra_operators:
+    def __init__(self, extra_operators=()):
+        self.functions = BASE_OPERATORS + tuple(extra_operators)
+        for op in self.functions:
             if op not in FUNCTION_ARITIES:
                 raise ValueError(f"unknown operator {op!r}")
-            functions.append((op, FUNCTION_ARITIES[op]))
-        used = {sym for sym, _ in functions}
-        capitals = [c for c in string.ascii_uppercase if c not in used]
-        if n_constants < 1 or n_constants > len(capitals):
-            raise ValueError(f"n_constants must be in 1..{len(capitals)}")
-        terminals = (RNC_TERMINAL,) + DIGIT_TERMINALS
-        return cls(functions, terminals, capitals[:n_constants])
+        self.arity = {op: FUNCTION_ARITIES[op] for op in self.functions}
+        if len(self.arity) != len(self.functions):
+            raise ValueError(f"repeated operator in {self.functions!r}")
+        self.terminals = (RNC_TERMINAL,) + DIGIT_TERMINALS
+        self.dc_alphabet = tuple(c for c in string.ascii_uppercase if c not in self.arity)[:N_CONSTANTS]
+        self.max_arity = max(self.arity.values())
+        self.dc_index = {sym: i for i, sym in enumerate(self.dc_alphabet)}
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ package source: a brute-force Mamdani pipeline over dense sample grids, a
 second copy of each benchmark objective, and numeric argmax refinement for
 the two maximization problems. The exceptions are copies of package code
 that a faster version replaced or that the package no longer needs:
-`ref_select` and `ref_mutate`, `ref_defuzzify` and `eval_chromosome` (see
-their docstrings).
+`ref_select` and `ref_mutate`, `ref_defuzzify`, `ref_label_membership` and
+`eval_chromosome` (see their docstrings).
 """
 
 import math
@@ -96,19 +96,46 @@ def ref_infer_2d(rules, universe_a, universe_b, out_universe, a, b, samples=100_
     return _centroid(ys, agg, lo, hi)
 
 
+def ref_label_membership(family, label, x):
+    """Membership of x in one label, one label per call.
+
+    A copy of the per-label `MembershipFamily.membership` that the one-pass
+    `MembershipFamily.fuzzify` replaced, kept so that `fuzzify` can be
+    checked against it bit for bit.
+    """
+    i = LABELS.index(label)
+    p = family.breakpoints
+    x = family.universe.clamp(x)
+    if i == 0:
+        if x <= p[0]:
+            return 1.0
+        if x >= p[1]:
+            return 0.0
+        return (p[1] - x) / (p[1] - p[0])
+    if i == 4:
+        if x >= p[4]:
+            return 1.0
+        if x <= p[3]:
+            return 0.0
+        return (x - p[3]) / (p[4] - p[3])
+    left, peak, right = p[i - 1], p[i], p[i + 1]
+    if x <= left or x >= right:
+        return 0.0
+    if x <= peak:
+        return (x - left) / (peak - left)
+    return (right - x) / (right - peak)
+
+
 @lru_cache(maxsize=32)
 def _grid_1001(universe):
     family = MembershipFamily(universe)
     xs = np.linspace(universe.lower, universe.upper, 1001)
-    grids = {
-        label: np.array([family.membership(label, x) for x in xs])
-        for label in LABELS
-    }
-    return xs, grids
+    return xs, np.array([family.fuzzify(x) for x in xs]).T
 
 
 def ref_defuzzify(strengths, universe):
-    """Centroid of the max of the clipped output labels on 1001 points.
+    """Centroid of the max of the clipped output labels on 1001 points;
+    `strengths` holds five, in label order.
 
     A copy of the numpy defuzzifier that the closed form in `fuzzy.centroid`
     replaced, kept so that the closed form can be checked against the grid
@@ -116,9 +143,9 @@ def ref_defuzzify(strengths, universe):
     """
     xs, grids = _grid_1001(universe)
     aggregate = np.zeros(1001)
-    for label, strength in strengths.items():
+    for grid, strength in zip(grids, strengths):
         if strength > 0.0:
-            np.maximum(aggregate, np.minimum(strength, grids[label]), out=aggregate)
+            np.maximum(aggregate, np.minimum(strength, grid), out=aggregate)
     return _centroid(xs, aggregate, universe.lower, universe.upper)
 
 

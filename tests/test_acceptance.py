@@ -43,7 +43,7 @@ def _sweep(name, dim, cfg):
 
 def test_bulk_generated_and_operated_genomes_all_validate():
     rng = random.Random(0)
-    symbols = SymbolSet.create(())
+    symbols = SymbolSet()
     layout = GeneLayout(n_homeotic=2)
     alphabets = position_alphabets(layout, symbols)
     t0 = time.perf_counter()

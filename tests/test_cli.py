@@ -195,6 +195,16 @@ def test_config_file_unreadable():
         cli.parse_config_file("/no/such/file.conf")
 
 
+def test_config_file_not_utf8_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    calls = _refuse_runs(monkeypatch)
+    conf = tmp_path / "bad.cfg"
+    conf.write_bytes(b"problem = f1\nruns = \xff\n")
+    assert cli.main(_run_args(tmp_path, "--problem", "f1", "--config", str(conf))) == 1
+    assert calls == []
+    assert f"error: cannot read config {conf}" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(runs=0), "runs"),
     (dict(pop_size=1), "pop_size"),

@@ -21,7 +21,7 @@ from fuzzygep.genome import (
     random_chromosome,
 )
 
-SYM = SymbolSet.create()
+SYM = SymbolSet()
 CONSTS = ConstantSet((0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
 # two ordinary genes (head 3, tail 4, dc 4), two homeotic genes (head 3, tail 4)
 SMALL = GeneLayout(ordinary_head_len=3, homeotic_head_len=3, n_ordinary=2, n_homeotic=2)
@@ -139,13 +139,13 @@ def test_homeotic_genes_are_independent():
 
 
 def test_exp_clamp_keeps_single_chain_finite():
-    sym = SymbolSet.create(("E",))
+    sym = SymbolSet(("E",))
     # E(E(9)) hits the clamp: exp(min(8103, 700)) = exp(700), large but finite
     assert eval_ordinary("EEjaaaa", "AAAA", sym, CONSTS) == math.exp(700.0)
 
 
 def test_non_finite_propagation_without_raising():
-    sym = SymbolSet.create(("E",))
+    sym = SymbolSet(("E",))
     # exp(700) * exp(700) overflows to inf
     assert math.isinf(eval_ordinary("*EEEE" + "j" * 6, "A" * 6, sym, CONSTS))
     # inf - inf propagates as nan, still no exception
@@ -173,7 +173,7 @@ def _randomize_unexpressed(c, layout, sym, rng):
 
 
 def test_unexpressed_regions_never_change_value():
-    sym = SymbolSet.create(("S", "Q"))
+    sym = SymbolSet(("S", "Q"))
     layout = GeneLayout(n_homeotic=2)
     rng = random.Random(17)
     for _ in range(100):

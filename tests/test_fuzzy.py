@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from fuzzygep.fuzzy import (
 )
 
 DIVERSITY = MembershipFamily(Universe(0.6, 1.0))
-CROSSOVER_OUT = MembershipFamily(Universe(0.1, 0.3))
-MUTATION_OUT = MembershipFamily(Universe(0.05, 0.25))
-CONSTANT_OUT = MembershipFamily(Universe(0.0, 0.5))
+CROSSOVER_OUT = Universe(0.1, 0.3)
+MUTATION_OUT = Universe(0.05, 0.25)
+CONSTANT_OUT = Universe(0.0, 0.5)
 ITERATION = MembershipFamily(Universe(500.0, 1000.0))
+OUTPUTS = (CROSSOVER_OUT, MUTATION_OUT, CONSTANT_OUT)
 
 
 def test_universe_validation_and_clamp():
@@ -35,23 +37,48 @@ def test_universe_validation_and_clamp():
 
 def test_breakpoints_evenly_spaced():
     assert DIVERSITY.breakpoints == pytest.approx((0.6, 0.7, 0.8, 0.9, 1.0), abs=1e-12)
-    assert CONSTANT_OUT.breakpoints == pytest.approx((0.0, 0.125, 0.25, 0.375, 0.5), abs=1e-12)
+    assert MembershipFamily(CONSTANT_OUT).breakpoints == pytest.approx(
+        (0.0, 0.125, 0.25, 0.375, 0.5), abs=1e-12)
 
 
 def test_membership_shapes():
-    assert DIVERSITY.membership("XL", 0.6) == 1.0
-    assert DIVERSITY.membership("XL", 0.55) == 1.0  # clamped into universe
-    assert DIVERSITY.membership("XL", 0.7) == 0.0
-    assert DIVERSITY.membership("XH", 1.0) == 1.0
-    assert DIVERSITY.membership("XH", 0.9) == 0.0
-    assert DIVERSITY.membership("M", 0.8) == pytest.approx(1.0, abs=1e-12)
-    assert DIVERSITY.membership("ML", 0.75) == pytest.approx(0.5, abs=1e-9)
-    assert DIVERSITY.membership("MH", 0.95) == pytest.approx(0.5, abs=1e-9)
-    assert DIVERSITY.membership("M", 0.65) == 0.0
+    xl, ml, m, mh, xh = range(5)
+    assert DIVERSITY.fuzzify(0.6)[xl] == 1.0
+    assert DIVERSITY.fuzzify(0.55)[xl] == 1.0  # clamped into universe
+    assert DIVERSITY.fuzzify(0.7)[xl] == 0.0
+    assert DIVERSITY.fuzzify(1.0)[xh] == 1.0
+    assert DIVERSITY.fuzzify(0.9)[xh] == 0.0
+    assert DIVERSITY.fuzzify(0.8)[m] == pytest.approx(1.0, abs=1e-12)
+    assert DIVERSITY.fuzzify(0.75)[ml] == pytest.approx(0.5, abs=1e-9)
+    assert DIVERSITY.fuzzify(0.95)[mh] == pytest.approx(0.5, abs=1e-9)
+    assert DIVERSITY.fuzzify(0.65)[m] == 0.0
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_fuzzify_matches_per_label_membership_bit_for_bit():
+    """The one-pass fuzzify gives the bits of the per-label code it replaced."""
+    universes = [DIVERSITY.universe, *OUTPUTS]
+    universes += [Universe(g / 2.0, float(g)) for g in (1, 3, 7, 20, 1000)]
+    rng = random.Random(21)
+    for universe in universes:
+        family = MembershipFamily(universe)
+        lo, hi = universe.lower, universe.upper
+        width = hi - lo
+        xs = [-math.inf, math.inf, lo - width, hi + width]
+        for p in family.breakpoints:
+            xs += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+        xs += [rng.uniform(lo, hi) for _ in range(2000)]
+        xs += [rng.uniform(lo - width, hi + width) for _ in range(200)]
+        for x in xs:
+            ref = [oracles.ref_label_membership(family, label, x) for label in LABELS]
+            assert _bits(family.fuzzify(x)) == _bits(ref), (universe, x)
 
 
 def test_partition_of_unity():
-    for family in (DIVERSITY, CROSSOVER_OUT, MUTATION_OUT, CONSTANT_OUT, ITERATION):
+    for family in (DIVERSITY, ITERATION, *map(MembershipFamily, OUTPUTS)):
         lo, hi = family.universe.lower, family.universe.upper
         for x in np.linspace(lo, hi, 101):
             total = sum(family.fuzzify(float(x)))
@@ -71,11 +98,10 @@ def test_rule_tables_pinned():
 
 
 def test_centroid_fallback_and_symmetry():
-    for universe in (Universe(0.0, 1.0), CROSSOVER_OUT.universe, CONSTANT_OUT.universe):
-        assert centroid({}, universe) == universe.midpoint
-        assert centroid(dict.fromkeys(LABELS, 0.0), universe) == universe.midpoint
+    for universe in (Universe(0.0, 1.0), CROSSOVER_OUT, CONSTANT_OUT):
+        assert centroid([0.0] * 5, universe) == universe.midpoint
         for strength in (1.0, 0.5, 0.3):
-            mine = centroid({"M": strength}, universe)
+            mine = centroid([0.0, 0.0, strength, 0.0, 0.0], universe)
             assert abs(mine - universe.midpoint) <= 4 * math.ulp(universe.midpoint)
 
 
@@ -89,28 +115,34 @@ def test_closed_form_centroid_matches_1001_point_grid():
     """The closed form sums the same grid as the numpy defuzzifier it
     replaced, so the two agree to within rounding."""
     rng = random.Random(12)
-    pairs = list(zip(LABELS, LABELS[1:]))
-    cases = [{label: 1.0} for label in LABELS]
+
+    def pair(k, a, b):
+        """Strengths a and b on labels k and k+1, zero elsewhere."""
+        s = [0.0] * 5
+        s[k], s[k + 1] = a, b
+        return s
+
+    cases = [[float(i == k) for i in range(5)] for k in range(5)]
     # strengths of 0 and 1, and 0.5/0.2, whose cuts 1-a, a, b and 1-b fall on grid points
     for a in (0.0, 0.2, 0.5, 1.0):
         for b in (0.0, 0.2, 0.5, 1.0):
-            cases += [{lo: a, hi: b} for lo, hi in pairs]
+            cases += [pair(k, a, b) for k in range(4)]
     for _ in range(200):
-        lo, hi = rng.choice(pairs)
-        cases.append({lo: rng.random(), hi: rng.random()})
-        cases.append({label: rng.random() for label in LABELS})
-        cases.append({label: rng.choice((0.0, 0.2, 0.5, 1.0, rng.random())) for label in LABELS})
-    for family in (CROSSOVER_OUT, MUTATION_OUT, CONSTANT_OUT):
-        universe = family.universe
+        cases.append(pair(rng.randrange(4), rng.random(), rng.random()))
+        cases.append([rng.random() for _ in LABELS])
+        cases.append([rng.choice((0.0, 0.2, 0.5, 1.0, rng.random())) for _ in LABELS])
+    for universe in OUTPUTS:
         for strengths in cases:
             _assert_near_grid(centroid(strengths, universe), strengths, universe)
 
 
 def _strongest(fired):
-    """Max aggregation of (output label, strength) pairs, as the controllers do it."""
-    strengths = {}
+    """Max aggregation of (output label, strength) pairs, as the controllers
+    do it, as five strengths in LABELS order."""
+    strengths = [0.0] * 5
     for label, strength in fired:
-        strengths[label] = max(strengths.get(label, 0.0), strength)
+        k = LABELS.index(label)
+        strengths[k] = max(strengths[k], strength)
     return strengths
 
 
@@ -119,16 +151,16 @@ def test_controllers_match_1001_point_grid_on_input_grid():
     gs = [float(g) for g in np.linspace(500.0, 1000.0, 101)]
     for table, out in ((CROSSOVER_RULES, CROSSOVER_OUT), (MUTATION_RULES, MUTATION_OUT)):
         for x in xs:
-            strengths = _strongest((table[label], DIVERSITY.membership(label, x)) for label in LABELS)
-            _assert_near_grid(infer_1d(table, DIVERSITY, out, x), strengths, out.universe)
+            strengths = _strongest(zip(map(table.get, LABELS), DIVERSITY.fuzzify(x)))
+            _assert_near_grid(infer_1d(table, DIVERSITY, out, x), strengths, out)
     for g in gs:
         for x in xs:
             strengths = _strongest(
-                (CONSTANT_MUTATION_RULES[(la, lb)],
-                 min(ITERATION.membership(la, g), DIVERSITY.membership(lb, x)))
-                for la in LABELS for lb in LABELS)
+                (CONSTANT_MUTATION_RULES[(la, lb)], min(mu_a, mu_b))
+                for la, mu_a in zip(LABELS, ITERATION.fuzzify(g))
+                for lb, mu_b in zip(LABELS, DIVERSITY.fuzzify(x)))
             mine = infer_2d(CONSTANT_MUTATION_RULES, ITERATION, DIVERSITY, CONSTANT_OUT, g, x)
-            _assert_near_grid(mine, strengths, CONSTANT_OUT.universe)
+            _assert_near_grid(mine, strengths, CONSTANT_OUT)
 
 
 def test_single_rule_centroids():

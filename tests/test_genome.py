@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from fuzzygep import bench
 from fuzzygep.genome import (
+    N_CONSTANTS,
     GeneLayout,
     SymbolSet,
     flatten,
@@ -55,7 +57,7 @@ def test_layout_rejects_bad_sizes(kwargs):
 
 
 def test_symbolset_contents():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     assert sym.functions == ("+", "-", "*", "/")
     assert sym.terminals[0] == "?"
     assert set("abcdefghij") <= set(sym.terminals)
@@ -65,51 +67,33 @@ def test_symbolset_contents():
 
 
 def test_symbolset_extra_operators():
-    sym = SymbolSet.create(("S", "Q"))
+    sym = SymbolSet(("S", "Q"))
     assert sym.arity["S"] == 1
     assert sym.max_arity == 2
     with pytest.raises(ValueError):
-        SymbolSet.create(("X",))
+        SymbolSet(("X",))
     with pytest.raises(ValueError):
-        SymbolSet.create(("S", "S"))
+        SymbolSet(("S", "S"))
+    with pytest.raises(ValueError):
+        SymbolSet(("+",))  # already a base operator
 
 
 def test_dc_alphabet_avoids_operator_letters():
-    sym = SymbolSet.create(("C", "E"))
+    sym = SymbolSet(("C", "E"))
     assert "C" not in sym.dc_alphabet
     assert "E" not in sym.dc_alphabet
     assert len(sym.dc_alphabet) == 10
     assert sym.dc_alphabet[:3] == ("A", "B", "D")
 
 
-def test_symbolset_constant_count_limits():
-    assert len(SymbolSet.create(n_constants=26).dc_alphabet) == 26
-    with pytest.raises(ValueError):
-        SymbolSet.create(n_constants=27)
-    assert len(SymbolSet.create(("S", "C", "Q", "E"), n_constants=22).dc_alphabet) == 22
-    with pytest.raises(ValueError):
-        SymbolSet.create(("S", "C", "Q", "E"), n_constants=23)
-    with pytest.raises(ValueError):
-        SymbolSet.create(n_constants=0)
-
-
-def test_symbolset_rejects_overlapping_alphabets():
-    with pytest.raises(ValueError):
-        SymbolSet((("+", 2), ("a", 1)), ("?", "a", "b"), ("A",))
-    with pytest.raises(ValueError):
-        SymbolSet((("+", 2),), ("a", "b"), ("A",))  # '?' missing
-    with pytest.raises(ValueError):
-        SymbolSet((("+", 0),), ("?",), ("A",))
-
-
-def test_symbolset_rejects_symbols_that_are_not_one_ascii_non_digit():
-    for functions, terminals, dc in (
-        ((("+", 2),), ("?", "ab"), ("A",)),      # two characters
-        ((("+", 2),), ("?", "a"), ("7",)),       # a digit, which names a gene
-        ((("\u0100", 2),), ("?", "a"), ("A",)),  # a reference code point
-    ):
-        with pytest.raises(ValueError, match="one ASCII character"):
-            SymbolSet(functions, terminals, dc)
+def test_registry_alphabets_are_disjoint_single_ascii_non_digits():
+    for name in bench.problem_names():
+        sym = SymbolSet(bench.builtin(name).extra_operators)
+        symbols = sym.functions + sym.terminals + sym.dc_alphabet
+        assert all(len(s) == 1 and s.isascii() and not s.isdigit() for s in symbols), name
+        assert len(set(symbols)) == len(symbols), name  # no repeat within or across alphabets
+        assert len(sym.dc_alphabet) == N_CONSTANTS == 10, name
+        assert not set(symbols) & set(gene_references(2)), name
 
 
 def test_gene_references():
@@ -122,7 +106,7 @@ def test_gene_references_are_distinct_single_characters_outside_other_alphabets(
     refs = gene_references(n)
     assert len(refs) == n and len(set(refs)) == n
     assert all(len(r) == 1 for r in refs)
-    sym = SymbolSet.create(("S", "C", "Q", "E"), n_constants=22)
+    sym = SymbolSet(("S", "C", "Q", "E"))
     assert not set(refs) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
 
 
@@ -133,8 +117,7 @@ def test_gene_references_are_distinct_single_characters_outside_other_alphabets(
 ])
 def test_random_chromosome_equals_region_by_region_choices(layout):
     """The single-pass draw is the rng.choices draw, slot for slot."""
-    sym = SymbolSet.create(("S", "Q")) if layout.max_arity == 2 else SymbolSet(
-        (("+", 2), ("*", 3)), ("?", "a", "b"), ("A", "B"))
+    sym = SymbolSet(("S", "Q"))
     refs = gene_references(layout.n_ordinary)
     ordinary_head = sym.functions + sym.terminals
     homeotic_head = sym.functions + refs
@@ -154,7 +137,7 @@ def test_random_chromosome_equals_region_by_region_choices(layout):
 
 
 def test_random_chromosome_is_valid():
-    sym = SymbolSet.create(("S", "C", "Q", "E"))
+    sym = SymbolSet(("S", "C", "Q", "E"))
     layout = GeneLayout(n_homeotic=3)
     rng = random.Random(5)
     for _ in range(200):
@@ -164,7 +147,7 @@ def test_random_chromosome_is_valid():
 
 
 def test_random_chromosome_deterministic():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     a = random_chromosome(layout, sym, random.Random(7))
     b = random_chromosome(layout, sym, random.Random(7))
@@ -175,7 +158,7 @@ def test_random_chromosome_deterministic():
 
 def test_position_uniformity():
     """Chi-square on every slot of the flat chromosome at the 99.9% level."""
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     alphabets = position_alphabets(layout, sym)
     rng = random.Random(42)
@@ -193,7 +176,7 @@ def test_position_uniformity():
 
 
 def test_position_alphabets_structure():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     alphabets = position_alphabets(layout, sym)
     assert len(alphabets) == layout.total_len
@@ -234,7 +217,7 @@ def test_random_constant_set_mean():
 
 
 def test_flatten_rebuild_roundtrip():
-    sym = SymbolSet.create(("S",))
+    sym = SymbolSet(("S",))
     layout = GeneLayout(n_homeotic=2)
     rng = random.Random(3)
     for _ in range(50):
@@ -261,7 +244,7 @@ def _valid_chromosome(layout, sym, seed=0):
 
 
 def test_validate_accepts_valid():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     assert validate(_valid_chromosome(layout, sym), layout, sym) == []
 
@@ -275,7 +258,7 @@ def _replace(c: str, pos: int, sym: str) -> str:
 
 
 def test_validate_flags_function_in_tail():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     bad = _replace(_valid_chromosome(layout, sym), 3, "+")
     issues = validate(bad, layout, sym)
@@ -284,7 +267,7 @@ def test_validate_flags_function_in_tail():
 
 
 def test_validate_flags_bad_dc_symbol():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     bad = _replace(_valid_chromosome(layout, sym), 21, "z")
     issues = validate(bad, layout, sym)
@@ -292,7 +275,7 @@ def test_validate_flags_bad_dc_symbol():
 
 
 def test_validate_flags_terminal_in_homeotic_head():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     bad = _replace(_valid_chromosome(layout, sym), 22, "a")
     issues = validate(bad, layout, sym)
@@ -300,7 +283,7 @@ def test_validate_flags_terminal_in_homeotic_head():
 
 
 def test_validate_flags_every_bad_slot_by_gene_region_and_offset():
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=3)
     bad = _replace(_replace(_valid_chromosome(layout, sym), 5, "A"), 36, "a")
     assert validate(bad, layout, sym) == [
@@ -313,7 +296,7 @@ def test_validate_flags_wrong_lengths_and_counts():
     """Gene counts and region sizes are fixed offsets in the string, so a
     missing gene, a short region or a homeotic Dc region all show up as a
     wrong total length."""
-    sym = SymbolSet.create()
+    sym = SymbolSet()
     layout = small_layout()
     c = _valid_chromosome(layout, sym)
     short = c[:2] + c[3:]  # one head slot of ordinary gene 0 missing
