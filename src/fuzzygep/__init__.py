@@ -5,20 +5,11 @@ from .bench import Problem, builtin, problem_names
 from .decode import build_tree, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import MembershipFamily, Universe, infer_1d, infer_2d
-from .genome import (
-    ConstantSet,
-    GeneLayout,
-    SymbolSet,
-    random_chromosome,
-    random_constant_set,
-    tail_length,
-    validate,
-)
+from .genome import GeneLayout, SymbolSet, random_chromosome, random_constant_set, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstantSet",
     "Engine",
     "EngineConfig",
     "GeneLayout",
@@ -40,6 +31,5 @@ __all__ = [
     "random_chromosome",
     "random_constant_set",
     "run",
-    "tail_length",
     "validate",
 ]

@@ -290,23 +290,19 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "run":
-            cfg = experiment_from_args(args)
-            _check_outputs([cfg.trace_path, cfg.summary_path])
-            summary = run_experiment(cfg)
-            write_summary(cfg.summary_path, [summary])
-            print(_oneline(summary))
+            experiments = [experiment_from_args(args)]
         else:
             out_dir = args.out_dir if args.out_dir is not None else "results"
             experiments = bench_experiments(args, out_dir)
             os.makedirs(out_dir, exist_ok=True)
-            _check_outputs([cfg.trace_path for cfg in experiments]
-                          + [os.path.join(out_dir, "summary.csv")])
-            summaries = []
-            for cfg in experiments:
-                summary = run_experiment(cfg)
-                summaries.append(summary)
-                print(_oneline(summary), flush=True)
-            write_summary(os.path.join(out_dir, "summary.csv"), summaries)
+        # bench gives every problem the same summary file
+        summary_path = experiments[0].summary_path
+        _check_outputs([cfg.trace_path for cfg in experiments] + [summary_path])
+        summaries = []
+        for cfg in experiments:
+            summaries.append(run_experiment(cfg))
+            print(_oneline(summaries[-1]), flush=True)
+        write_summary(summary_path, summaries)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

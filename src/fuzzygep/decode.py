@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .genome import DIGIT_VALUES, RNC_TERMINAL, ConstantSet, SymbolSet
+from .genome import DIGIT_VALUES, RNC_TERMINAL, SymbolSet
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
@@ -86,7 +86,7 @@ def build_tree(coding: str, symbols: SymbolSet) -> Node:
     return nodes[0]
 
 
-def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: ConstantSet) -> float:
+def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: tuple[float, ...]) -> float:
     """Value of one ordinary gene; the k-th expressed '?' reads dc[k]."""
     arity = symbols.arity
     starts = _child_starts(coding, arity)
@@ -100,7 +100,7 @@ def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: ConstantS
         if ar == 0:
             if sym == RNC_TERMINAL:
                 rnc -= 1
-                values[i] = constants.values[symbols.dc_index[dc[rnc]]]
+                values[i] = constants[symbols.dc_index[dc[rnc]]]
             else:
                 values[i] = DIGIT_VALUES[sym]
         else:

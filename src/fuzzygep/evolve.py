@@ -26,10 +26,10 @@ from .fuzzy import (
     infer_2d,
 )
 from .genome import (
+    GENE_REFERENCES,
     GeneLayout,
     SymbolSet,
     flatten,
-    gene_references,
     gene_slices,
     position_alphabets,
     random_chromosome,
@@ -232,8 +232,7 @@ def _sort_key(direction: str):
     return key
 
 
-def select(temp, cfg: EngineConfig, direction: str, rng: random.Random, *,
-           elite_count: int | None = None, tournament_size: int | None = None):
+def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
     """Elites verbatim, remainder by tournaments over temp.
 
     Each tournament samples its contenders without internal repeats, so a
@@ -242,8 +241,8 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random, *,
     """
     if len(temp) < cfg.pop_size:
         raise ValueError("temp population smaller than pop_size")
-    elite = cfg.elite_count if elite_count is None else elite_count
-    size = cfg.tournament_size(len(temp)) if tournament_size is None else tournament_size
+    elite = cfg.elite_count
+    size = cfg.tournament_size(len(temp))
     keys = list(map(_sort_key(direction), temp))
     rank = keys.__getitem__
     # a stable sort of positions by key orders temp as sorted(temp, key=...) does
@@ -263,11 +262,10 @@ class Engine:
         self.seed = seed
         self.rng = random.Random(seed)
         self.symbols = SymbolSet(problem.extra_operators)
-        self.layout = GeneLayout(n_homeotic=problem.dim, max_arity=self.symbols.max_arity)
+        self.layout = GeneLayout(n_homeotic=problem.dim)
         self.alphabets = position_alphabets(self.layout, self.symbols)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(self.layout)
-        self.references = gene_references(self.layout.n_ordinary)
         self.controllers = RateControllers(self.cfg.max_gen)
         self.constants = None
         # A homeotic gene's coordinate depends only on its coding string and
@@ -276,7 +274,7 @@ class Engine:
         # {reference: ordinary value}). The key is the values' bytes, not a
         # float tuple, so that 0.0 and -0.0 stay apart and a NaN value still
         # finds its entry.
-        self._pack_ordinary = struct.Struct(f"<{self.layout.n_ordinary}d").pack
+        self._pack_ordinary = struct.Struct("<2d").pack
         self._coordinates: dict[bytes, tuple[dict[str, float], dict[str, float]]] = {}
         # The ordinary values depend only on the ordinary region and the
         # constants, so a second memo maps the region string to its
@@ -303,7 +301,7 @@ class Engine:
             key = self._pack_ordinary(*values)
             entry = self._coordinates.get(key)
             if entry is None:
-                entry = self._coordinates[key] = ({}, dict(zip(self.references, values)))
+                entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
             self._regions[region] = entry
         coordinates, ordinary = entry
         point = []

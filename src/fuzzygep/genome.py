@@ -39,19 +39,9 @@ RNC_TERMINAL = "?"
 N_CONSTANTS = 10
 
 
-def tail_length(head_len: int, max_arity: int) -> int:
-    """Tail size that keeps any head expressible: h*(amax-1) + 1."""
-    return head_len * (max_arity - 1) + 1
-
-
-@lru_cache(maxsize=None)
-def gene_references(n_ordinary: int) -> tuple[str, ...]:
-    """Terminals of the homeotic genes, one character per ordinary gene.
-
-    "0".."9" name the first ten genes, code points from U+0100 upward the
-    rest; no SymbolSet alphabet holds either, so references never meet them.
-    """
-    return tuple(str(i) if i < 10 else chr(0x100 + i - 10) for i in range(n_ordinary))
+# Terminals of the homeotic genes, one digit per ordinary gene; no SymbolSet
+# alphabet holds a digit, so references never meet its symbols.
+GENE_REFERENCES = ("0", "1")
 
 
 class SymbolSet:
@@ -72,64 +62,45 @@ class SymbolSet:
             raise ValueError(f"repeated operator in {self.functions!r}")
         self.terminals = (RNC_TERMINAL,) + DIGIT_TERMINALS
         self.dc_alphabet = tuple(c for c in string.ascii_uppercase if c not in self.arity)[:N_CONSTANTS]
-        self.max_arity = max(self.arity.values())
         self.dc_index = {sym: i for i, sym in enumerate(self.dc_alphabet)}
 
 
 @dataclass(frozen=True)
 class GeneLayout:
-    """Structural sizes shared by every chromosome in a population."""
+    """Structural sizes shared by every chromosome in a population.
 
-    ordinary_head_len: int = 6
-    homeotic_head_len: int = 4
-    n_ordinary: int = 2
+    The shape is the method's: two ordinary genes with head 6 and one
+    homeotic gene with head 4 per coordinate.  A tail of h*(amax-1) + 1 slots
+    keeps any head expressible; no operator takes more than two arguments,
+    so every tail is h + 1 long.
+    """
+
     n_homeotic: int = 1
-    max_arity: int = 2
+
+    n_ordinary = len(GENE_REFERENCES)
+    ordinary_head_len = 6
+    homeotic_head_len = 4
+    ordinary_tail_len = ordinary_head_len + 1
+    homeotic_tail_len = homeotic_head_len + 1
+    # one Dc slot per possible '?' in the expressed region
+    dc_len = ordinary_tail_len
+    ordinary_gene_len = ordinary_head_len + ordinary_tail_len + dc_len
+    homeotic_gene_len = homeotic_head_len + homeotic_tail_len
 
     def __post_init__(self):
-        for name in ("ordinary_head_len", "homeotic_head_len", "n_ordinary", "n_homeotic"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.max_arity < 1:
-            raise ValueError("max_arity must be positive")
-
-    @cached_property
-    def ordinary_tail_len(self) -> int:
-        return tail_length(self.ordinary_head_len, self.max_arity)
-
-    @cached_property
-    def homeotic_tail_len(self) -> int:
-        return tail_length(self.homeotic_head_len, self.max_arity)
-
-    @cached_property
-    def dc_len(self) -> int:
-        # one Dc slot per possible '?' in the expressed region
-        return self.ordinary_tail_len
-
-    @cached_property
-    def ordinary_gene_len(self) -> int:
-        return self.ordinary_head_len + self.ordinary_tail_len + self.dc_len
-
-    @cached_property
-    def homeotic_gene_len(self) -> int:
-        return self.homeotic_head_len + self.homeotic_tail_len
+        if self.n_homeotic < 1:
+            raise ValueError("n_homeotic must be positive")
 
     @cached_property
     def total_len(self) -> int:
         return self.n_ordinary * self.ordinary_gene_len + self.n_homeotic * self.homeotic_gene_len
 
 
-@dataclass(frozen=True)
-class ConstantSet:
-    """Shared pool of random numerical constants indexed by Dc letters."""
-
-    values: tuple[float, ...]
-
-
-def random_constant_set(n: int, lower: float, upper: float, rng: random.Random) -> ConstantSet:
+def random_constant_set(n: int, lower: float, upper: float, rng: random.Random) -> tuple[float, ...]:
+    """Shared pool of random numerical constants, indexed by Dc letters."""
     if not lower < upper:
         raise ValueError(f"empty constant range [{lower}, {upper})")
-    return ConstantSet(tuple(rng.uniform(lower, upper) for _ in range(n)))
+    return tuple(rng.uniform(lower, upper) for _ in range(n))
 
 
 def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
@@ -140,7 +111,7 @@ def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[st
 # keyed by value, so a new SymbolSet for every run adds no entry
 @lru_cache(maxsize=64)
 def _alphabets(layout, functions, terminals, dc_alphabet):
-    refs = gene_references(layout.n_ordinary)
+    refs = GENE_REFERENCES
     ordinary_head = functions + terminals
     homeotic_head = functions + refs
     table: list[tuple[str, ...]] = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from fuzzygep.decode import eval_homeotic, eval_ordinary
 from fuzzygep.fuzzy import MembershipFamily
-from fuzzygep.genome import ConstantSet, GeneLayout, SymbolSet, gene_references, gene_slices
+from fuzzygep.genome import GENE_REFERENCES, GeneLayout, SymbolSet, gene_slices
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 
@@ -288,7 +288,7 @@ def ref_mutate(chromosome, p_m, k, alphabets, rng):
 
 
 def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
-                    constants: ConstantSet) -> tuple[float, ...]:
+                    constants: tuple[float, ...]) -> tuple[float, ...]:
     """Candidate point: one coordinate per homeotic gene.
 
     This is the uncached reference decode: `Engine.evaluate` memoizes
@@ -297,6 +297,6 @@ def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
     ordinary, homeotic = gene_slices(layout)
     ordinary_values = {
         ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
-        for ref, (coding, dc) in zip(gene_references(layout.n_ordinary), ordinary)
+        for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
     }
     return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)

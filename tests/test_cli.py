@@ -38,6 +38,13 @@ def test_package_imports_without_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_star_import_resolves_every_export():
+    """A name left in __all__ after its definition is gone fails here."""
+    namespace = {}
+    exec("from fuzzygep import *", namespace)
+    assert [name for name in fuzzygep.__all__ if name not in namespace] == []
+
+
 # --- parsing ---------------------------------------------------------------
 
 

@@ -12,19 +12,17 @@ from fuzzygep.decode import (
     protected_apply,
 )
 from fuzzygep.genome import (
-    ConstantSet,
     GeneLayout,
     SymbolSet,
-    gene_references,
     gene_slices,
     position_alphabets,
     random_chromosome,
 )
 
 SYM = SymbolSet()
-CONSTS = ConstantSet((0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
-# two ordinary genes (head 3, tail 4, dc 4), two homeotic genes (head 3, tail 4)
-SMALL = GeneLayout(ordinary_head_len=3, homeotic_head_len=3, n_ordinary=2, n_homeotic=2)
+CONSTS = (0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+# two ordinary genes (head 6, tail 7, dc 7), two homeotic genes (head 4, tail 5)
+SMALL = GeneLayout(n_homeotic=2)
 
 
 def ordinary(coding, dc):
@@ -64,7 +62,7 @@ def test_multiple_rnc_terminals():
     # expressed: + ? ?  -> dc[0] and dc[1]
     assert expressed_length("+???aaa", SYM) == 3
     v = ordinary("+???aaa", "ABCD")
-    assert v == CONSTS.values[0] + CONSTS.values[1]
+    assert v == CONSTS[0] + CONSTS[1]
 
 
 def test_unexpressed_suffix_is_ignored():
@@ -116,24 +114,18 @@ def test_homeotic_gene_refs():
     assert eval_homeotic("1000000", SYM, values) == 3.0  # root only
 
 
-def test_homeotic_refs_beyond_ten_genes():
-    refs = gene_references(12)
-    values = {ref: float(i) for i, ref in enumerate(refs)}
-    assert eval_homeotic("*" + refs[11] + refs[10] + "0000", SYM, values) == 110.0
-
-
 def test_eval_chromosome_full():
-    c = ("+bcaaaa" "AAAA"  # 3
-         "*cdaaaa" "AAAA"  # 6
-         "+010000"         # 9
-         "1000000")        # 6
+    c = ("+bcaaaaaaaaaa" "AAAAAAA"  # 3
+         "*cdaaaaaaaaaa" "AAAAAAA"  # 6
+         "+01000000"                # 9
+         "100000000")               # 6
     assert eval_chromosome(c, SMALL, SYM, CONSTS) == (9.0, 6.0)
 
 
 def test_homeotic_genes_are_independent():
-    genes = "+bcaaaaAAAA*cdaaaaAAAA+010000"
-    a = eval_chromosome(genes + "1000000", SMALL, SYM, CONSTS)
-    b = eval_chromosome(genes + "0000000", SMALL, SYM, CONSTS)
+    genes = "+bcaaaaaaaaaaAAAAAAA*cdaaaaaaaaaaAAAAAAA+01000000"
+    a = eval_chromosome(genes + "100000000", SMALL, SYM, CONSTS)
+    b = eval_chromosome(genes + "000000000", SMALL, SYM, CONSTS)
     assert a[0] == b[0]
     assert a[1] != b[1]
 

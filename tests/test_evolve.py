@@ -23,7 +23,6 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
-    ConstantSet,
     GeneLayout,
     SymbolSet,
     position_alphabets,
@@ -245,18 +244,20 @@ def test_select_direction_aware():
 
 
 def test_select_degenerate_tournament_returns_global_best():
+    """At pop size 2 a temp of 2 gives one elite and one tournament of 2."""
     rng = random.Random(9)
-    cfg = EngineConfig(pop_size=6)
-    temp = [stub(float(i)) for i in range(30)]
-    out = select(temp, cfg, "minimize", rng, tournament_size=len(temp))
-    assert all(ind.fitness == 0.0 for ind in out)
+    cfg = EngineConfig(pop_size=2)
+    temp = [stub(1.0), stub(0.0)]
+    assert cfg.tournament_size(len(temp)) == len(temp)
+    out = select(temp, cfg, "minimize", rng)
+    assert [ind.fitness for ind in out] == [0.0, 0.0]
 
 
 def test_select_finite_beats_non_finite():
     cfg = EngineConfig(pop_size=2)
     temp = [stub(float("nan")), stub(5.0)]
     scripted = ScriptedRng(samples=[[0, 1]])
-    out = select(temp, cfg, "minimize", scripted, elite_count=1, tournament_size=2)
+    out = select(temp, cfg, "minimize", scripted)
     assert out[0].fitness == 5.0   # elite
     assert out[1].fitness == 5.0   # tournament: finite wins over nan
 
@@ -290,16 +291,23 @@ def test_sample_indices_matches_random_sample(n, k):
 @pytest.mark.parametrize("tournament_size", [None, 6, 20])
 def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     """The same members, by identity, as the rng.sample version picks; ties,
-    signed zeros and non-finite fitnesses keep their draw-order tie-break."""
+    signed zeros and non-finite fitnesses keep their draw-order tie-break.
+
+    The pop size is temp_size // 5. A tournament size of 6 or 20 is what a
+    temp of 600 or 2000 members gives, so those cases use such a temp.
+    """
+    cfg = EngineConfig(pop_size=temp_size // 5)
+    if tournament_size is not None:
+        temp_size = 100 * tournament_size
+    size = cfg.tournament_size(temp_size)
+    assert tournament_size in (None, size)
     rng = random.Random(temp_size)
     values = [float(v) for v in range(temp_size // 8)]
     values += [-0.0, float("nan"), float("inf"), float("-inf")]
     temp = [stub(rng.choice(values)) for _ in range(temp_size)]
-    cfg = EngineConfig(pop_size=temp_size // 5)
-    size = cfg.tournament_size(temp_size) if tournament_size is None else tournament_size
     for seed in range(10):
         ours, twin = random.Random(seed), random.Random(seed)
-        got = select(temp, cfg, direction, ours, tournament_size=tournament_size)
+        got = select(temp, cfg, direction, ours)
         want = oracles.ref_select(temp, cfg.pop_size, cfg.elite_count, size, direction, twin)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
@@ -307,7 +315,7 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
 
 
 @pytest.mark.parametrize("layout", [
-    GeneLayout(ordinary_head_len=1, homeotic_head_len=1, n_ordinary=1, n_homeotic=1),  # 8 slots
+    GeneLayout(n_homeotic=1),  # 49 slots
     LAYOUT,  # 58 slots
     GeneLayout(n_homeotic=30),  # 310 slots
 ])
@@ -404,7 +412,7 @@ def test_constant_mutation_reset_reevaluates():
     out, reset = eng.maybe_mutate_constants(8, 1.0, pop)
     assert reset
     assert eng.constants is not old_constants
-    assert out[0].point == (eng.constants.values[0], eng.constants.values[1])
+    assert out[0].point == (eng.constants[0], eng.constants[1])
     assert out[1].fitness == pop[1].fitness
     assert out[1].point == (2.0, 3.0)
     assert out[0].fitness == eng.problem.evaluate(out[0].point)
@@ -465,7 +473,7 @@ def test_coordinate_memo_keeps_signed_zeros_apart():
     """0.0 == -0.0, so a float-tuple memo key would hand the second
     chromosome the first one's +0.0 coordinates."""
     eng = make_engine("f1", max_gen=10)
-    eng.constants = ConstantSet((-3.0, 2.0) + (1.0,) * 8)
+    eng.constants = (-3.0, 2.0) + (1.0,) * 8
     # first ordinary gene a*?: 0 * constant A = -0.0, 0 * constant B = +0.0;
     # the second is 1; both homeotic genes read the first ordinary gene
     second_and_homeotic = "b" + "a" * 12 + "A" * 7 + "0" * 9 * 2
@@ -480,8 +488,8 @@ def test_region_memo_follows_the_constant_set():
     ordinary genes afresh; regions with the same ordinary values share the
     _coordinates pair."""
     eng = make_engine("f1", max_gen=10)
-    first = ConstantSet((-3.0,) + (1.0,) * 9)
-    second = ConstantSet((4.5,) + (1.0,) * 9)
+    first = (-3.0,) + (1.0,) * 9
+    second = (4.5,) + (1.0,) * 9
     # first ordinary gene +a?: 0 + constant A; the second is 1, and its slot
     # after the head is not expressed; both homeotic genes read the first
     tail = "a" * 11 + "A" * 7 + "0" * 9 * 2

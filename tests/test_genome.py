@@ -1,20 +1,22 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from fuzzygep import bench
+from fuzzygep.decode import expressed_length
 from fuzzygep.genome import (
+    FUNCTION_ARITIES,
+    GENE_REFERENCES,
     N_CONSTANTS,
     GeneLayout,
     SymbolSet,
     flatten,
-    gene_references,
     gene_slices,
     position_alphabets,
     random_chromosome,
     random_constant_set,
     rebuild,
-    tail_length,
     validate,
 )
 
@@ -23,15 +25,27 @@ CHI2_999 = {1: 10.828, 5: 20.515, 9: 27.877, 10: 29.588, 14: 36.123}
 
 
 def small_layout():
-    return GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=1)
+    return GeneLayout(n_homeotic=1)
 
 
 def test_tail_length_formula():
-    assert tail_length(3, 2) == 4
-    assert tail_length(6, 2) == 7
-    assert tail_length(4, 2) == 5
-    assert tail_length(8, 2) == 9
-    assert tail_length(5, 3) == 11
+    """Tails are h*(amax-1) + 1 slots long, with amax = 2."""
+    assert GeneLayout.ordinary_tail_len == 6 * (2 - 1) + 1 == 7
+    assert GeneLayout.homeotic_tail_len == 4 * (2 - 1) + 1 == 5
+
+
+def test_fixed_tails_fit_every_registry_problem():
+    """The fixed tails of h + 1 slots hold only while no operator takes more
+    than two arguments; a head of binary operators then expresses exactly
+    head + tail slots."""
+    assert max(FUNCTION_ARITIES.values()) == 2
+    for name in bench.problem_names():
+        sym = SymbolSet(bench.builtin(name).extra_operators)
+        assert max(sym.arity.values()) == 2, name
+        for h, tail, terminal in ((GeneLayout.ordinary_head_len, GeneLayout.ordinary_tail_len, "a"),
+                                  (GeneLayout.homeotic_head_len, GeneLayout.homeotic_tail_len, "0")):
+            assert tail == h + 1
+            assert expressed_length("+" * h + terminal * tail, sym) == h + tail, name
 
 
 def test_layout_derived_sizes():
@@ -42,6 +56,7 @@ def test_layout_derived_sizes():
     assert layout.ordinary_gene_len == 20
     assert layout.homeotic_gene_len == 9
     assert layout.total_len == 2 * 20 + 2 * 9
+    assert [f.name for f in fields(GeneLayout)] == ["n_homeotic"]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -52,7 +67,9 @@ def test_layout_derived_sizes():
     {"max_arity": 0},
 ])
 def test_layout_rejects_bad_sizes(kwargs):
-    with pytest.raises(ValueError):
+    """n_homeotic must be positive; every other size is fixed, so naming one
+    is a TypeError."""
+    with pytest.raises(ValueError if "n_homeotic" in kwargs else TypeError):
         GeneLayout(**kwargs)
 
 
@@ -62,14 +79,14 @@ def test_symbolset_contents():
     assert sym.terminals[0] == "?"
     assert set("abcdefghij") <= set(sym.terminals)
     assert sym.dc_alphabet == tuple("ABCDEFGHIJ")
-    assert sym.max_arity == 2
+    assert max(sym.arity.values()) == 2
     assert sym.arity["+"] == 2
 
 
 def test_symbolset_extra_operators():
     sym = SymbolSet(("S", "Q"))
     assert sym.arity["S"] == 1
-    assert sym.max_arity == 2
+    assert max(sym.arity.values()) == 2
     with pytest.raises(ValueError):
         SymbolSet(("X",))
     with pytest.raises(ValueError):
@@ -93,32 +110,38 @@ def test_registry_alphabets_are_disjoint_single_ascii_non_digits():
         assert all(len(s) == 1 and s.isascii() and not s.isdigit() for s in symbols), name
         assert len(set(symbols)) == len(symbols), name  # no repeat within or across alphabets
         assert len(sym.dc_alphabet) == N_CONSTANTS == 10, name
-        assert not set(symbols) & set(gene_references(2)), name
+        assert not set(symbols) & set(GENE_REFERENCES), name
 
 
 def test_gene_references():
-    assert gene_references(3) == ("0", "1", "2")
-    assert gene_references(12)[9:] == ("9", "\u0100", "\u0101")
+    assert GENE_REFERENCES == ("0", "1")
+    assert GeneLayout.n_ordinary == len(GENE_REFERENCES)
 
 
 @pytest.mark.parametrize("n", [1, 10, 11, 40])
 def test_gene_references_are_distinct_single_characters_outside_other_alphabets(n):
-    refs = gene_references(n)
-    assert len(refs) == n and len(set(refs)) == n
-    assert all(len(r) == 1 for r in refs)
+    """Every homeotic tail of an n-gene layout reads the same two references,
+    which no other alphabet holds."""
     sym = SymbolSet(("S", "C", "Q", "E"))
-    assert not set(refs) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
+    layout = GeneLayout(n_homeotic=n)
+    alphabets = position_alphabets(layout, sym)
+    start = layout.n_ordinary * layout.ordinary_gene_len + layout.homeotic_head_len
+    tails = {alphabets[g * layout.homeotic_gene_len + start + i]
+             for g in range(n) for i in range(layout.homeotic_tail_len)}
+    assert tails == {GENE_REFERENCES}
+    assert len(set(GENE_REFERENCES)) == 2 and all(len(r) == 1 for r in GENE_REFERENCES)
+    assert not set(GENE_REFERENCES) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
 
 
 @pytest.mark.parametrize("layout", [
-    GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=1),
+    GeneLayout(n_homeotic=1),
     GeneLayout(n_homeotic=30),
-    GeneLayout(ordinary_head_len=5, homeotic_head_len=3, n_ordinary=12, n_homeotic=4, max_arity=3),
+    GeneLayout(n_homeotic=50),
 ])
 def test_random_chromosome_equals_region_by_region_choices(layout):
     """The single-pass draw is the rng.choices draw, slot for slot."""
     sym = SymbolSet(("S", "Q"))
-    refs = gene_references(layout.n_ordinary)
+    refs = GENE_REFERENCES
     ordinary_head = sym.functions + sym.terminals
     homeotic_head = sym.functions + refs
     for seed in range(20):
@@ -180,7 +203,7 @@ def test_position_alphabets_structure():
     layout = small_layout()
     alphabets = position_alphabets(layout, sym)
     assert len(alphabets) == layout.total_len
-    refs = gene_references(layout.n_ordinary)
+    refs = GENE_REFERENCES
     # ordinary gene 0: head, tail, dc
     assert "+" in alphabets[0] and "?" in alphabets[0]
     tail_start = layout.ordinary_head_len
@@ -196,8 +219,8 @@ def test_position_alphabets_structure():
 def test_random_constant_set_bounds_and_length():
     rng = random.Random(1)
     cs = random_constant_set(10, -5.12, 5.12, rng)
-    assert len(cs.values) == 10
-    assert all(-5.12 <= v <= 5.12 for v in cs.values)
+    assert isinstance(cs, tuple) and len(cs) == 10
+    assert all(-5.12 <= v <= 5.12 for v in cs)
 
 
 def test_random_constant_set_rejects_empty_range():
@@ -212,7 +235,7 @@ def test_random_constant_set_mean():
     rng = random.Random(99)
     total = 0.0
     for _ in range(1000):
-        total += sum(random_constant_set(100, 0.0, 1.0, rng).values)
+        total += sum(random_constant_set(100, 0.0, 1.0, rng))
     assert abs(total / 100_000 - 0.5) < 0.01
 
 
@@ -229,11 +252,10 @@ def test_flatten_rebuild_roundtrip():
 
 
 def test_gene_slices_tile_the_chromosome():
-    layout = GeneLayout(n_ordinary=3, n_homeotic=2)
+    layout = GeneLayout(n_homeotic=2)
     ordinary, homeotic = gene_slices(layout)
-    assert ordinary[0] == (slice(0, 13), slice(13, 20))
-    assert ordinary[2] == (slice(40, 53), slice(53, 60))
-    assert homeotic == (slice(60, 69), slice(69, 78))
+    assert ordinary == ((slice(0, 13), slice(13, 20)), (slice(20, 33), slice(33, 40)))
+    assert homeotic == (slice(40, 49), slice(49, 58))
     covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
     covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
     assert covered == list(range(layout.total_len))
@@ -253,14 +275,14 @@ def _replace(c: str, pos: int, sym: str) -> str:
     return c[:pos] + sym + c[pos + 1:]
 
 
-# small_layout(): ordinary genes of 3 head + 4 tail + 4 dc slots at 0 and 11,
-# then one homeotic gene of 2 head + 3 tail slots at 22
+# small_layout(): ordinary genes of 6 head + 7 tail + 7 dc slots at 0 and 20,
+# then one homeotic gene of 4 head + 5 tail slots at 40
 
 
 def test_validate_flags_function_in_tail():
     sym = SymbolSet()
     layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 3, "+")
+    bad = _replace(_valid_chromosome(layout, sym), 6, "+")
     issues = validate(bad, layout, sym)
     assert len(issues) == 1
     assert "ordinary gene 0 tail" in issues[0] and "position 0" in issues[0]
@@ -269,7 +291,7 @@ def test_validate_flags_function_in_tail():
 def test_validate_flags_bad_dc_symbol():
     sym = SymbolSet()
     layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 21, "z")
+    bad = _replace(_valid_chromosome(layout, sym), 36, "z")
     issues = validate(bad, layout, sym)
     assert len(issues) == 1 and "ordinary gene 1 dc, position 3" in issues[0]
 
@@ -277,15 +299,15 @@ def test_validate_flags_bad_dc_symbol():
 def test_validate_flags_terminal_in_homeotic_head():
     sym = SymbolSet()
     layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 22, "a")
+    bad = _replace(_valid_chromosome(layout, sym), 40, "a")
     issues = validate(bad, layout, sym)
     assert len(issues) == 1 and "homeotic gene 0 head, position 0" in issues[0]
 
 
 def test_validate_flags_every_bad_slot_by_gene_region_and_offset():
     sym = SymbolSet()
-    layout = GeneLayout(ordinary_head_len=3, homeotic_head_len=2, n_ordinary=2, n_homeotic=3)
-    bad = _replace(_replace(_valid_chromosome(layout, sym), 5, "A"), 36, "a")
+    layout = GeneLayout(n_homeotic=3)
+    bad = _replace(_replace(_valid_chromosome(layout, sym), 8, "A"), 64, "a")
     assert validate(bad, layout, sym) == [
         "ordinary gene 0 tail, position 2: symbol 'A' not allowed",
         "homeotic gene 2 tail, position 2: symbol 'a' not allowed",
@@ -300,8 +322,8 @@ def test_validate_flags_wrong_lengths_and_counts():
     layout = small_layout()
     c = _valid_chromosome(layout, sym)
     short = c[:2] + c[3:]  # one head slot of ordinary gene 0 missing
-    assert validate(short, layout, sym) == ["expected 27 symbols, got 26"]
-    missing = c[11:]  # ordinary gene 0 missing
-    assert validate(missing, layout, sym) == ["expected 27 symbols, got 16"]
+    assert validate(short, layout, sym) == ["expected 49 symbols, got 48"]
+    missing = c[20:]  # ordinary gene 0 missing
+    assert validate(missing, layout, sym) == ["expected 49 symbols, got 29"]
     with_dc = c + "A"  # a Dc slot after the homeotic gene
-    assert validate(with_dc, layout, sym) == ["expected 27 symbols, got 28"]
+    assert validate(with_dc, layout, sym) == ["expected 49 symbols, got 50"]
