@@ -5,7 +5,7 @@ from .bench import Problem, builtin, problem_names
 from .decode import build_tree, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import MembershipFamily, Universe, infer_1d, infer_2d
-from .genome import GeneLayout, SymbolSet, random_chromosome, random_constant_set, validate
+from .genome import GeneLayout, SymbolSet, random_chromosome, random_constant_set
 
 __version__ = "0.1.0"
 
@@ -31,5 +31,4 @@ __all__ = [
     "random_chromosome",
     "random_constant_set",
     "run",
-    "validate",
 ]

@@ -259,8 +259,8 @@ def summarize(problem: bench.Problem, cfg: ExperimentConfig, results) -> Summary
         best = min(finite)
     else:
         best = max(finite)
-    mean_best = sum(bests) / len(bests)
-    variance = sum((b - mean_best) ** 2 for b in bests) / len(bests)
+    mean_best = evolve.plain_sum(bests) / len(bests)
+    variance = evolve.plain_sum((b - mean_best) ** 2 for b in bests) / len(bests)
     winners = [r for r in results if succeeded(problem, cfg.tolerance, r.best.fitness)]
     success_rate = len(winners) / len(results)
     if winners:

@@ -22,7 +22,6 @@ MAX_EXP_ARG = 700.0
 @dataclass(frozen=True)
 class Node:
     symbol: str
-    arity: int
     children: tuple["Node", ...] = ()
     # ordinal of this '?' among expressed '?' terminals, None elsewhere
     rnc_ordinal: int | None = None
@@ -64,10 +63,6 @@ def _child_starts(seq, arity) -> list[int]:
     return starts
 
 
-def expressed_length(coding: str, symbols: SymbolSet) -> int:
-    return len(_child_starts(coding, symbols.arity))
-
-
 def build_tree(coding: str, symbols: SymbolSet) -> Node:
     """Expression tree of the expressed region; the gene suffix is ignored."""
     starts = _child_starts(coding, symbols.arity)
@@ -81,7 +76,7 @@ def build_tree(coding: str, symbols: SymbolSet) -> Node:
             rnc -= 1
         ar = symbols.arity.get(sym, 0)
         first = starts[i]
-        nodes[i] = Node(sym, ar, tuple(nodes[first:first + ar]),
+        nodes[i] = Node(sym, tuple(nodes[first:first + ar]),
                         rnc if sym == RNC_TERMINAL else None)
     return nodes[0]
 

@@ -141,12 +141,21 @@ class RateControllers:
                         CONSTANT_UNIVERSE, float(gen), d)
 
 
+def plain_sum(values) -> float:
+    """Left-to-right float sum. From CPython 3.12 on, `sum()` compensates
+    float rounding, which would make the output bytes depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def diversity(population, direction: str) -> DiversityReading:
     """Best-to-average fitness ratio oriented so 1.0 means converged."""
     fits = [ind.fitness for ind in population if math.isfinite(ind.fitness)]
     if not fits:
         return DiversityReading(0.5, float("nan"))
-    f_ave = sum(fits) / len(fits)
+    f_ave = plain_sum(fits) / len(fits)
     if direction == "minimize":
         num, den = min(fits), f_ave
     else:
@@ -187,11 +196,12 @@ def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     """`rng.sample(range(n), k)`, draw for draw, for a `random.Random`.
 
-    CPython 3.11 picks k of n by tracking a pool list when n is at most its
-    set size, and otherwise by rejection against a set of picks, drawing
-    `getrandbits(n.bit_length())` until the value is below n and new. The
-    second path is inlined here, without the range or the per-draw calls;
-    the first, and any invalid k, go to `rng.sample` unchanged.
+    CPython 3.10 to 3.13 pick k of n with the same draws: by tracking a pool
+    list when n is at most its set size, and otherwise by rejection against
+    a set of picks, drawing `getrandbits(n.bit_length())` until the value is
+    below n and new. The second path is inlined here, without the range or
+    the per-draw calls; the first, and any invalid k, go to `rng.sample`
+    unchanged, so the result matches draw for draw on all four versions.
     """
     setsize = 21
     if k > 5:
@@ -368,16 +378,14 @@ class Engine:
             return population, False
         if self.rng.random() >= r_c:
             return population, False
-        self.constants = random_constant_set(
-            len(self.symbols.dc_alphabet), self.problem.lower, self.problem.upper, self.rng)
+        self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
         return [self.evaluate(ind.chromosome) for ind in population], True
 
     def run(self) -> RunResult:
         cfg = self.cfg
         direction = self.problem.direction
         key = _sort_key(direction)
-        self.constants = random_constant_set(
-            len(self.symbols.dc_alphabet), self.problem.lower, self.problem.upper, self.rng)
+        self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
         population = [
             self.evaluate(random_chromosome(self.layout, self.symbols, self.rng))
             for _ in range(cfg.pop_size)
@@ -394,10 +402,6 @@ class Engine:
                 break
             rates = adapt_rates(reading.d, gen, cfg, self.controllers)
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)
-            if reset:
-                candidate = min(population, key=key)
-                if key(candidate) < key(best):
-                    best, first_best_gen = candidate, gen
             temp = self.build_temp_population(population, rates)
             population = select(temp, cfg, direction, self.rng)
             candidate = min(population, key=key)

@@ -14,7 +14,6 @@ import random
 import string
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import contains
 
 FUNCTION_ARITIES = {
     "+": 2,
@@ -96,11 +95,11 @@ class GeneLayout:
         return self.n_ordinary * self.ordinary_gene_len + self.n_homeotic * self.homeotic_gene_len
 
 
-def random_constant_set(n: int, lower: float, upper: float, rng: random.Random) -> tuple[float, ...]:
-    """Shared pool of random numerical constants, indexed by Dc letters."""
+def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple[float, ...]:
+    """Shared pool of N_CONSTANTS random numerical constants, indexed by Dc letters."""
     if not lower < upper:
         raise ValueError(f"empty constant range [{lower}, {upper})")
-    return tuple(rng.uniform(lower, upper) for _ in range(n))
+    return tuple(rng.uniform(lower, upper) for _ in range(N_CONSTANTS))
 
 
 def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
@@ -123,11 +122,6 @@ def _alphabets(layout, functions, terminals, dc_alphabet):
         table += [homeotic_head] * layout.homeotic_head_len
         table += [refs] * layout.homeotic_tail_len
     return tuple(table)
-
-
-@lru_cache(maxsize=64)
-def _allowed_sets(layout, functions, terminals, dc_alphabet):
-    return tuple(frozenset(alpha) for alpha in _alphabets(layout, functions, terminals, dc_alphabet))
 
 
 def random_chromosome(layout: GeneLayout, symbols: SymbolSet, rng: random.Random) -> str:
@@ -166,32 +160,3 @@ def gene_slices(layout: GeneLayout) -> tuple[tuple[tuple[slice, slice], ...], tu
     homeotic = tuple(slice(base + g * size, base + (g + 1) * size) for g in range(layout.n_homeotic))
     return tuple(ordinary), homeotic
 
-
-def _slot_name(layout: GeneLayout, pos: int) -> str:
-    """Gene, region and offset of one slot, e.g. 'ordinary gene 1 dc, position 3'."""
-    ordinary_end = layout.n_ordinary * layout.ordinary_gene_len
-    if pos < ordinary_end:
-        kind = "ordinary"
-        gene, offset = divmod(pos, layout.ordinary_gene_len)
-        regions = (("head", layout.ordinary_head_len), ("tail", layout.ordinary_tail_len),
-                   ("dc", layout.dc_len))
-    else:
-        kind = "homeotic"
-        gene, offset = divmod(pos - ordinary_end, layout.homeotic_gene_len)
-        regions = (("head", layout.homeotic_head_len), ("tail", layout.homeotic_tail_len))
-    for region, size in regions:
-        if offset < size:
-            break
-        offset -= size
-    return f"{kind} gene {gene} {region}, position {offset}"
-
-
-def validate(chromosome: str, layout: GeneLayout, symbols: SymbolSet) -> list[str]:
-    """Structural check; returns human-readable violations, empty when valid."""
-    if len(chromosome) != layout.total_len:
-        return [f"expected {layout.total_len} symbols, got {len(chromosome)}"]
-    allowed = _allowed_sets(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
-    if all(map(contains, allowed, chromosome)):
-        return []
-    return [f"{_slot_name(layout, pos)}: symbol {sym!r} not allowed"
-            for pos, (sym, ok) in enumerate(zip(chromosome, allowed)) if sym not in ok]

@@ -11,6 +11,7 @@ that a faster version replaced or that the package no longer needs:
 
 import math
 from functools import lru_cache
+from operator import contains
 
 import numpy as np
 
@@ -300,3 +301,64 @@ def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
         for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
     }
     return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)
+
+
+# --- structure of a chromosome, from the region definitions ---
+
+@lru_cache(maxsize=None)
+def _ref_slots(layout, functions, terminals, dc_alphabet):
+    """Name and allowed set of every slot, in order.
+
+    Ordinary heads take functions and terminals, ordinary tails terminals
+    only, and Dc regions the constant letters. A homeotic gene takes gene
+    references where an ordinary gene takes terminals.
+    """
+    refs = frozenset(GENE_REFERENCES)
+    ordinary = (("head", GeneLayout.ordinary_head_len, frozenset(functions) | frozenset(terminals)),
+                ("tail", GeneLayout.ordinary_tail_len, frozenset(terminals)),
+                ("dc", GeneLayout.dc_len, frozenset(dc_alphabet)))
+    homeotic = (("head", GeneLayout.homeotic_head_len, frozenset(functions) | refs),
+                ("tail", GeneLayout.homeotic_tail_len, refs))
+    names, allowed = [], []
+    for kind, n_genes, regions in (("ordinary", GeneLayout.n_ordinary, ordinary),
+                                   ("homeotic", layout.n_homeotic, homeotic)):
+        for gene in range(n_genes):
+            for region, size, symbols in regions:
+                names += [f"{kind} gene {gene} {region}, position {i}" for i in range(size)]
+                allowed += [symbols] * size
+    return tuple(names), tuple(allowed)
+
+
+def ref_allowed_sets(layout: GeneLayout, symbols: SymbolSet) -> tuple[frozenset, ...]:
+    """The set of legal symbols at every slot of the chromosome string."""
+    return _ref_slots(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)[1]
+
+
+def validate(chromosome: str, layout: GeneLayout, symbols: SymbolSet) -> list[str]:
+    """Structural check; returns human-readable violations, empty when valid."""
+    names, allowed = _ref_slots(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
+    if len(chromosome) != len(allowed):
+        return [f"expected {len(allowed)} symbols, got {len(chromosome)}"]
+    if all(map(contains, allowed, chromosome)):
+        return []
+    return [f"{name}: symbol {sym!r} not allowed"
+            for name, sym, ok in zip(names, chromosome, allowed) if sym not in ok]
+
+
+def expressed_length(coding: str, symbols: SymbolSet) -> int:
+    """Length of the expressed prefix of a K-expression: reading left to
+    right, each function opens as many argument slots as its arity, and the
+    expression ends when every open slot is filled."""
+    length, open_slots = 0, 1
+    while open_slots:
+        open_slots += symbols.arity.get(coding[length], 0) - 1
+        length += 1
+    return length
+
+
+def ref_sum(values):
+    """Float sum, one addition at a time from the left."""
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total

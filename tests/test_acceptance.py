@@ -17,12 +17,13 @@ from oracles import (
     REF_MUTATION_RULES,
     ref_infer_1d,
     ref_infer_2d,
+    validate,
 )
 
 from fuzzygep import bench, cli, evolve
 from fuzzygep.evolve import EngineConfig, RateControllers, Rates, adapt_rates, crossover, mutate
 from fuzzygep.fuzzy import CONSTANT_MUTATION_RULES, LABELS
-from fuzzygep.genome import GeneLayout, SymbolSet, position_alphabets, random_chromosome, validate
+from fuzzygep.genome import GeneLayout, SymbolSet, position_alphabets, random_chromosome
 
 SEED_BASE = 100
 SEEDS = range(SEED_BASE, SEED_BASE + 20)

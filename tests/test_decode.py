@@ -2,13 +2,12 @@ import math
 import random
 
 import pytest
-from oracles import eval_chromosome
+from oracles import eval_chromosome, expressed_length
 
 from fuzzygep.decode import (
     build_tree,
     eval_homeotic,
     eval_ordinary,
-    expressed_length,
     protected_apply,
 )
 from fuzzygep.genome import (

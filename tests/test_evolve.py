@@ -6,7 +6,7 @@ from collections import Counter
 import oracles
 import pytest
 
-from fuzzygep import evolve
+from fuzzygep import cli, evolve
 from fuzzygep.bench import builtin
 from fuzzygep.evolve import (
     BASELINE_RATES,
@@ -15,6 +15,7 @@ from fuzzygep.evolve import (
     Individual,
     RateControllers,
     Rates,
+    RunResult,
     adapt_rates,
     crossover,
     diversity,
@@ -27,7 +28,6 @@ from fuzzygep.genome import (
     SymbolSet,
     position_alphabets,
     random_chromosome,
-    validate,
 )
 
 SYM = SymbolSet()
@@ -95,6 +95,18 @@ def test_diversity_ignores_non_finite():
     pop = [stub(2.0), stub(6.0), stub(float("nan")), stub(float("inf"))]
     reading = diversity(pop, "minimize")
     assert reading.d == 0.5 and reading.f_ave == 4.0
+
+
+def test_means_add_left_to_right():
+    """Means add one float at a time from the left, on every CPython; the
+    compensated `sum()` of 3.12 and later gives 1/3 here, not 0.0."""
+    values = [1e16, 1.0, -1e16]
+    mean = oracles.ref_sum(values) / len(values)
+    assert diversity([stub(v) for v in values], "minimize").f_ave == mean == 0.0
+    results = [RunResult(i, stub(v), 0, 1, []) for i, v in enumerate(values)]
+    summary = cli.summarize(builtin("f1"), cli.ExperimentConfig("f1"), results)
+    assert summary.mean_best == mean
+    assert summary.variance == oracles.ref_sum((v - mean) ** 2 for v in values) / len(values)
 
 
 def test_diversity_all_non_finite():
@@ -195,7 +207,7 @@ def test_crossover_offspring_always_valid():
         a = random_chromosome(LAYOUT, SYM, rng)
         b = random_chromosome(LAYOUT, SYM, rng)
         for child in crossover(a, b, 1.0, rng):
-            assert validate(child, LAYOUT, SYM) == []
+            assert oracles.validate(child, LAYOUT, SYM) == []
 
 
 # --- mutate ---
@@ -220,7 +232,7 @@ def test_mutate_respects_position_alphabets():
     for _ in range(1000):
         c = random_chromosome(LAYOUT, SYM, rng)
         m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
-        assert validate(m, LAYOUT, SYM) == []
+        assert oracles.validate(m, LAYOUT, SYM) == []
 
 
 # --- selection ---
@@ -347,8 +359,7 @@ def seeded_population(engine, n):
 
 def _fresh_constants(engine, rng):
     from fuzzygep.genome import random_constant_set
-    return random_constant_set(len(engine.symbols.dc_alphabet), engine.problem.lower,
-                               engine.problem.upper, rng)
+    return random_constant_set(engine.problem.lower, engine.problem.upper, rng)
 
 
 def test_engine_layout_matches_problem():
@@ -368,7 +379,7 @@ def test_temp_population_is_parents_plus_four_batches():
     assert len(temp) == 50
     assert temp[:10] == parents
     for ind in temp:
-        assert validate(ind.chromosome, eng.layout, eng.symbols) == []
+        assert oracles.validate(ind.chromosome, eng.layout, eng.symbols) == []
 
 
 def test_temp_population_zero_rates_gives_clones():

@@ -2,9 +2,9 @@ import random
 from dataclasses import fields
 
 import pytest
+from oracles import expressed_length, ref_allowed_sets, validate
 
 from fuzzygep import bench
-from fuzzygep.decode import expressed_length
 from fuzzygep.genome import (
     FUNCTION_ARITIES,
     GENE_REFERENCES,
@@ -17,7 +17,6 @@ from fuzzygep.genome import (
     random_chromosome,
     random_constant_set,
     rebuild,
-    validate,
 )
 
 # upper 0.1% chi-square quantiles by degrees of freedom
@@ -216,26 +215,37 @@ def test_position_alphabets_structure():
     assert set(alphabets[hom_start + layout.homeotic_head_len]) == set(refs)
 
 
+@pytest.mark.parametrize("n_homeotic", [1, 2, 30, 50])
+def test_position_alphabets_match_the_region_definitions(n_homeotic):
+    """Every slot draws from exactly the set its region allows; a validity
+    check of drawn genomes cannot see an alphabet that is too narrow."""
+    layout = GeneLayout(n_homeotic=n_homeotic)
+    for name in bench.problem_names():
+        sym = SymbolSet(bench.builtin(name).extra_operators)
+        alphabets = list(map(set, position_alphabets(layout, sym)))
+        assert alphabets == list(ref_allowed_sets(layout, sym)), name
+
+
 def test_random_constant_set_bounds_and_length():
     rng = random.Random(1)
-    cs = random_constant_set(10, -5.12, 5.12, rng)
-    assert isinstance(cs, tuple) and len(cs) == 10
+    cs = random_constant_set(-5.12, 5.12, rng)
+    assert isinstance(cs, tuple) and len(cs) == N_CONSTANTS
     assert all(-5.12 <= v <= 5.12 for v in cs)
 
 
 def test_random_constant_set_rejects_empty_range():
     rng = random.Random(1)
     with pytest.raises(ValueError):
-        random_constant_set(5, 1.0, 1.0, rng)
+        random_constant_set(1.0, 1.0, rng)
     with pytest.raises(ValueError):
-        random_constant_set(5, 2.0, -2.0, rng)
+        random_constant_set(2.0, -2.0, rng)
 
 
 def test_random_constant_set_mean():
     rng = random.Random(99)
     total = 0.0
-    for _ in range(1000):
-        total += sum(random_constant_set(100, 0.0, 1.0, rng))
+    for _ in range(10_000):
+        total += sum(random_constant_set(0.0, 1.0, rng))
     assert abs(total / 100_000 - 0.5) < 0.01
 
 

@@ -6,16 +6,21 @@ re-pins them and says which draws or values moved, and why.
 
 The hashes depend on the float results of `math` (sin, cos, exp, sqrt via
 the platform libm) and on CPython's `random` and float `repr`. They were
-taken with CPython 3.11 on x86-64 Linux (glibc libm); another interpreter
-or libm may legitimately print different bytes.
+taken on x86-64 Linux (glibc libm) and hold on CPython 3.10 to 3.13: the
+package's samplers match `random.sample` draw for draw on all four, and
+its float sums add left to right rather than through `sum()`, which
+compensates rounding from 3.12 on. Another libm or platform may
+legitimately print different bytes.
 """
 
-import hashlib
+import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
-
-from fuzzygep import bench, cli
+from golden_digests import bench_digest, run_digest
 
 GOLDEN = {
     "f3-seed42": (
@@ -64,10 +69,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output_hashes(name, tmp_path):
     argv, expected = GOLDEN[name]
-    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.csv"
-    assert cli.main(["run", *argv, "--trace", str(trace), "--summary", str(summary)]) == 0
-    digest = hashlib.sha256(trace.read_bytes() + summary.read_bytes()).hexdigest()
-    assert digest == expected
+    assert run_digest(argv, tmp_path) == expected
 
 
 # one run of every problem: twelve trace files, then the summary, in suite order
@@ -76,10 +78,44 @@ BENCH_GOLDEN = "48e27b76b309092c63f12df99955315ac70303d430f1fab6816f609746fd695a
 
 
 def test_golden_bench_sweep_hash(tmp_path):
-    assert cli.main(["bench", "--out-dir", str(tmp_path), *BENCH_ARGV]) == 0
-    names = [f"{name}_trace.csv" for name in bench.problem_names()] + ["summary.csv"]
-    h = hashlib.sha256()
-    for name in names:
-        with open(os.path.join(tmp_path, name), "rb") as fh:
-            h.update(fh.read())
-    assert h.hexdigest() == BENCH_GOLDEN
+    assert bench_digest(BENCH_ARGV, tmp_path) == BENCH_GOLDEN
+
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
+IDENTITY = "import sys; print(sys.prefix, sys.version)"
+
+
+def _other_interpreters():
+    """Every python3.10 ... python3.13 on PATH that starts and is not this
+    interpreter, and the names tried; a pyenv shim for a version that is
+    not installed exits non-zero and is left out."""
+    tried, found = [], []
+    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
+        path = shutil.which(name)
+        tried.append(f"{name} ({path})" if path else name)
+        if path is None:
+            continue
+        probe = subprocess.run([path, "-c", IDENTITY], capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() != f"{sys.prefix} {sys.version}":
+            found.append(path)
+    return found, tried
+
+
+def test_golden_hashes_hold_on_other_interpreters():
+    found, tried = _other_interpreters()
+    if not found:
+        pytest.skip(f"no other CPython 3.10-3.13 runs here; tried {', '.join(tried)}")
+    cases = json.dumps({"runs": {name: argv for name, (argv, _) in GOLDEN.items()},
+                        "bench": BENCH_ARGV})
+    expected = {name: digest for name, (_, digest) in GOLDEN.items()}
+    expected["bench"] = BENCH_GOLDEN
+    # the child imports the package from src and nothing from the test environment
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    for path in found:
+        child = subprocess.run([path, os.path.join(TESTS_DIR, "golden_digests.py")], input=cases,
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert child.returncode == 0, f"{path}: {child.stderr}"
+        digests = json.loads(child.stdout)
+        differ = sorted(name for name in expected if digests.get(name) != expected[name])
+        assert not differ, f"{path}: {len(differ)} of {len(expected)} hashes differ: {differ}"
