@@ -4,7 +4,7 @@ optimization over real boxes."""
 from .bench import Problem, builtin, problem_names
 from .decode import build_tree, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
-from .fuzzy import MembershipFamily, Universe, infer_1d, infer_2d
+from .fuzzy import Universe, infer_1d, infer_2d
 from .genome import GeneLayout, SymbolSet, random_chromosome, random_constant_set
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __all__ = [
     "EngineConfig",
     "GeneLayout",
     "Individual",
-    "MembershipFamily",
     "Problem",
     "Rates",
     "RunResult",

@@ -20,7 +20,6 @@ from .fuzzy import (
     CONSTANT_MUTATION_RULES,
     CROSSOVER_RULES,
     MUTATION_RULES,
-    MembershipFamily,
     Universe,
     infer_1d,
     infer_2d,
@@ -123,24 +122,6 @@ class RunResult:
     trace: list[TraceRow]
 
 
-class RateControllers:
-    """The three Mamdani controllers over their fixed universes."""
-
-    def __init__(self, max_gen: int):
-        self.diversity = MembershipFamily(DIVERSITY_UNIVERSE)
-        self.iteration = MembershipFamily(Universe(max_gen / 2.0, float(max_gen)))
-
-    def crossover_rate(self, d: float) -> float:
-        return infer_1d(CROSSOVER_RULES, self.diversity, CROSSOVER_UNIVERSE, d)
-
-    def mutation_rate(self, d: float) -> float:
-        return infer_1d(MUTATION_RULES, self.diversity, MUTATION_UNIVERSE, d)
-
-    def constant_rate(self, gen: int, d: float) -> float:
-        return infer_2d(CONSTANT_MUTATION_RULES, self.iteration, self.diversity,
-                        CONSTANT_UNIVERSE, float(gen), d)
-
-
 def plain_sum(values) -> float:
     """Left-to-right float sum. From CPython 3.12 on, `sum()` compensates
     float rounding, which would make the output bytes depend on the version."""
@@ -169,19 +150,23 @@ def diversity(population, direction: str) -> DiversityReading:
     return DiversityReading(d, f_ave)
 
 
-def adapt_rates(d: float, gen: int, cfg: EngineConfig, controllers: RateControllers) -> Rates:
+def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
     if cfg.mode == "baseline":
         return Rates(*BASELINE_RATES)
     if d < FUZZY_DIVERSITY_FLOOR:
         p_c = FIXED_CROSSOVER_RATE
         p_m = FIXED_MUTATION_RATE
     else:
-        p_c = controllers.crossover_rate(d)
-        p_m = controllers.mutation_rate(d)
+        p_c = infer_1d(CROSSOVER_RULES, DIVERSITY_UNIVERSE, CROSSOVER_UNIVERSE, d)
+        p_m = infer_1d(MUTATION_RULES, DIVERSITY_UNIVERSE, MUTATION_UNIVERSE, d)
     if gen <= cfg.max_gen / 2.0:
         r_c = 0.0
     else:
-        r_c = controllers.constant_rate(gen, max(d, FUZZY_DIVERSITY_FLOOR))
+        # the iteration universe is the second half of the run; fuzzify clamps
+        # a diversity below the fuzzy band up to its floor
+        iteration = Universe(cfg.max_gen / 2.0, float(cfg.max_gen))
+        r_c = infer_2d(CONSTANT_MUTATION_RULES, iteration, DIVERSITY_UNIVERSE,
+                       CONSTANT_UNIVERSE, float(gen), d)
     return Rates(p_c, p_m, r_c)
 
 
@@ -276,7 +261,6 @@ class Engine:
         self.alphabets = position_alphabets(self.layout, self.symbols)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(self.layout)
-        self.controllers = RateControllers(self.cfg.max_gen)
         self.constants = None
         # A homeotic gene's coordinate depends only on its coding string and
         # the ordinary-gene values, so it is computed once per pair: packed
@@ -347,18 +331,13 @@ class Engine:
             return ind
 
         def crossed(genomes):
-            order = list(range(len(genomes)))
-            rng.shuffle(order)
+            pool = list(genomes)
+            rng.shuffle(pool)
             out = []
-            i = 0
-            while i + 1 < len(order):
-                a, b = crossover(genomes[order[i]], genomes[order[i + 1]], rates.p_c, rng)
-                out.append(a)
-                out.append(b)
-                i += 2
-            if i < len(order):
-                out.append(genomes[order[i]])
-            return out
+            for a, b in zip(pool[0::2], pool[1::2]):
+                out += crossover(a, b, rates.p_c, rng)
+            # an odd count leaves the last genome unpaired
+            return out + pool[len(out):]
 
         def mutated(genomes):
             return [mutate(g, rates.p_m, MUTATIONS_PER_INDIVIDUAL, self.layout, self.alphabets, rng)
@@ -387,20 +366,20 @@ class Engine:
         key = _sort_key(direction)
         self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
         population = [
-            self.evaluate(random_chromosome(self.layout, self.symbols, self.rng))
+            self.evaluate(random_chromosome(self.alphabets, self.rng))
             for _ in range(cfg.pop_size)
         ]
         best = min(population, key=key)
         first_best_gen = 0
         generations = 0
         reading = diversity(population, direction)
-        rates = adapt_rates(reading.d, 0, cfg, self.controllers)
+        rates = adapt_rates(reading.d, 0, cfg)
         trace = [TraceRow(0, best.fitness, reading.f_ave, reading.d,
                           rates.p_c, rates.p_m, rates.r_c, False)]
         for gen in range(1, cfg.max_gen + 1):
             if reached_optimum(self.problem, cfg.termination_tol, best.fitness):
                 break
-            rates = adapt_rates(reading.d, gen, cfg, self.controllers)
+            rates = adapt_rates(reading.d, gen, cfg)
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)
             temp = self.build_temp_population(population, rates)
             population = select(temp, cfg, direction, self.rng)

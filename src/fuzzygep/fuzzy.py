@@ -1,9 +1,9 @@
-"""Mamdani inference for the three rate controllers.
+"""Mamdani inference for the crossover, mutation and constant-mutation rates.
 
-Every linguistic variable uses the same five-label family over its own
-universe: XL and XH are shoulders saturating at the ends, ML/M/MH are unit
+Every linguistic variable is a Universe, and each carries the same five
+labels: XL and XH are shoulders saturating at the ends, ML/M/MH are unit
 triangles on the interior breakpoints.  Breakpoints are evenly spaced, so the
-family is a partition of unity.  Implication is min, aggregation is max,
+labels form a partition of unity.  Implication is min, aggregation is max,
 defuzzification is the centroid over a fixed 1001-point grid, summed in
 closed form.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 GRID_POINTS = 1001
@@ -50,6 +51,8 @@ CONSTANT_MUTATION_RULES = {
 
 @dataclass(frozen=True)
 class Universe:
+    """A closed interval and the five labels over it."""
+
     lower: float
     upper: float
 
@@ -64,14 +67,10 @@ class Universe:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-
-class MembershipFamily:
-    """The five piecewise-linear labels over one universe."""
-
-    def __init__(self, universe: Universe):
-        self.universe = universe
-        width = universe.upper - universe.lower
-        self.breakpoints = tuple(universe.lower + k * width / 4.0 for k in range(5))
+    @cached_property
+    def breakpoints(self) -> tuple[float, ...]:
+        width = self.upper - self.lower
+        return tuple(self.lower + k * width / 4.0 for k in range(5))
 
     def fuzzify(self, x: float) -> list[float]:
         """The five memberships, in LABELS order, of x clamped into the universe.
@@ -80,7 +79,7 @@ class MembershipFamily:
         nonzero: label k falls across it and label k+1 rises.
         """
         p = self.breakpoints
-        x = self.universe.clamp(x)
+        x = self.clamp(x)
         k = 0
         while k < 3 and x > p[k + 1]:
             k += 1
@@ -145,22 +144,22 @@ def centroid(s, universe: Universe) -> float:
     return universe.lower + step * (moment / mass)
 
 
-def infer_1d(table, in_family: MembershipFamily, out_universe: Universe, x: float) -> float:
+def infer_1d(table, in_universe: Universe, out_universe: Universe, x: float) -> float:
     """Single-input Mamdani step; clamps x into the input universe."""
     strengths = [0.0] * 5
-    for label, mu in zip(LABELS, in_family.fuzzify(x)):
+    for label, mu in zip(LABELS, in_universe.fuzzify(x)):
         out = _LABEL_INDEX[table[label]]
         if mu > strengths[out]:
             strengths[out] = mu
     return centroid(strengths, out_universe)
 
 
-def infer_2d(table, family_a: MembershipFamily, family_b: MembershipFamily,
+def infer_2d(table, universe_a: Universe, universe_b: Universe,
              out_universe: Universe, a: float, b: float) -> float:
     """Two-input Mamdani step with min conjunction of the antecedents."""
-    mus_b = family_b.fuzzify(b)
+    mus_b = universe_b.fuzzify(b)
     strengths = [0.0] * 5
-    for label_a, mu_a in zip(LABELS, family_a.fuzzify(a)):
+    for label_a, mu_a in zip(LABELS, universe_a.fuzzify(a)):
         if mu_a == 0.0:
             continue
         for label_b, mu_b in zip(LABELS, mus_b):

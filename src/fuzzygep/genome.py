@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 FUNCTION_ARITIES = {
     "+": 2,
@@ -104,35 +104,31 @@ def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple
 
 def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
     """Legal symbols for every slot of the chromosome string, in order."""
-    return _alphabets(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
-
-
-# keyed by value, so a new SymbolSet for every run adds no entry
-@lru_cache(maxsize=64)
-def _alphabets(layout, functions, terminals, dc_alphabet):
     refs = GENE_REFERENCES
+    functions, terminals = symbols.functions, symbols.terminals
     ordinary_head = functions + terminals
     homeotic_head = functions + refs
     table: list[tuple[str, ...]] = []
     for _ in range(layout.n_ordinary):
         table += [ordinary_head] * layout.ordinary_head_len
         table += [terminals] * layout.ordinary_tail_len
-        table += [dc_alphabet] * layout.dc_len
+        table += [symbols.dc_alphabet] * layout.dc_len
     for _ in range(layout.n_homeotic):
         table += [homeotic_head] * layout.homeotic_head_len
         table += [refs] * layout.homeotic_tail_len
     return tuple(table)
 
 
-def random_chromosome(layout: GeneLayout, symbols: SymbolSet, rng: random.Random) -> str:
-    """Uniform draw per slot from that slot's legal alphabet.
+def random_chromosome(alphabets, rng: random.Random) -> str:
+    """Uniform draw per slot from that slot's legal alphabet, given per slot
+    as position_alphabets lists them.
 
     Each slot takes alpha[floor(rng.random() * len(alpha))], which is the
     draw rng.choices makes, so the string equals a region-by-region
     rng.choices draw from an identically seeded generator.
     """
     rand = rng.random
-    return "".join([alpha[int(rand() * len(alpha))] for alpha in position_alphabets(layout, symbols)])
+    return "".join([alpha[int(rand() * len(alpha))] for alpha in alphabets])
 
 
 def flatten(chromosome: str) -> list[str]:

@@ -2,8 +2,8 @@
 
 Everything here is written from the underlying definitions, not from the
 package source: a brute-force Mamdani pipeline over dense sample grids, a
-second copy of each benchmark objective, and numeric argmax refinement for
-the two maximization problems. The exceptions are copies of package code
+level-by-level K-expression decoder, a second copy of each benchmark
+objective, and numeric argmax refinement for the two maximization problems. The exceptions are copies of package code
 that a faster version replaced or that the package no longer needs:
 `ref_select` and `ref_mutate`, `ref_defuzzify`, `ref_label_membership` and
 `eval_chromosome` (see their docstrings).
@@ -15,8 +15,7 @@ from operator import contains
 
 import numpy as np
 
-from fuzzygep.decode import eval_homeotic, eval_ordinary
-from fuzzygep.fuzzy import MembershipFamily
+from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
 from fuzzygep.genome import GENE_REFERENCES, GeneLayout, SymbolSet, gene_slices
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
@@ -97,16 +96,16 @@ def ref_infer_2d(rules, universe_a, universe_b, out_universe, a, b, samples=100_
     return _centroid(ys, agg, lo, hi)
 
 
-def ref_label_membership(family, label, x):
-    """Membership of x in one label, one label per call.
+def ref_label_membership(universe, label, x):
+    """Membership of x in one label of a `Universe`, one label per call.
 
-    A copy of the per-label `MembershipFamily.membership` that the one-pass
-    `MembershipFamily.fuzzify` replaced, kept so that `fuzzify` can be
-    checked against it bit for bit.
+    A copy of the per-label membership function that the one-pass
+    `Universe.fuzzify` replaced, kept so that `fuzzify` can be checked
+    against it bit for bit.
     """
     i = LABELS.index(label)
-    p = family.breakpoints
-    x = family.universe.clamp(x)
+    p = universe.breakpoints
+    x = universe.clamp(x)
     if i == 0:
         if x <= p[0]:
             return 1.0
@@ -129,9 +128,8 @@ def ref_label_membership(family, label, x):
 
 @lru_cache(maxsize=32)
 def _grid_1001(universe):
-    family = MembershipFamily(universe)
     xs = np.linspace(universe.lower, universe.upper, 1001)
-    return xs, np.array([family.fuzzify(x) for x in xs]).T
+    return xs, np.array([universe.fuzzify(x) for x in xs]).T
 
 
 def ref_defuzzify(strengths, universe):
@@ -301,6 +299,57 @@ def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
         for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
     }
     return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)
+
+
+# --- K-expressions, from the definition ---
+
+REF_ARITY = {"+": 2, "-": 2, "*": 2, "/": 2, "S": 1, "C": 1, "Q": 1, "E": 1}
+REF_DIGITS = "abcdefghij"
+
+
+def ref_kexpression(coding, terminal_value):
+    """Value of the K-expression `coding`: its expression tree is built level
+    by level and then evaluated recursively.
+
+    The first symbol is the root. Each next level takes, in reading order,
+    as many of the following symbols as the functions on the level above
+    take arguments; the tree ends at a level of terminals only.
+    `terminal_value(i)` is the value of the terminal at position i. Only
+    `protected_apply`, which has unit tests of its own, comes from the package.
+    """
+    children = {}
+    level, end = [0], 1
+    while level:
+        below = []
+        for i in level:
+            n = REF_ARITY.get(coding[i], 0)
+            children[i] = range(end, end + n)
+            below += children[i]
+            end += n
+        level = below
+
+    def value(i):
+        if children[i]:
+            return protected_apply(coding[i], [value(j) for j in children[i]])
+        return terminal_value(i)
+
+    return value(0)
+
+
+def ref_eval_ordinary(coding, dc, dc_alphabet, constants):
+    """An ordinary gene: a digit terminal stands for 0..9, and the k-th '?'
+    in reading order takes the constant that dc[k] names."""
+    def terminal(i):
+        if coding[i] == "?":
+            return constants[dc_alphabet.index(dc[coding.count("?", 0, i)])]
+        return float(REF_DIGITS.index(coding[i]))
+
+    return ref_kexpression(coding, terminal)
+
+
+def ref_eval_homeotic(coding, ordinary_values):
+    """A homeotic gene: each terminal is the value of the ordinary gene it names."""
+    return ref_kexpression(coding, lambda i: ordinary_values[coding[i]])
 
 
 # --- structure of a chromosome, from the region definitions ---

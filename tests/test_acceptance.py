@@ -21,8 +21,26 @@ from oracles import (
 )
 
 from fuzzygep import bench, cli, evolve
-from fuzzygep.evolve import EngineConfig, RateControllers, Rates, adapt_rates, crossover, mutate
-from fuzzygep.fuzzy import CONSTANT_MUTATION_RULES, LABELS
+from fuzzygep.evolve import (
+    CONSTANT_UNIVERSE,
+    CROSSOVER_UNIVERSE,
+    DIVERSITY_UNIVERSE,
+    MUTATION_UNIVERSE,
+    EngineConfig,
+    Rates,
+    adapt_rates,
+    crossover,
+    mutate,
+)
+from fuzzygep.fuzzy import (
+    CONSTANT_MUTATION_RULES,
+    CROSSOVER_RULES,
+    LABELS,
+    MUTATION_RULES,
+    Universe,
+    infer_1d,
+    infer_2d,
+)
 from fuzzygep.genome import GeneLayout, SymbolSet, position_alphabets, random_chromosome
 
 SEED_BASE = 100
@@ -48,7 +66,7 @@ def test_bulk_generated_and_operated_genomes_all_validate():
     layout = GeneLayout(n_homeotic=2)
     alphabets = position_alphabets(layout, symbols)
     t0 = time.perf_counter()
-    chroms = [random_chromosome(layout, symbols, rng) for _ in range(100_000)]
+    chroms = [random_chromosome(alphabets, rng) for _ in range(100_000)]
     invalid = sum(validate(c, layout, symbols) != [] for c in chroms)
     for i in range(10_000):
         a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, rng)
@@ -64,22 +82,20 @@ def test_bulk_generated_and_operated_genomes_all_validate():
 
 
 def test_controllers_match_bruteforce_mamdani_oracle():
-    controllers = RateControllers(1000)
+    cfg = EngineConfig()  # max_gen 1000, so the constant rate runs on generations 500..1000
     rng = random.Random(1)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         d = rng.uniform(0.6, 1.0)
         gen = rng.uniform(500.0, 1000.0)
+        rates = adapt_rates(d, gen, cfg)
         worst = max(
             worst,
-            abs(controllers.crossover_rate(d)
-                - ref_infer_1d(REF_CROSSOVER_RULES, (0.6, 1.0), (0.1, 0.3), d)),
-            abs(controllers.mutation_rate(d)
-                - ref_infer_1d(REF_MUTATION_RULES, (0.6, 1.0), (0.05, 0.25), d)),
-            abs(controllers.constant_rate(gen, d)
-                - ref_infer_2d(REF_CONSTANT_RULES, (500.0, 1000.0), (0.6, 1.0),
-                               (0.0, 0.5), gen, d)),
+            abs(rates.p_c - ref_infer_1d(REF_CROSSOVER_RULES, (0.6, 1.0), (0.1, 0.3), d)),
+            abs(rates.p_m - ref_infer_1d(REF_MUTATION_RULES, (0.6, 1.0), (0.05, 0.25), d)),
+            abs(rates.r_c - ref_infer_2d(REF_CONSTANT_RULES, (500.0, 1000.0), (0.6, 1.0),
+                                         (0.0, 0.5), gen, d)),
         )
     elapsed = time.perf_counter() - t0
     ok = worst <= ORACLE_TOL and elapsed < 10.0
@@ -120,24 +136,31 @@ def test_rate_surfaces_are_monotone():
        the other too, so the dips are the method's.  Both dip counts are
        printed so the bulges stay visible.
     """
-    controllers = RateControllers(1000)
+    # adapt_rates holds the constant rate at 0 up to generation 500, the
+    # first iteration anchor, so the surfaces come from the inferences directly
+    iteration = Universe(500.0, 1000.0)
+
+    def constant_rate(g, d):
+        return infer_2d(CONSTANT_MUTATION_RULES, iteration, DIVERSITY_UNIVERSE,
+                        CONSTANT_UNIVERSE, g, d)
+
     ds = [0.6 + 0.4 * i / 400 for i in range(401)]
-    cross = [controllers.crossover_rate(d) for d in ds]
-    mut = [controllers.mutation_rate(d) for d in ds]
+    cross = [infer_1d(CROSSOVER_RULES, DIVERSITY_UNIVERSE, CROSSOVER_UNIVERSE, d) for d in ds]
+    mut = [infer_1d(MUTATION_RULES, DIVERSITY_UNIVERSE, MUTATION_UNIVERSE, d) for d in ds]
     v_cross = sum(b > a for a, b in zip(cross, cross[1:]))
     v_mut = sum(b < a for a, b in zip(mut, mut[1:]))
 
     rank = {label: i for i, label in enumerate(LABELS)}
-    anchors = [[(rank[CONSTANT_MUTATION_RULES[(la, lb)]], controllers.constant_rate(g, d))
-                for lb, d in zip(LABELS, controllers.diversity.breakpoints)]
-               for la, g in zip(LABELS, controllers.iteration.breakpoints)]
+    anchors = [[(rank[CONSTANT_MUTATION_RULES[(la, lb)]], constant_rate(g, d))
+                for lb, d in zip(LABELS, DIVERSITY_UNIVERSE.breakpoints)]
+               for la, g in zip(LABELS, iteration.breakpoints)]
     v_anchor = sum(not ((ra == rb and va == vb) or (ra < rb and va < vb))
                    for line in _lines(anchors)
                    for (ra, va), (rb, vb) in zip(line, line[1:]))
 
     gens = [500.0 + 500.0 * i / 40 for i in range(41)]
     d41 = [0.6 + 0.4 * j / 40 for j in range(41)]
-    ctrl = _drops([[controllers.constant_rate(g, d) for d in d41] for g in gens])
+    ctrl = _drops([[constant_rate(g, d) for d in d41] for g in gens])
     ref = _drops([[ref_infer_2d(REF_CONSTANT_RULES, (500.0, 1000.0), (0.6, 1.0),
                                 (0.0, 0.5), g, d) for d in d41] for g in gens])
     unmatched = sum((c > ORACLE_TOL and r <= 0.0) or (r > ORACLE_TOL and c <= 0.0)
@@ -157,9 +180,8 @@ def test_rate_surfaces_are_monotone():
 
 def test_low_diversity_branch_returns_fixed_rates_exactly():
     cfg = EngineConfig()
-    controllers = RateControllers(cfg.max_gen)
     expected = Rates(0.4, 0.1, 0.0)
-    ok = all(adapt_rates(0.59, gen, cfg, controllers) == expected
+    ok = all(adapt_rates(0.59, gen, cfg) == expected
              for gen in (0, 1, 250, 500))
     assert _verdict(ok, "A04 fixed branch",
                     "adapt_rates(d=0.59, first half) == (0.4, 0.1, 0.0) exactly")

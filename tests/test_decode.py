@@ -1,9 +1,11 @@
 import math
 import random
+import struct
 
 import pytest
-from oracles import eval_chromosome, expressed_length
+from oracles import eval_chromosome, expressed_length, ref_eval_homeotic, ref_eval_ordinary
 
+from fuzzygep import bench
 from fuzzygep.decode import (
     build_tree,
     eval_homeotic,
@@ -11,6 +13,8 @@ from fuzzygep.decode import (
     protected_apply,
 )
 from fuzzygep.genome import (
+    GENE_REFERENCES,
+    N_CONSTANTS,
     GeneLayout,
     SymbolSet,
     gene_slices,
@@ -166,11 +170,41 @@ def _randomize_unexpressed(c, layout, sym, rng):
 def test_unexpressed_regions_never_change_value():
     sym = SymbolSet(("S", "Q"))
     layout = GeneLayout(n_homeotic=2)
+    alphabets = position_alphabets(layout, sym)
     rng = random.Random(17)
     for _ in range(100):
-        c = random_chromosome(layout, sym, rng)
+        c = random_chromosome(alphabets, rng)
         base = eval_chromosome(c, layout, sym, CONSTS)
         shuffled = _randomize_unexpressed(c, layout, sym, rng)
         again = eval_chromosome(shuffled, layout, sym, CONSTS)
         for u, v in zip(base, again):
             assert u == v or (math.isnan(u) and math.isnan(v))
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("extra", sorted({bench.builtin(name).extra_operators
+                                          for name in bench.problem_names()}),
+                         ids=lambda extra: "".join(extra) or "arithmetic")
+def test_gene_values_match_the_level_by_level_reference(extra):
+    """Both gene decoders give the bits of a decoder written from the
+    K-expression definition, NaN for NaN, on random chromosomes."""
+    sym = SymbolSet(extra)
+    layout = GeneLayout(n_homeotic=4)
+    alphabets = position_alphabets(layout, sym)
+    ordinary_slices, homeotic_slices = gene_slices(layout)
+    rng = random.Random(31)
+    for _ in range(3000):
+        c = random_chromosome(alphabets, rng)
+        # a wide range, so that E overflows and the protected paths run
+        consts = tuple(rng.uniform(-100.0, 100.0) for _ in range(N_CONSTANTS))
+        values = {}
+        for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary_slices):
+            values[ref] = eval_ordinary(c[coding], c[dc], sym, consts)
+            want = ref_eval_ordinary(c[coding], c[dc], sym.dc_alphabet, consts)
+            assert _same_float(values[ref], want), (c, ref)
+        for coding in homeotic_slices:
+            want = ref_eval_homeotic(c[coding], values)
+            assert _same_float(eval_homeotic(c[coding], sym, values), want), (c, coding)

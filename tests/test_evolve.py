@@ -13,7 +13,6 @@ from fuzzygep.evolve import (
     Engine,
     EngineConfig,
     Individual,
-    RateControllers,
     Rates,
     RunResult,
     adapt_rates,
@@ -33,7 +32,6 @@ from fuzzygep.genome import (
 SYM = SymbolSet()
 LAYOUT = GeneLayout(n_homeotic=2)
 ALPHABETS = position_alphabets(LAYOUT, SYM)
-CONTROLLERS = RateControllers(1000)
 
 
 def stub(fitness):
@@ -119,13 +117,13 @@ def test_diversity_all_non_finite():
 
 def test_fixed_branch_is_exact():
     cfg = EngineConfig()
-    assert adapt_rates(0.5, 100, cfg, CONTROLLERS) == Rates(0.4, 0.1, 0.0)
-    assert adapt_rates(0.59, 500, cfg, CONTROLLERS) == Rates(0.4, 0.1, 0.0)
+    assert adapt_rates(0.5, 100, cfg) == Rates(0.4, 0.1, 0.0)
+    assert adapt_rates(0.59, 500, cfg) == Rates(0.4, 0.1, 0.0)
 
 
 def test_fuzzy_branch_at_m_peaks():
     cfg = EngineConfig()
-    rates = adapt_rates(0.8, 750, cfg, CONTROLLERS)
+    rates = adapt_rates(0.8, 750, cfg)
     assert rates.p_c == pytest.approx(0.2, abs=1e-9)
     assert rates.p_m == pytest.approx(0.15, abs=1e-9)
     assert rates.r_c == pytest.approx(0.25, abs=1e-9)
@@ -133,21 +131,29 @@ def test_fuzzy_branch_at_m_peaks():
 
 def test_constant_rate_gated_in_first_half():
     cfg = EngineConfig()
-    assert adapt_rates(0.8, 500, cfg, CONTROLLERS).r_c == 0.0
-    assert adapt_rates(0.8, 501, cfg, CONTROLLERS).r_c > 0.0
+    assert adapt_rates(0.8, 500, cfg).r_c == 0.0
+    assert adapt_rates(0.8, 501, cfg).r_c > 0.0
 
 
 def test_constant_rate_uses_clamped_diversity():
     cfg = EngineConfig()
-    low_d = adapt_rates(0.3, 800, cfg, CONTROLLERS)
+    low_d = adapt_rates(0.3, 800, cfg)
     assert low_d.p_c == 0.4 and low_d.p_m == 0.1
-    assert low_d.r_c == CONTROLLERS.constant_rate(800, 0.6)
+    assert low_d.r_c == adapt_rates(0.6, 800, cfg).r_c
+
+
+def test_iteration_universe_follows_max_gen():
+    """The constant rate's iteration universe is the second half of cfg's run."""
+    short = EngineConfig(max_gen=200)
+    # generation 150 of 200 and 750 of 1000 both sit on the M anchor
+    assert adapt_rates(0.8, 150, short) == adapt_rates(0.8, 750, EngineConfig())
+    assert adapt_rates(0.8, 100, short).r_c == 0.0
 
 
 def test_baseline_rates_fixed_everywhere():
     cfg = EngineConfig(mode="baseline")
     for gen, d in ((0, 0.3), (400, 0.95), (900, 0.61)):
-        assert adapt_rates(d, gen, cfg, CONTROLLERS) == Rates(*BASELINE_RATES)
+        assert adapt_rates(d, gen, cfg) == Rates(*BASELINE_RATES)
 
 
 # --- engine config ---
@@ -177,23 +183,23 @@ def test_config_derived_counts():
 
 def test_crossover_never_fires_at_zero_rate():
     rng = random.Random(0)
-    a = random_chromosome(LAYOUT, SYM, rng)
-    b = random_chromosome(LAYOUT, SYM, rng)
+    a = random_chromosome(ALPHABETS, rng)
+    b = random_chromosome(ALPHABETS, rng)
     assert crossover(a, b, 0.0, rng) == (a, b)
 
 
 def test_crossover_cut_zero_swaps_parents():
     rng = random.Random(1)
-    a = random_chromosome(LAYOUT, SYM, rng)
-    b = random_chromosome(LAYOUT, SYM, rng)
+    a = random_chromosome(ALPHABETS, rng)
+    b = random_chromosome(ALPHABETS, rng)
     scripted = ScriptedRng(randoms=[0.0], randranges=[0])
     assert crossover(a, b, 1.0, scripted) == (b, a)
 
 
 def test_crossover_exchanges_suffixes():
     rng = random.Random(2)
-    a = random_chromosome(LAYOUT, SYM, rng)
-    b = random_chromosome(LAYOUT, SYM, rng)
+    a = random_chromosome(ALPHABETS, rng)
+    b = random_chromosome(ALPHABETS, rng)
     cut = 13
     scripted = ScriptedRng(randoms=[0.0], randranges=[cut])
     child_a, child_b = crossover(a, b, 1.0, scripted)
@@ -204,8 +210,8 @@ def test_crossover_exchanges_suffixes():
 def test_crossover_offspring_always_valid():
     rng = random.Random(3)
     for _ in range(1000):
-        a = random_chromosome(LAYOUT, SYM, rng)
-        b = random_chromosome(LAYOUT, SYM, rng)
+        a = random_chromosome(ALPHABETS, rng)
+        b = random_chromosome(ALPHABETS, rng)
         for child in crossover(a, b, 1.0, rng):
             assert oracles.validate(child, LAYOUT, SYM) == []
 
@@ -214,14 +220,14 @@ def test_crossover_offspring_always_valid():
 
 def test_mutate_never_fires_at_zero_rate():
     rng = random.Random(4)
-    c = random_chromosome(LAYOUT, SYM, rng)
+    c = random_chromosome(ALPHABETS, rng)
     assert mutate(c, 0.0, 2, LAYOUT, ALPHABETS, rng) == c
 
 
 def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
     for _ in range(200):
-        c = random_chromosome(LAYOUT, SYM, rng)
+        c = random_chromosome(ALPHABETS, rng)
         m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
         diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
@@ -230,7 +236,7 @@ def test_mutate_changes_k_distinct_positions():
 def test_mutate_respects_position_alphabets():
     rng = random.Random(6)
     for _ in range(1000):
-        c = random_chromosome(LAYOUT, SYM, rng)
+        c = random_chromosome(ALPHABETS, rng)
         m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
         assert oracles.validate(m, LAYOUT, SYM) == []
 
@@ -337,7 +343,7 @@ def test_mutate_matches_stdlib_reference(layout, k):
     genomes = random.Random(k)
     ours, twin = random.Random(k), random.Random(k)
     for _ in range(300):
-        c = random_chromosome(layout, SYM, genomes)
+        c = random_chromosome(alphabets, genomes)
         assert (mutate(c, 0.5, k, layout, alphabets, ours)
                 == oracles.ref_mutate(c, 0.5, k, alphabets, twin))
     assert ours.getstate() == twin.getstate()
@@ -353,7 +359,7 @@ def make_engine(name="f1", **cfg_kwargs):
 def seeded_population(engine, n):
     rng = random.Random(99)
     engine.constants = engine.constants or _fresh_constants(engine, rng)
-    return [engine.evaluate(random_chromosome(engine.layout, engine.symbols, rng))
+    return [engine.evaluate(random_chromosome(engine.alphabets, rng))
             for _ in range(n)]
 
 
@@ -459,7 +465,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     also once the constants are redrawn."""
     eng = Engine(builtin(name, dim), seed=3)
     rng = random.Random(17)
-    parents = [random_chromosome(eng.layout, eng.symbols, rng) for _ in range(40)]
+    parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
     chromosomes = parents + [mutate(c, 1.0, 2, eng.layout, eng.alphabets, rng) for c in parents]
     chromosomes += [crossover(a, b, 1.0, rng)[0] for a, b in zip(parents, parents[1:])]
@@ -526,7 +532,7 @@ def test_region_memo_stays_bounded():
     eng.constants = _fresh_constants(eng, rng)
     pack = struct.Struct("<10d").pack
     for _ in range(3 * limit):
-        c = random_chromosome(eng.layout, eng.symbols, rng)
+        c = random_chromosome(eng.alphabets, rng)
         want = oracles.eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit

@@ -11,18 +11,17 @@ from fuzzygep.fuzzy import (
     CROSSOVER_RULES,
     LABELS,
     MUTATION_RULES,
-    MembershipFamily,
     Universe,
     centroid,
     infer_1d,
     infer_2d,
 )
 
-DIVERSITY = MembershipFamily(Universe(0.6, 1.0))
+DIVERSITY = Universe(0.6, 1.0)
 CROSSOVER_OUT = Universe(0.1, 0.3)
 MUTATION_OUT = Universe(0.05, 0.25)
 CONSTANT_OUT = Universe(0.0, 0.5)
-ITERATION = MembershipFamily(Universe(500.0, 1000.0))
+ITERATION = Universe(500.0, 1000.0)
 OUTPUTS = (CROSSOVER_OUT, MUTATION_OUT, CONSTANT_OUT)
 
 
@@ -37,7 +36,7 @@ def test_universe_validation_and_clamp():
 
 def test_breakpoints_evenly_spaced():
     assert DIVERSITY.breakpoints == pytest.approx((0.6, 0.7, 0.8, 0.9, 1.0), abs=1e-12)
-    assert MembershipFamily(CONSTANT_OUT).breakpoints == pytest.approx(
+    assert CONSTANT_OUT.breakpoints == pytest.approx(
         (0.0, 0.125, 0.25, 0.375, 0.5), abs=1e-12)
 
 
@@ -60,28 +59,27 @@ def _bits(values):
 
 def test_fuzzify_matches_per_label_membership_bit_for_bit():
     """The one-pass fuzzify gives the bits of the per-label code it replaced."""
-    universes = [DIVERSITY.universe, *OUTPUTS]
+    universes = [DIVERSITY, *OUTPUTS]
     universes += [Universe(g / 2.0, float(g)) for g in (1, 3, 7, 20, 1000)]
     rng = random.Random(21)
     for universe in universes:
-        family = MembershipFamily(universe)
         lo, hi = universe.lower, universe.upper
         width = hi - lo
         xs = [-math.inf, math.inf, lo - width, hi + width]
-        for p in family.breakpoints:
+        for p in universe.breakpoints:
             xs += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
         xs += [rng.uniform(lo, hi) for _ in range(2000)]
         xs += [rng.uniform(lo - width, hi + width) for _ in range(200)]
         for x in xs:
-            ref = [oracles.ref_label_membership(family, label, x) for label in LABELS]
-            assert _bits(family.fuzzify(x)) == _bits(ref), (universe, x)
+            ref = [oracles.ref_label_membership(universe, label, x) for label in LABELS]
+            assert _bits(universe.fuzzify(x)) == _bits(ref), (universe, x)
 
 
 def test_partition_of_unity():
-    for family in (DIVERSITY, ITERATION, *map(MembershipFamily, OUTPUTS)):
-        lo, hi = family.universe.lower, family.universe.upper
+    for universe in (DIVERSITY, ITERATION, *OUTPUTS):
+        lo, hi = universe.lower, universe.upper
         for x in np.linspace(lo, hi, 101):
-            total = sum(family.fuzzify(float(x)))
+            total = sum(universe.fuzzify(float(x)))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 

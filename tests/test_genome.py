@@ -143,6 +143,7 @@ def test_random_chromosome_equals_region_by_region_choices(layout):
     refs = GENE_REFERENCES
     ordinary_head = sym.functions + sym.terminals
     homeotic_head = sym.functions + refs
+    alphabets = position_alphabets(layout, sym)
     for seed in range(20):
         twin = random.Random(seed)
         parts = []
@@ -154,26 +155,26 @@ def test_random_chromosome_equals_region_by_region_choices(layout):
             parts += twin.choices(homeotic_head, k=layout.homeotic_head_len)
             parts += twin.choices(refs, k=layout.homeotic_tail_len)
         rng = random.Random(seed)
-        assert random_chromosome(layout, sym, rng) == "".join(parts)
+        assert random_chromosome(alphabets, rng) == "".join(parts)
         assert rng.random() == twin.random()  # same number of draws
 
 
 def test_random_chromosome_is_valid():
     sym = SymbolSet(("S", "C", "Q", "E"))
     layout = GeneLayout(n_homeotic=3)
+    alphabets = position_alphabets(layout, sym)
     rng = random.Random(5)
     for _ in range(200):
-        c = random_chromosome(layout, sym, rng)
+        c = random_chromosome(alphabets, rng)
         assert isinstance(c, str) and len(c) == layout.total_len
         assert validate(c, layout, sym) == []
 
 
 def test_random_chromosome_deterministic():
-    sym = SymbolSet()
-    layout = small_layout()
-    a = random_chromosome(layout, sym, random.Random(7))
-    b = random_chromosome(layout, sym, random.Random(7))
-    c = random_chromosome(layout, sym, random.Random(8))
+    alphabets = position_alphabets(small_layout(), SymbolSet())
+    a = random_chromosome(alphabets, random.Random(7))
+    b = random_chromosome(alphabets, random.Random(7))
+    c = random_chromosome(alphabets, random.Random(8))
     assert a == b
     assert a != c
 
@@ -187,7 +188,7 @@ def test_position_uniformity():
     n = 20000
     counts = [dict.fromkeys(alpha, 0) for alpha in alphabets]
     for _ in range(n):
-        flat = flatten(random_chromosome(layout, sym, rng))
+        flat = flatten(random_chromosome(alphabets, rng))
         for pos, sym_at in enumerate(flat):
             counts[pos][sym_at] += 1
     for pos, alpha in enumerate(alphabets):
@@ -252,9 +253,10 @@ def test_random_constant_set_mean():
 def test_flatten_rebuild_roundtrip():
     sym = SymbolSet(("S",))
     layout = GeneLayout(n_homeotic=2)
+    alphabets = position_alphabets(layout, sym)
     rng = random.Random(3)
     for _ in range(50):
-        c = random_chromosome(layout, sym, rng)
+        c = random_chromosome(alphabets, rng)
         assert flatten(c) == list(c)
         assert rebuild(flatten(c), layout) == c
     with pytest.raises(ValueError):
@@ -272,7 +274,7 @@ def test_gene_slices_tile_the_chromosome():
 
 
 def _valid_chromosome(layout, sym, seed=0):
-    return random_chromosome(layout, sym, random.Random(seed))
+    return random_chromosome(position_alphabets(layout, sym), random.Random(seed))
 
 
 def test_validate_accepts_valid():

@@ -2,13 +2,16 @@
 
 `perfbench/tracer.py` wraps package functions by name where their callers
 look them up. A refactor that drops or moves one of those names would fail
-only inside a traced benchmark run, so this test installs and removes the
-tracer once. The tracer's source is read, not imported, so nothing is
-written under perfbench/.
+only inside a traced benchmark run, and one that routes a call around a
+wrapped name would silently zero a per-layer metric, so these tests install
+the tracer, once empty and once around a short run. The tracer's source is
+read, not imported, so nothing is written under perfbench/.
 """
 
 import types
 from pathlib import Path
+
+from fuzzygep import cli
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -31,3 +34,14 @@ def test_tracer_installs_and_restores_every_target():
             assert owner.__dict__[attr] is not original, name
     for (owner, attr, name), original in zip(tracer.TARGETS, originals):
         assert owner.__dict__[attr] is original, name
+
+
+def test_short_run_records_a_span_for_every_target(tmp_path):
+    tracer = _load_tracer()
+    argv = ["run", "--problem", "f9", "--dim", "3", "--pop-size", "10", "--generations", "20",
+            "--runs", "1", "--seed", "0", "--termination-tolerance", "none",
+            "--trace", str(tmp_path / "trace.csv"), "--summary", str(tmp_path / "summary.csv")]
+    with tracer.Tracer() as spans:
+        assert cli.main(argv) == 0
+    by_name = tracer.span_stats(spans)["by_name"]
+    assert [name for name, stats in by_name.items() if stats["calls"] == 0] == []
