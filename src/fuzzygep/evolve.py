@@ -26,7 +26,7 @@ from .fuzzy import (
 )
 from .genome import (
     GENE_REFERENCES,
-    GeneLayout,
+    ORDINARY_END,
     SymbolSet,
     flatten,
     gene_slices,
@@ -203,17 +203,16 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return list(picked)
 
 
-def mutate(chromosome: str, p_m: float, k: int, layout: GeneLayout,
-           alphabets, rng: random.Random) -> str:
+def mutate(chromosome: str, p_m: float, k: int, alphabets, rng: random.Random) -> str:
     """With probability p_m, rewrite k distinct positions to new legal symbols."""
     if rng.random() >= p_m:
         return chromosome
     flat = flatten(chromosome)
     for pos in _sample_indices(rng, len(flat), min(k, len(flat))):
+        # every slot's alphabet holds at least two symbols, so others is never empty
         others = [s for s in alphabets[pos] if s != flat[pos]]
-        if others:
-            flat[pos] = others[rng.randrange(len(others))]
-    return rebuild(flat, layout)
+        flat[pos] = others[rng.randrange(len(others))]
+    return rebuild(flat)
 
 
 def _sort_key(direction: str):
@@ -257,10 +256,9 @@ class Engine:
         self.seed = seed
         self.rng = random.Random(seed)
         self.symbols = SymbolSet(problem.extra_operators)
-        self.layout = GeneLayout(n_homeotic=problem.dim)
-        self.alphabets = position_alphabets(self.layout, self.symbols)
+        self.alphabets = position_alphabets(problem.dim, self.symbols)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
-        self.ordinary_slices, self.homeotic_slices = gene_slices(self.layout)
+        self.ordinary_slices, self.homeotic_slices = gene_slices(problem.dim)
         self.constants = None
         # A homeotic gene's coordinate depends only on its coding string and
         # the ordinary-gene values, so it is computed once per pair: packed
@@ -277,7 +275,6 @@ class Engine:
         # REGION_MEMO_TEMP_POPULATIONS temp populations' worth of regions:
         # reuse comes from recent ancestors, and without the limit a run would
         # keep every region it saw before its first constant reset.
-        self._ordinary_end = self.ordinary_slices[-1][1].stop
         self._regions: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
         self._regions_constants = None
         self._regions_limit = REGION_MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
@@ -286,7 +283,7 @@ class Engine:
         if self.constants is not self._regions_constants or len(self._regions) >= self._regions_limit:
             self._regions = {}
             self._regions_constants = self.constants
-        region = chromosome[:self._ordinary_end]
+        region = chromosome[:ORDINARY_END]
         entry = self._regions.get(region)
         if entry is None:
             symbols, constants = self.symbols, self.constants
@@ -340,7 +337,7 @@ class Engine:
             return out + pool[len(out):]
 
         def mutated(genomes):
-            return [mutate(g, rates.p_m, MUTATIONS_PER_INDIVIDUAL, self.layout, self.alphabets, rng)
+            return [mutate(g, rates.p_m, MUTATIONS_PER_INDIVIDUAL, self.alphabets, rng)
                     for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]

@@ -1,19 +1,17 @@
 """Linear genomes for multicellular gene expression programming.
 
 A chromosome is one string with one character per slot.  It holds two kinds
-of genes at fixed offsets given by GeneLayout: first the ordinary genes, each
-a head, a tail and a Dc region, which decode to one real number each; then
-the homeotic genes, each a head and a tail, whose terminals are reference
-characters naming ordinary genes.  Each homeotic gene produces one
-coordinate of the candidate point.
+of genes at the fixed offsets gene_slices gives: first the ordinary genes,
+each a head, a tail and a Dc region, which decode to one real number each;
+then one homeotic gene per coordinate of the candidate point, each a head
+and a tail, whose terminals are reference characters naming ordinary genes.
+The gene sizes are module constants.
 """
 
 from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
-from functools import cached_property
 
 FUNCTION_ARITIES = {
     "+": 2,
@@ -64,35 +62,20 @@ class SymbolSet:
         self.dc_index = {sym: i for i, sym in enumerate(self.dc_alphabet)}
 
 
-@dataclass(frozen=True)
-class GeneLayout:
-    """Structural sizes shared by every chromosome in a population.
-
-    The shape is the method's: two ordinary genes with head 6 and one
-    homeotic gene with head 4 per coordinate.  A tail of h*(amax-1) + 1 slots
-    keeps any head expressible; no operator takes more than two arguments,
-    so every tail is h + 1 long.
-    """
-
-    n_homeotic: int = 1
-
-    n_ordinary = len(GENE_REFERENCES)
-    ordinary_head_len = 6
-    homeotic_head_len = 4
-    ordinary_tail_len = ordinary_head_len + 1
-    homeotic_tail_len = homeotic_head_len + 1
-    # one Dc slot per possible '?' in the expressed region
-    dc_len = ordinary_tail_len
-    ordinary_gene_len = ordinary_head_len + ordinary_tail_len + dc_len
-    homeotic_gene_len = homeotic_head_len + homeotic_tail_len
-
-    def __post_init__(self):
-        if self.n_homeotic < 1:
-            raise ValueError("n_homeotic must be positive")
-
-    @cached_property
-    def total_len(self) -> int:
-        return self.n_ordinary * self.ordinary_gene_len + self.n_homeotic * self.homeotic_gene_len
+# The shape is the method's: two ordinary genes with head 6 and one homeotic
+# gene with head 4 per coordinate.  A tail of h*(amax-1) + 1 slots keeps any
+# head expressible; no operator takes more than two arguments, so every tail
+# is h + 1 long.
+ORDINARY_HEAD_LEN = 6
+HOMEOTIC_HEAD_LEN = 4
+ORDINARY_TAIL_LEN = ORDINARY_HEAD_LEN + 1
+HOMEOTIC_TAIL_LEN = HOMEOTIC_HEAD_LEN + 1
+# one Dc slot per possible '?' in the expressed region
+DC_LEN = ORDINARY_TAIL_LEN
+ORDINARY_GENE_LEN = ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN + DC_LEN
+HOMEOTIC_GENE_LEN = HOMEOTIC_HEAD_LEN + HOMEOTIC_TAIL_LEN
+# where the ordinary region ends and the first homeotic gene starts
+ORDINARY_END = len(GENE_REFERENCES) * ORDINARY_GENE_LEN
 
 
 def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple[float, ...]:
@@ -102,21 +85,17 @@ def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple
     return tuple(rng.uniform(lower, upper) for _ in range(N_CONSTANTS))
 
 
-def position_alphabets(layout: GeneLayout, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
-    """Legal symbols for every slot of the chromosome string, in order."""
+def position_alphabets(n_homeotic: int, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
+    """Legal symbols for every slot of a chromosome with n_homeotic homeotic
+    genes, in order."""
+    if n_homeotic < 1:
+        raise ValueError("n_homeotic must be positive")
     refs = GENE_REFERENCES
     functions, terminals = symbols.functions, symbols.terminals
-    ordinary_head = functions + terminals
-    homeotic_head = functions + refs
-    table: list[tuple[str, ...]] = []
-    for _ in range(layout.n_ordinary):
-        table += [ordinary_head] * layout.ordinary_head_len
-        table += [terminals] * layout.ordinary_tail_len
-        table += [symbols.dc_alphabet] * layout.dc_len
-    for _ in range(layout.n_homeotic):
-        table += [homeotic_head] * layout.homeotic_head_len
-        table += [refs] * layout.homeotic_tail_len
-    return tuple(table)
+    ordinary = ([functions + terminals] * ORDINARY_HEAD_LEN + [terminals] * ORDINARY_TAIL_LEN
+                + [symbols.dc_alphabet] * DC_LEN)
+    homeotic = [functions + refs] * HOMEOTIC_HEAD_LEN + [refs] * HOMEOTIC_TAIL_LEN
+    return tuple(ordinary * len(refs) + homeotic * n_homeotic)
 
 
 def random_chromosome(alphabets, rng: random.Random) -> str:
@@ -136,23 +115,20 @@ def flatten(chromosome: str) -> list[str]:
     return list(chromosome)
 
 
-def rebuild(flat, layout: GeneLayout) -> str:
-    """Inverse of flatten for a given layout."""
-    if len(flat) != layout.total_len:
-        raise ValueError(f"expected {layout.total_len} symbols, got {len(flat)}")
+def rebuild(flat) -> str:
+    """Inverse of flatten."""
     return "".join(flat)
 
 
-def gene_slices(layout: GeneLayout) -> tuple[tuple[tuple[slice, slice], ...], tuple[slice, ...]]:
-    """Where the genes sit in a chromosome string: a (coding, dc) slice pair
-    per ordinary gene, then the coding slice of each homeotic gene."""
+def gene_slices(n_homeotic: int) -> tuple[tuple[tuple[slice, slice], ...], tuple[slice, ...]]:
+    """Where the genes sit in a chromosome string with n_homeotic homeotic
+    genes: a (coding, dc) slice pair per ordinary gene, then the coding slice
+    of each homeotic gene."""
     ordinary = []
-    for g in range(layout.n_ordinary):
-        start = g * layout.ordinary_gene_len
-        dc = start + layout.ordinary_head_len + layout.ordinary_tail_len
-        ordinary.append((slice(start, dc), slice(dc, dc + layout.dc_len)))
-    base = layout.n_ordinary * layout.ordinary_gene_len
-    size = layout.homeotic_gene_len
-    homeotic = tuple(slice(base + g * size, base + (g + 1) * size) for g in range(layout.n_homeotic))
+    for g in range(len(GENE_REFERENCES)):
+        start = g * ORDINARY_GENE_LEN
+        dc = start + ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN
+        ordinary.append((slice(start, dc), slice(dc, dc + DC_LEN)))
+    size = HOMEOTIC_GENE_LEN
+    homeotic = tuple(slice(ORDINARY_END + g * size, ORDINARY_END + (g + 1) * size) for g in range(n_homeotic))
     return tuple(ordinary), homeotic
-

@@ -16,7 +16,7 @@ from operator import contains
 import numpy as np
 
 from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
-from fuzzygep.genome import GENE_REFERENCES, GeneLayout, SymbolSet, gene_slices
+from fuzzygep.genome import GENE_REFERENCES, SymbolSet, gene_slices
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 
@@ -286,14 +286,14 @@ def ref_mutate(chromosome, p_m, k, alphabets, rng):
     return "".join(flat)
 
 
-def eval_chromosome(chromosome: str, layout: GeneLayout, symbols: SymbolSet,
+def eval_chromosome(chromosome: str, n_homeotic: int, symbols: SymbolSet,
                     constants: tuple[float, ...]) -> tuple[float, ...]:
     """Candidate point: one coordinate per homeotic gene.
 
     This is the uncached reference decode: `Engine.evaluate` memoizes
     coordinates and is tested to return the same bits as this function.
     """
-    ordinary, homeotic = gene_slices(layout)
+    ordinary, homeotic = gene_slices(n_homeotic)
     ordinary_values = {
         ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
         for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
@@ -355,22 +355,25 @@ def ref_eval_homeotic(coding, ordinary_values):
 # --- structure of a chromosome, from the region definitions ---
 
 @lru_cache(maxsize=None)
-def _ref_slots(layout, functions, terminals, dc_alphabet):
+def _ref_slots(n_homeotic, functions, terminals, dc_alphabet):
     """Name and allowed set of every slot, in order.
 
-    Ordinary heads take functions and terminals, ordinary tails terminals
-    only, and Dc regions the constant letters. A homeotic gene takes gene
-    references where an ordinary gene takes terminals.
+    The sizes are the method's, written here rather than read from the
+    package: two ordinary genes, each a head of 6, a tail of 7 and a Dc
+    region of 7, then n_homeotic homeotic genes, each a head of 4 and a tail
+    of 5. Ordinary heads take functions and terminals, ordinary tails
+    terminals only, and Dc regions the constant letters. A homeotic gene
+    takes gene references where an ordinary gene takes terminals.
     """
     refs = frozenset(GENE_REFERENCES)
-    ordinary = (("head", GeneLayout.ordinary_head_len, frozenset(functions) | frozenset(terminals)),
-                ("tail", GeneLayout.ordinary_tail_len, frozenset(terminals)),
-                ("dc", GeneLayout.dc_len, frozenset(dc_alphabet)))
-    homeotic = (("head", GeneLayout.homeotic_head_len, frozenset(functions) | refs),
-                ("tail", GeneLayout.homeotic_tail_len, refs))
+    ordinary = (("head", 6, frozenset(functions) | frozenset(terminals)),
+                ("tail", 7, frozenset(terminals)),
+                ("dc", 7, frozenset(dc_alphabet)))
+    homeotic = (("head", 4, frozenset(functions) | refs),
+                ("tail", 5, refs))
     names, allowed = [], []
-    for kind, n_genes, regions in (("ordinary", GeneLayout.n_ordinary, ordinary),
-                                   ("homeotic", layout.n_homeotic, homeotic)):
+    for kind, n_genes, regions in (("ordinary", 2, ordinary),
+                                   ("homeotic", n_homeotic, homeotic)):
         for gene in range(n_genes):
             for region, size, symbols in regions:
                 names += [f"{kind} gene {gene} {region}, position {i}" for i in range(size)]
@@ -378,14 +381,14 @@ def _ref_slots(layout, functions, terminals, dc_alphabet):
     return tuple(names), tuple(allowed)
 
 
-def ref_allowed_sets(layout: GeneLayout, symbols: SymbolSet) -> tuple[frozenset, ...]:
+def ref_allowed_sets(n_homeotic: int, symbols: SymbolSet) -> tuple[frozenset, ...]:
     """The set of legal symbols at every slot of the chromosome string."""
-    return _ref_slots(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)[1]
+    return _ref_slots(n_homeotic, symbols.functions, symbols.terminals, symbols.dc_alphabet)[1]
 
 
-def validate(chromosome: str, layout: GeneLayout, symbols: SymbolSet) -> list[str]:
+def validate(chromosome: str, n_homeotic: int, symbols: SymbolSet) -> list[str]:
     """Structural check; returns human-readable violations, empty when valid."""
-    names, allowed = _ref_slots(layout, symbols.functions, symbols.terminals, symbols.dc_alphabet)
+    names, allowed = _ref_slots(n_homeotic, symbols.functions, symbols.terminals, symbols.dc_alphabet)
     if len(chromosome) != len(allowed):
         return [f"expected {len(allowed)} symbols, got {len(chromosome)}"]
     if all(map(contains, allowed, chromosome)):

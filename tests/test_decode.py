@@ -15,7 +15,6 @@ from fuzzygep.decode import (
 from fuzzygep.genome import (
     GENE_REFERENCES,
     N_CONSTANTS,
-    GeneLayout,
     SymbolSet,
     gene_slices,
     position_alphabets,
@@ -25,7 +24,7 @@ from fuzzygep.genome import (
 SYM = SymbolSet()
 CONSTS = (0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 # two ordinary genes (head 6, tail 7, dc 7), two homeotic genes (head 4, tail 5)
-SMALL = GeneLayout(n_homeotic=2)
+SMALL = 2
 
 
 def ordinary(coding, dc):
@@ -147,16 +146,16 @@ def test_non_finite_propagation_without_raising():
     assert math.isnan(eval_ordinary("-**EEEEEEEE" + "j" * 12, "A" * 12, sym, CONSTS))
 
 
-def _randomize_unexpressed(c, layout, sym, rng):
+def _randomize_unexpressed(c, n_homeotic, sym, rng):
     """Rewrite every slot the decoder never reads; value must not move."""
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(n_homeotic, sym)
     slots = list(c)
 
     def scramble(start, stop):
         for pos in range(start, stop):
             slots[pos] = rng.choice(alphabets[pos])
 
-    ordinary, homeotic = gene_slices(layout)
+    ordinary, homeotic = gene_slices(n_homeotic)
     for coding, dc in ordinary:
         n_expr = expressed_length(c[coding], sym)
         n_rnc = c[coding][:n_expr].count("?")
@@ -169,14 +168,13 @@ def _randomize_unexpressed(c, layout, sym, rng):
 
 def test_unexpressed_regions_never_change_value():
     sym = SymbolSet(("S", "Q"))
-    layout = GeneLayout(n_homeotic=2)
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(2, sym)
     rng = random.Random(17)
     for _ in range(100):
         c = random_chromosome(alphabets, rng)
-        base = eval_chromosome(c, layout, sym, CONSTS)
-        shuffled = _randomize_unexpressed(c, layout, sym, rng)
-        again = eval_chromosome(shuffled, layout, sym, CONSTS)
+        base = eval_chromosome(c, 2, sym, CONSTS)
+        shuffled = _randomize_unexpressed(c, 2, sym, rng)
+        again = eval_chromosome(shuffled, 2, sym, CONSTS)
         for u, v in zip(base, again):
             assert u == v or (math.isnan(u) and math.isnan(v))
 
@@ -192,9 +190,8 @@ def test_gene_values_match_the_level_by_level_reference(extra):
     """Both gene decoders give the bits of a decoder written from the
     K-expression definition, NaN for NaN, on random chromosomes."""
     sym = SymbolSet(extra)
-    layout = GeneLayout(n_homeotic=4)
-    alphabets = position_alphabets(layout, sym)
-    ordinary_slices, homeotic_slices = gene_slices(layout)
+    alphabets = position_alphabets(4, sym)
+    ordinary_slices, homeotic_slices = gene_slices(4)
     rng = random.Random(31)
     for _ in range(3000):
         c = random_chromosome(alphabets, rng)

@@ -23,15 +23,14 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
-    GeneLayout,
     SymbolSet,
     position_alphabets,
     random_chromosome,
 )
 
 SYM = SymbolSet()
-LAYOUT = GeneLayout(n_homeotic=2)
-ALPHABETS = position_alphabets(LAYOUT, SYM)
+N_HOMEOTIC = 2
+ALPHABETS = position_alphabets(N_HOMEOTIC, SYM)
 
 
 def stub(fitness):
@@ -213,7 +212,7 @@ def test_crossover_offspring_always_valid():
         a = random_chromosome(ALPHABETS, rng)
         b = random_chromosome(ALPHABETS, rng)
         for child in crossover(a, b, 1.0, rng):
-            assert oracles.validate(child, LAYOUT, SYM) == []
+            assert oracles.validate(child, N_HOMEOTIC, SYM) == []
 
 
 # --- mutate ---
@@ -221,14 +220,14 @@ def test_crossover_offspring_always_valid():
 def test_mutate_never_fires_at_zero_rate():
     rng = random.Random(4)
     c = random_chromosome(ALPHABETS, rng)
-    assert mutate(c, 0.0, 2, LAYOUT, ALPHABETS, rng) == c
+    assert mutate(c, 0.0, 2, ALPHABETS, rng) == c
 
 
 def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
+        m = mutate(c, 1.0, 2, ALPHABETS, rng)
         diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
 
@@ -237,8 +236,8 @@ def test_mutate_respects_position_alphabets():
     rng = random.Random(6)
     for _ in range(1000):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, 2, LAYOUT, ALPHABETS, rng)
-        assert oracles.validate(m, LAYOUT, SYM) == []
+        m = mutate(c, 1.0, 2, ALPHABETS, rng)
+        assert oracles.validate(m, N_HOMEOTIC, SYM) == []
 
 
 # --- selection ---
@@ -332,19 +331,19 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
         assert ours.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("layout", [
-    GeneLayout(n_homeotic=1),  # 49 slots
-    LAYOUT,  # 58 slots
-    GeneLayout(n_homeotic=30),  # 310 slots
+@pytest.mark.parametrize("n_homeotic", [
+    pytest.param(1, id="layout0"),  # 49 slots
+    pytest.param(N_HOMEOTIC, id="layout1"),  # 58 slots
+    pytest.param(30, id="layout2"),  # 310 slots
 ])
 @pytest.mark.parametrize("k", [1, 2, 6, 10])
-def test_mutate_matches_stdlib_reference(layout, k):
-    alphabets = position_alphabets(layout, SYM)
+def test_mutate_matches_stdlib_reference(n_homeotic, k):
+    alphabets = position_alphabets(n_homeotic, SYM)
     genomes = random.Random(k)
     ours, twin = random.Random(k), random.Random(k)
     for _ in range(300):
         c = random_chromosome(alphabets, genomes)
-        assert (mutate(c, 0.5, k, layout, alphabets, ours)
+        assert (mutate(c, 0.5, k, alphabets, ours)
                 == oracles.ref_mutate(c, 0.5, k, alphabets, twin))
     assert ours.getstate() == twin.getstate()
 
@@ -370,10 +369,9 @@ def _fresh_constants(engine, rng):
 
 def test_engine_layout_matches_problem():
     eng = make_engine("f9")
-    assert eng.layout.n_homeotic == 30
-    assert eng.layout.n_ordinary == 2
-    assert eng.layout.ordinary_head_len == 6
-    assert eng.layout.homeotic_head_len == 4
+    assert len(eng.ordinary_slices) == 2
+    assert len(eng.homeotic_slices) == 30
+    assert len(eng.alphabets) == 2 * (6 + 7 + 7) + 30 * (4 + 5)
     assert len(eng.symbols.dc_alphabet) == 10
 
 
@@ -385,7 +383,7 @@ def test_temp_population_is_parents_plus_four_batches():
     assert len(temp) == 50
     assert temp[:10] == parents
     for ind in temp:
-        assert oracles.validate(ind.chromosome, eng.layout, eng.symbols) == []
+        assert oracles.validate(ind.chromosome, eng.problem.dim, eng.symbols) == []
 
 
 def test_temp_population_zero_rates_gives_clones():
@@ -467,7 +465,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     rng = random.Random(17)
     parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
-    chromosomes = parents + [mutate(c, 1.0, 2, eng.layout, eng.alphabets, rng) for c in parents]
+    chromosomes = parents + [mutate(c, 1.0, 2, eng.alphabets, rng) for c in parents]
     chromosomes += [crossover(a, b, 1.0, rng)[0] for a, b in zip(parents, parents[1:])]
     real = evolve.eval_homeotic
     calls = Counter()
@@ -481,7 +479,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     for _ in range(2):
         eng.constants = _fresh_constants(eng, rng)
         for c in chromosomes:
-            want = oracles.eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+            want = oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, eng.constants)
             assert pack(*eng.evaluate(c).point) == pack(*want)
     assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
 
@@ -512,14 +510,14 @@ def test_region_memo_follows_the_constant_set():
     tail = "a" * 11 + "A" * 7 + "0" * 9 * 2
     c1 = "+a?" + "a" * 10 + "A" * 7 + "ba" + tail
     c2 = "+a?" + "a" * 10 + "A" * 7 + "bc" + tail
-    end = eng.layout.n_ordinary * eng.layout.ordinary_gene_len
+    end = 2 * (6 + 7 + 7)
     pack = struct.Struct("<2d").pack
     for constants, x in ((first, -3.0), (second, 4.5), (first, -3.0)):
         eng.constants = constants
         for c in (c1, c2):
             point = eng.evaluate(c).point
             assert point == (x, x)
-            assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.layout, eng.symbols, constants))
+            assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, constants))
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
@@ -533,7 +531,7 @@ def test_region_memo_stays_bounded():
     pack = struct.Struct("<10d").pack
     for _ in range(3 * limit):
         c = random_chromosome(eng.alphabets, rng)
-        want = oracles.eval_chromosome(c, eng.layout, eng.symbols, eng.constants)
+        want = oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, eng.constants)
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit
 

@@ -1,15 +1,23 @@
+import dataclasses
 import random
-from dataclasses import fields
 
 import pytest
 from oracles import expressed_length, ref_allowed_sets, validate
 
 from fuzzygep import bench
+from fuzzygep.evolve import Engine
 from fuzzygep.genome import (
+    DC_LEN,
     FUNCTION_ARITIES,
     GENE_REFERENCES,
+    HOMEOTIC_GENE_LEN,
+    HOMEOTIC_HEAD_LEN,
+    HOMEOTIC_TAIL_LEN,
     N_CONSTANTS,
-    GeneLayout,
+    ORDINARY_END,
+    ORDINARY_GENE_LEN,
+    ORDINARY_HEAD_LEN,
+    ORDINARY_TAIL_LEN,
     SymbolSet,
     flatten,
     gene_slices,
@@ -23,14 +31,10 @@ from fuzzygep.genome import (
 CHI2_999 = {1: 10.828, 5: 20.515, 9: 27.877, 10: 29.588, 14: 36.123}
 
 
-def small_layout():
-    return GeneLayout(n_homeotic=1)
-
-
 def test_tail_length_formula():
     """Tails are h*(amax-1) + 1 slots long, with amax = 2."""
-    assert GeneLayout.ordinary_tail_len == 6 * (2 - 1) + 1 == 7
-    assert GeneLayout.homeotic_tail_len == 4 * (2 - 1) + 1 == 5
+    assert ORDINARY_TAIL_LEN == 6 * (2 - 1) + 1 == 7
+    assert HOMEOTIC_TAIL_LEN == 4 * (2 - 1) + 1 == 5
 
 
 def test_fixed_tails_fit_every_registry_problem():
@@ -41,35 +45,28 @@ def test_fixed_tails_fit_every_registry_problem():
     for name in bench.problem_names():
         sym = SymbolSet(bench.builtin(name).extra_operators)
         assert max(sym.arity.values()) == 2, name
-        for h, tail, terminal in ((GeneLayout.ordinary_head_len, GeneLayout.ordinary_tail_len, "a"),
-                                  (GeneLayout.homeotic_head_len, GeneLayout.homeotic_tail_len, "0")):
+        for h, tail, terminal in ((ORDINARY_HEAD_LEN, ORDINARY_TAIL_LEN, "a"),
+                                  (HOMEOTIC_HEAD_LEN, HOMEOTIC_TAIL_LEN, "0")):
             assert tail == h + 1
             assert expressed_length("+" * h + terminal * tail, sym) == h + tail, name
 
 
 def test_layout_derived_sizes():
-    layout = GeneLayout(n_homeotic=2)
-    assert layout.ordinary_tail_len == 7
-    assert layout.homeotic_tail_len == 5
-    assert layout.dc_len == 7
-    assert layout.ordinary_gene_len == 20
-    assert layout.homeotic_gene_len == 9
-    assert layout.total_len == 2 * 20 + 2 * 9
-    assert [f.name for f in fields(GeneLayout)] == ["n_homeotic"]
+    assert (ORDINARY_HEAD_LEN, ORDINARY_TAIL_LEN, DC_LEN) == (6, 7, 7)
+    assert (HOMEOTIC_HEAD_LEN, HOMEOTIC_TAIL_LEN) == (4, 5)
+    assert ORDINARY_GENE_LEN == 20
+    assert HOMEOTIC_GENE_LEN == 9
+    assert ORDINARY_END == 40
+    assert len(position_alphabets(2, SymbolSet())) == 2 * 20 + 2 * 9
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"ordinary_head_len": 0},
-    {"homeotic_head_len": -1},
-    {"n_ordinary": 0},
-    {"n_homeotic": 0},
-    {"max_arity": 0},
-])
-def test_layout_rejects_bad_sizes(kwargs):
-    """n_homeotic must be positive; every other size is fixed, so naming one
-    is a TypeError."""
-    with pytest.raises(ValueError if "n_homeotic" in kwargs else TypeError):
-        GeneLayout(**kwargs)
+def test_dimension_zero_is_rejected():
+    """Problem is public, so a problem of dimension 0 built by hand must not
+    give a chromosome without homeotic genes."""
+    with pytest.raises(ValueError, match="n_homeotic must be positive"):
+        position_alphabets(0, SymbolSet())
+    with pytest.raises(ValueError, match="n_homeotic must be positive"):
+        Engine(dataclasses.replace(bench.builtin("f1"), dim=0))
 
 
 def test_symbolset_contents():
@@ -114,46 +111,45 @@ def test_registry_alphabets_are_disjoint_single_ascii_non_digits():
 
 def test_gene_references():
     assert GENE_REFERENCES == ("0", "1")
-    assert GeneLayout.n_ordinary == len(GENE_REFERENCES)
+    assert len(gene_slices(1)[0]) == len(GENE_REFERENCES)
 
 
 @pytest.mark.parametrize("n", [1, 10, 11, 40])
 def test_gene_references_are_distinct_single_characters_outside_other_alphabets(n):
-    """Every homeotic tail of an n-gene layout reads the same two references,
-    which no other alphabet holds."""
+    """Every homeotic tail of an n-gene chromosome reads the same two
+    references, which no other alphabet holds."""
     sym = SymbolSet(("S", "C", "Q", "E"))
-    layout = GeneLayout(n_homeotic=n)
-    alphabets = position_alphabets(layout, sym)
-    start = layout.n_ordinary * layout.ordinary_gene_len + layout.homeotic_head_len
-    tails = {alphabets[g * layout.homeotic_gene_len + start + i]
-             for g in range(n) for i in range(layout.homeotic_tail_len)}
+    alphabets = position_alphabets(n, sym)
+    start = ORDINARY_END + HOMEOTIC_HEAD_LEN
+    tails = {alphabets[g * HOMEOTIC_GENE_LEN + start + i]
+             for g in range(n) for i in range(HOMEOTIC_TAIL_LEN)}
     assert tails == {GENE_REFERENCES}
     assert len(set(GENE_REFERENCES)) == 2 and all(len(r) == 1 for r in GENE_REFERENCES)
     assert not set(GENE_REFERENCES) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
 
 
-@pytest.mark.parametrize("layout", [
-    GeneLayout(n_homeotic=1),
-    GeneLayout(n_homeotic=30),
-    GeneLayout(n_homeotic=50),
+@pytest.mark.parametrize("n_homeotic", [
+    pytest.param(1, id="layout0"),
+    pytest.param(30, id="layout1"),
+    pytest.param(50, id="layout2"),
 ])
-def test_random_chromosome_equals_region_by_region_choices(layout):
+def test_random_chromosome_equals_region_by_region_choices(n_homeotic):
     """The single-pass draw is the rng.choices draw, slot for slot."""
     sym = SymbolSet(("S", "Q"))
     refs = GENE_REFERENCES
     ordinary_head = sym.functions + sym.terminals
     homeotic_head = sym.functions + refs
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(n_homeotic, sym)
     for seed in range(20):
         twin = random.Random(seed)
         parts = []
-        for _ in range(layout.n_ordinary):
-            parts += twin.choices(ordinary_head, k=layout.ordinary_head_len)
-            parts += twin.choices(sym.terminals, k=layout.ordinary_tail_len)
-            parts += twin.choices(sym.dc_alphabet, k=layout.dc_len)
-        for _ in range(layout.n_homeotic):
-            parts += twin.choices(homeotic_head, k=layout.homeotic_head_len)
-            parts += twin.choices(refs, k=layout.homeotic_tail_len)
+        for _ in range(len(GENE_REFERENCES)):
+            parts += twin.choices(ordinary_head, k=ORDINARY_HEAD_LEN)
+            parts += twin.choices(sym.terminals, k=ORDINARY_TAIL_LEN)
+            parts += twin.choices(sym.dc_alphabet, k=DC_LEN)
+        for _ in range(n_homeotic):
+            parts += twin.choices(homeotic_head, k=HOMEOTIC_HEAD_LEN)
+            parts += twin.choices(refs, k=HOMEOTIC_TAIL_LEN)
         rng = random.Random(seed)
         assert random_chromosome(alphabets, rng) == "".join(parts)
         assert rng.random() == twin.random()  # same number of draws
@@ -161,17 +157,16 @@ def test_random_chromosome_equals_region_by_region_choices(layout):
 
 def test_random_chromosome_is_valid():
     sym = SymbolSet(("S", "C", "Q", "E"))
-    layout = GeneLayout(n_homeotic=3)
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(3, sym)
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(alphabets, rng)
-        assert isinstance(c, str) and len(c) == layout.total_len
-        assert validate(c, layout, sym) == []
+        assert isinstance(c, str) and len(c) == ORDINARY_END + 3 * HOMEOTIC_GENE_LEN
+        assert validate(c, 3, sym) == []
 
 
 def test_random_chromosome_deterministic():
-    alphabets = position_alphabets(small_layout(), SymbolSet())
+    alphabets = position_alphabets(1, SymbolSet())
     a = random_chromosome(alphabets, random.Random(7))
     b = random_chromosome(alphabets, random.Random(7))
     c = random_chromosome(alphabets, random.Random(8))
@@ -182,8 +177,7 @@ def test_random_chromosome_deterministic():
 def test_position_uniformity():
     """Chi-square on every slot of the flat chromosome at the 99.9% level."""
     sym = SymbolSet()
-    layout = small_layout()
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(1, sym)
     rng = random.Random(42)
     n = 20000
     counts = [dict.fromkeys(alpha, 0) for alpha in alphabets]
@@ -200,31 +194,38 @@ def test_position_uniformity():
 
 def test_position_alphabets_structure():
     sym = SymbolSet()
-    layout = small_layout()
-    alphabets = position_alphabets(layout, sym)
-    assert len(alphabets) == layout.total_len
+    alphabets = position_alphabets(1, sym)
+    assert len(alphabets) == ORDINARY_END + HOMEOTIC_GENE_LEN
     refs = GENE_REFERENCES
     # ordinary gene 0: head, tail, dc
     assert "+" in alphabets[0] and "?" in alphabets[0]
-    tail_start = layout.ordinary_head_len
+    tail_start = ORDINARY_HEAD_LEN
     assert set(alphabets[tail_start]) == set(sym.terminals)
-    dc_start = tail_start + layout.ordinary_tail_len
+    dc_start = tail_start + ORDINARY_TAIL_LEN
     assert set(alphabets[dc_start]) == set(sym.dc_alphabet)
     # homeotic gene: head admits functions and refs, tail refs only
-    hom_start = layout.n_ordinary * layout.ordinary_gene_len
+    hom_start = ORDINARY_END
     assert set(alphabets[hom_start]) == set(sym.functions) | set(refs)
-    assert set(alphabets[hom_start + layout.homeotic_head_len]) == set(refs)
+    assert set(alphabets[hom_start + HOMEOTIC_HEAD_LEN]) == set(refs)
 
 
 @pytest.mark.parametrize("n_homeotic", [1, 2, 30, 50])
 def test_position_alphabets_match_the_region_definitions(n_homeotic):
     """Every slot draws from exactly the set its region allows; a validity
     check of drawn genomes cannot see an alphabet that is too narrow."""
-    layout = GeneLayout(n_homeotic=n_homeotic)
     for name in bench.problem_names():
         sym = SymbolSet(bench.builtin(name).extra_operators)
-        alphabets = list(map(set, position_alphabets(layout, sym)))
-        assert alphabets == list(ref_allowed_sets(layout, sym)), name
+        alphabets = list(map(set, position_alphabets(n_homeotic, sym)))
+        assert alphabets == list(ref_allowed_sets(n_homeotic, sym)), name
+
+
+@pytest.mark.parametrize("n_homeotic", [1, 30, 50])
+def test_every_slot_offers_a_mutation_target(n_homeotic):
+    """mutate rewrites a slot to another symbol of its alphabet without
+    checking that one exists, so every alphabet needs at least two."""
+    for name in bench.problem_names():
+        sym = SymbolSet(bench.builtin(name).extra_operators)
+        assert min(map(len, position_alphabets(n_homeotic, sym))) >= 2, name
 
 
 def test_random_constant_set_bounds_and_length():
@@ -252,75 +253,75 @@ def test_random_constant_set_mean():
 
 def test_flatten_rebuild_roundtrip():
     sym = SymbolSet(("S",))
-    layout = GeneLayout(n_homeotic=2)
-    alphabets = position_alphabets(layout, sym)
+    alphabets = position_alphabets(2, sym)
     rng = random.Random(3)
     for _ in range(50):
         c = random_chromosome(alphabets, rng)
         assert flatten(c) == list(c)
-        assert rebuild(flatten(c), layout) == c
-    with pytest.raises(ValueError):
-        rebuild(flatten(c)[:-1], layout)
+        assert rebuild(flatten(c)) == c
 
 
 def test_gene_slices_tile_the_chromosome():
-    layout = GeneLayout(n_homeotic=2)
-    ordinary, homeotic = gene_slices(layout)
+    """gene_slices and position_alphabets read the sizes separately, so the
+    slices must tile the alphabet table and land on the regions it lists."""
+    ordinary, homeotic = gene_slices(2)
     assert ordinary == ((slice(0, 13), slice(13, 20)), (slice(20, 33), slice(33, 40)))
     assert homeotic == (slice(40, 49), slice(49, 58))
-    covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
-    covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
-    assert covered == list(range(layout.total_len))
+    sym = SymbolSet(("S", "C"))
+    for n in (1, 2, 30, 50):
+        ordinary, homeotic = gene_slices(n)
+        alphabets = position_alphabets(n, sym)
+        covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
+        covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
+        assert covered == list(range(len(alphabets))), n
+        assert all(a == sym.dc_alphabet for _, dc in ordinary for a in alphabets[dc]), n
+        assert all(a == GENE_REFERENCES for coding in homeotic
+                   for a in alphabets[coding][-HOMEOTIC_TAIL_LEN:]), n
 
 
-def _valid_chromosome(layout, sym, seed=0):
-    return random_chromosome(position_alphabets(layout, sym), random.Random(seed))
+def _valid_chromosome(n_homeotic, sym, seed=0):
+    return random_chromosome(position_alphabets(n_homeotic, sym), random.Random(seed))
 
 
 def test_validate_accepts_valid():
     sym = SymbolSet()
-    layout = small_layout()
-    assert validate(_valid_chromosome(layout, sym), layout, sym) == []
+    assert validate(_valid_chromosome(1, sym), 1, sym) == []
 
 
 def _replace(c: str, pos: int, sym: str) -> str:
     return c[:pos] + sym + c[pos + 1:]
 
 
-# small_layout(): ordinary genes of 6 head + 7 tail + 7 dc slots at 0 and 20,
-# then one homeotic gene of 4 head + 5 tail slots at 40
+# one homeotic gene: ordinary genes of 6 head + 7 tail + 7 dc slots at 0 and
+# 20, then the homeotic gene of 4 head + 5 tail slots at 40
 
 
 def test_validate_flags_function_in_tail():
     sym = SymbolSet()
-    layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 6, "+")
-    issues = validate(bad, layout, sym)
+    bad = _replace(_valid_chromosome(1, sym), 6, "+")
+    issues = validate(bad, 1, sym)
     assert len(issues) == 1
     assert "ordinary gene 0 tail" in issues[0] and "position 0" in issues[0]
 
 
 def test_validate_flags_bad_dc_symbol():
     sym = SymbolSet()
-    layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 36, "z")
-    issues = validate(bad, layout, sym)
+    bad = _replace(_valid_chromosome(1, sym), 36, "z")
+    issues = validate(bad, 1, sym)
     assert len(issues) == 1 and "ordinary gene 1 dc, position 3" in issues[0]
 
 
 def test_validate_flags_terminal_in_homeotic_head():
     sym = SymbolSet()
-    layout = small_layout()
-    bad = _replace(_valid_chromosome(layout, sym), 40, "a")
-    issues = validate(bad, layout, sym)
+    bad = _replace(_valid_chromosome(1, sym), 40, "a")
+    issues = validate(bad, 1, sym)
     assert len(issues) == 1 and "homeotic gene 0 head, position 0" in issues[0]
 
 
 def test_validate_flags_every_bad_slot_by_gene_region_and_offset():
     sym = SymbolSet()
-    layout = GeneLayout(n_homeotic=3)
-    bad = _replace(_replace(_valid_chromosome(layout, sym), 8, "A"), 64, "a")
-    assert validate(bad, layout, sym) == [
+    bad = _replace(_replace(_valid_chromosome(3, sym), 8, "A"), 64, "a")
+    assert validate(bad, 3, sym) == [
         "ordinary gene 0 tail, position 2: symbol 'A' not allowed",
         "homeotic gene 2 tail, position 2: symbol 'a' not allowed",
     ]
@@ -331,11 +332,10 @@ def test_validate_flags_wrong_lengths_and_counts():
     missing gene, a short region or a homeotic Dc region all show up as a
     wrong total length."""
     sym = SymbolSet()
-    layout = small_layout()
-    c = _valid_chromosome(layout, sym)
+    c = _valid_chromosome(1, sym)
     short = c[:2] + c[3:]  # one head slot of ordinary gene 0 missing
-    assert validate(short, layout, sym) == ["expected 49 symbols, got 48"]
+    assert validate(short, 1, sym) == ["expected 49 symbols, got 48"]
     missing = c[20:]  # ordinary gene 0 missing
-    assert validate(missing, layout, sym) == ["expected 49 symbols, got 29"]
+    assert validate(missing, 1, sym) == ["expected 49 symbols, got 29"]
     with_dc = c + "A"  # a Dc slot after the homeotic gene
-    assert validate(with_dc, layout, sym) == ["expected 49 symbols, got 50"]
+    assert validate(with_dc, 1, sym) == ["expected 49 symbols, got 50"]
