@@ -5,7 +5,7 @@ from .bench import Problem, builtin, problem_names
 from .decode import build_tree, protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import Universe, infer_1d, infer_2d
-from .genome import SymbolSet, random_chromosome, random_constant_set
+from .genome import random_chromosome, random_constant_set
 
 __version__ = "0.1.0"
 
@@ -16,7 +16,6 @@ __all__ = [
     "Problem",
     "Rates",
     "RunResult",
-    "SymbolSet",
     "Universe",
     "adapt_rates",
     "build_tree",

@@ -5,7 +5,9 @@ every function claims the next unclaimed positions as its children, exactly in
 the order the symbols appear.  The scan stops once all open slots are filled,
 so a gene usually expresses only a prefix of head+tail.  The gene-level
 functions take slices of the chromosome string: a gene's coding region
-(head + tail) and, for an ordinary gene, its Dc region.
+(head + tail) and, for an ordinary gene, its Dc region.  Arities come from
+FUNCTION_ARITIES: a coding slot holds only operators, whose arities it
+states, or terminals and gene references, which it does not list.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .genome import DIGIT_VALUES, RNC_TERMINAL, SymbolSet
+from .genome import DC_INDEX, DIGIT_VALUES, FUNCTION_ARITIES, RNC_TERMINAL
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
@@ -63,9 +65,9 @@ def _child_starts(seq, arity) -> list[int]:
     return starts
 
 
-def build_tree(coding: str, symbols: SymbolSet) -> Node:
+def build_tree(coding: str) -> Node:
     """Expression tree of the expressed region; the gene suffix is ignored."""
-    starts = _child_starts(coding, symbols.arity)
+    starts = _child_starts(coding, FUNCTION_ARITIES)
     n = len(starts)
     # the reverse pass meets the expressed '?' terminals last to first
     rnc = coding.count(RNC_TERMINAL, 0, n)
@@ -74,16 +76,16 @@ def build_tree(coding: str, symbols: SymbolSet) -> Node:
         sym = coding[i]
         if sym == RNC_TERMINAL:
             rnc -= 1
-        ar = symbols.arity.get(sym, 0)
+        ar = FUNCTION_ARITIES.get(sym, 0)
         first = starts[i]
         nodes[i] = Node(sym, tuple(nodes[first:first + ar]),
                         rnc if sym == RNC_TERMINAL else None)
     return nodes[0]
 
 
-def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: tuple[float, ...]) -> float:
+def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:
     """Value of one ordinary gene; the k-th expressed '?' reads dc[k]."""
-    arity = symbols.arity
+    arity = FUNCTION_ARITIES
     starts = _child_starts(coding, arity)
     n = len(starts)
     values = [0.0] * n
@@ -95,7 +97,7 @@ def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: tuple[flo
         if ar == 0:
             if sym == RNC_TERMINAL:
                 rnc -= 1
-                values[i] = constants[symbols.dc_index[dc[rnc]]]
+                values[i] = constants[DC_INDEX[dc[rnc]]]
             else:
                 values[i] = DIGIT_VALUES[sym]
         else:
@@ -104,10 +106,10 @@ def eval_ordinary(coding: str, dc: str, symbols: SymbolSet, constants: tuple[flo
     return values[0]
 
 
-def eval_homeotic(coding: str, symbols: SymbolSet, ordinary_values) -> float:
+def eval_homeotic(coding: str, ordinary_values) -> float:
     """Value of one homeotic gene; ordinary_values maps each reference
     character to the value of the ordinary gene it names."""
-    arity = symbols.arity
+    arity = FUNCTION_ARITIES
     starts = _child_starts(coding, arity)
     n = len(starts)
     values = [0.0] * n

@@ -27,7 +27,6 @@ from .fuzzy import (
 from .genome import (
     GENE_REFERENCES,
     ORDINARY_END,
-    SymbolSet,
     flatten,
     gene_slices,
     position_alphabets,
@@ -255,8 +254,7 @@ class Engine:
         self.cfg = cfg if cfg is not None else EngineConfig()
         self.seed = seed
         self.rng = random.Random(seed)
-        self.symbols = SymbolSet(problem.extra_operators)
-        self.alphabets = position_alphabets(problem.dim, self.symbols)
+        self.alphabets = position_alphabets(problem.dim, problem.extra_operators)
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(problem.dim)
         self.constants = None
@@ -286,8 +284,7 @@ class Engine:
         region = chromosome[:ORDINARY_END]
         entry = self._regions.get(region)
         if entry is None:
-            symbols, constants = self.symbols, self.constants
-            values = [eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
+            values = [eval_ordinary(chromosome[coding], chromosome[dc], self.constants)
                       for coding, dc in self.ordinary_slices]
             key = self._pack_ordinary(*values)
             entry = self._coordinates.get(key)
@@ -300,7 +297,7 @@ class Engine:
             gene = chromosome[coding]
             x = coordinates.get(gene)
             if x is None:
-                x = coordinates[gene] = eval_homeotic(gene, self.symbols, ordinary)
+                x = coordinates[gene] = eval_homeotic(gene, ordinary)
             point.append(x)
         point = tuple(point)
         return Individual(chromosome, point, self._fitness(point))

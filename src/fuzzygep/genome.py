@@ -5,7 +5,9 @@ of genes at the fixed offsets gene_slices gives: first the ordinary genes,
 each a head, a tail and a Dc region, which decode to one real number each;
 then one homeotic gene per coordinate of the candidate point, each a head
 and a tail, whose terminals are reference characters naming ordinary genes.
-The gene sizes are module constants.
+The gene sizes and the terminal, Dc and reference alphabets are module
+constants; only the operator set varies by problem, and position_alphabets
+is the one place that takes it.
 """
 
 from __future__ import annotations
@@ -32,34 +34,17 @@ DIGIT_VALUES = {symbol: float(i) for i, symbol in enumerate(DIGIT_TERMINALS)}
 
 RNC_TERMINAL = "?"
 
-# Dc letters, each naming one random numerical constant
+TERMINALS = (RNC_TERMINAL,) + DIGIT_TERMINALS
+
+# Dc letters, each naming one random numerical constant: the first
+# N_CONSTANTS capitals that are not operator symbols
 N_CONSTANTS = 10
+DC_ALPHABET = tuple(c for c in string.ascii_uppercase if c not in FUNCTION_ARITIES)[:N_CONSTANTS]
+DC_INDEX = {symbol: i for i, symbol in enumerate(DC_ALPHABET)}
 
-
-# Terminals of the homeotic genes, one digit per ordinary gene; no SymbolSet
-# alphabet holds a digit, so references never meet its symbols.
+# Terminals of the homeotic genes, one digit per ordinary gene; no other
+# alphabet holds a digit, so references never meet the other symbols.
 GENE_REFERENCES = ("0", "1")
-
-
-class SymbolSet:
-    """Alphabets for one problem: functions, terminals, Dc index letters.
-
-    The four arithmetic operators plus the problem's unaries; '?' and the
-    digit terminals; the first N_CONSTANTS capitals that are not function
-    symbols.  None holds a digit, so gene references never meet them.
-    """
-
-    def __init__(self, extra_operators=()):
-        self.functions = BASE_OPERATORS + tuple(extra_operators)
-        for op in self.functions:
-            if op not in FUNCTION_ARITIES:
-                raise ValueError(f"unknown operator {op!r}")
-        self.arity = {op: FUNCTION_ARITIES[op] for op in self.functions}
-        if len(self.arity) != len(self.functions):
-            raise ValueError(f"repeated operator in {self.functions!r}")
-        self.terminals = (RNC_TERMINAL,) + DIGIT_TERMINALS
-        self.dc_alphabet = tuple(c for c in string.ascii_uppercase if c not in self.arity)[:N_CONSTANTS]
-        self.dc_index = {sym: i for i, sym in enumerate(self.dc_alphabet)}
 
 
 # The shape is the method's: two ordinary genes with head 6 and one homeotic
@@ -85,15 +70,21 @@ def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple
     return tuple(rng.uniform(lower, upper) for _ in range(N_CONSTANTS))
 
 
-def position_alphabets(n_homeotic: int, symbols: SymbolSet) -> tuple[tuple[str, ...], ...]:
+def position_alphabets(n_homeotic: int, extra_operators=()) -> tuple[tuple[str, ...], ...]:
     """Legal symbols for every slot of a chromosome with n_homeotic homeotic
-    genes, in order."""
+    genes, in order; the functions are the four arithmetic operators and
+    extra_operators."""
     if n_homeotic < 1:
         raise ValueError("n_homeotic must be positive")
+    functions = BASE_OPERATORS + tuple(extra_operators)
+    for op in functions:
+        if op not in FUNCTION_ARITIES:
+            raise ValueError(f"unknown operator {op!r}")
+    if len(set(functions)) != len(functions):
+        raise ValueError(f"repeated operator in {functions!r}")
     refs = GENE_REFERENCES
-    functions, terminals = symbols.functions, symbols.terminals
-    ordinary = ([functions + terminals] * ORDINARY_HEAD_LEN + [terminals] * ORDINARY_TAIL_LEN
-                + [symbols.dc_alphabet] * DC_LEN)
+    ordinary = ([functions + TERMINALS] * ORDINARY_HEAD_LEN + [TERMINALS] * ORDINARY_TAIL_LEN
+                + [DC_ALPHABET] * DC_LEN)
     homeotic = [functions + refs] * HOMEOTIC_HEAD_LEN + [refs] * HOMEOTIC_TAIL_LEN
     return tuple(ordinary * len(refs) + homeotic * n_homeotic)
 

@@ -16,7 +16,7 @@ from operator import contains
 import numpy as np
 
 from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
-from fuzzygep.genome import GENE_REFERENCES, SymbolSet, gene_slices
+from fuzzygep.genome import GENE_REFERENCES, gene_slices
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 
@@ -286,8 +286,7 @@ def ref_mutate(chromosome, p_m, k, alphabets, rng):
     return "".join(flat)
 
 
-def eval_chromosome(chromosome: str, n_homeotic: int, symbols: SymbolSet,
-                    constants: tuple[float, ...]) -> tuple[float, ...]:
+def eval_chromosome(chromosome: str, n_homeotic: int, constants: tuple[float, ...]) -> tuple[float, ...]:
     """Candidate point: one coordinate per homeotic gene.
 
     This is the uncached reference decode: `Engine.evaluate` memoizes
@@ -295,16 +294,18 @@ def eval_chromosome(chromosome: str, n_homeotic: int, symbols: SymbolSet,
     """
     ordinary, homeotic = gene_slices(n_homeotic)
     ordinary_values = {
-        ref: eval_ordinary(chromosome[coding], chromosome[dc], symbols, constants)
+        ref: eval_ordinary(chromosome[coding], chromosome[dc], constants)
         for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
     }
-    return tuple(eval_homeotic(chromosome[coding], symbols, ordinary_values) for coding in homeotic)
+    return tuple(eval_homeotic(chromosome[coding], ordinary_values) for coding in homeotic)
 
 
 # --- K-expressions, from the definition ---
 
 REF_ARITY = {"+": 2, "-": 2, "*": 2, "/": 2, "S": 1, "C": 1, "Q": 1, "E": 1}
 REF_DIGITS = "abcdefghij"
+# the ten constant letters: A to L without the operator letters C and E
+REF_DC = "ABDFGHIJKL"
 
 
 def ref_kexpression(coding, terminal_value):
@@ -336,12 +337,12 @@ def ref_kexpression(coding, terminal_value):
     return value(0)
 
 
-def ref_eval_ordinary(coding, dc, dc_alphabet, constants):
+def ref_eval_ordinary(coding, dc, constants):
     """An ordinary gene: a digit terminal stands for 0..9, and the k-th '?'
     in reading order takes the constant that dc[k] names."""
     def terminal(i):
         if coding[i] == "?":
-            return constants[dc_alphabet.index(dc[coding.count("?", 0, i)])]
+            return constants[REF_DC.index(dc[coding.count("?", 0, i)])]
         return float(REF_DIGITS.index(coding[i]))
 
     return ref_kexpression(coding, terminal)
@@ -355,7 +356,7 @@ def ref_eval_homeotic(coding, ordinary_values):
 # --- structure of a chromosome, from the region definitions ---
 
 @lru_cache(maxsize=None)
-def _ref_slots(n_homeotic, functions, terminals, dc_alphabet):
+def _ref_slots(n_homeotic, extra_operators=()):
     """Name and allowed set of every slot, in order.
 
     The sizes are the method's, written here rather than read from the
@@ -363,13 +364,16 @@ def _ref_slots(n_homeotic, functions, terminals, dc_alphabet):
     region of 7, then n_homeotic homeotic genes, each a head of 4 and a tail
     of 5. Ordinary heads take functions and terminals, ordinary tails
     terminals only, and Dc regions the constant letters. A homeotic gene
-    takes gene references where an ordinary gene takes terminals.
+    takes gene references where an ordinary gene takes terminals. The
+    functions are the four arithmetic operators and extra_operators.
     """
     refs = frozenset(GENE_REFERENCES)
-    ordinary = (("head", 6, frozenset(functions) | frozenset(terminals)),
-                ("tail", 7, frozenset(terminals)),
-                ("dc", 7, frozenset(dc_alphabet)))
-    homeotic = (("head", 4, frozenset(functions) | refs),
+    functions = frozenset("+-*/") | frozenset(extra_operators)
+    terminals = frozenset("?" + REF_DIGITS)
+    ordinary = (("head", 6, functions | terminals),
+                ("tail", 7, terminals),
+                ("dc", 7, frozenset(REF_DC)))
+    homeotic = (("head", 4, functions | refs),
                 ("tail", 5, refs))
     names, allowed = [], []
     for kind, n_genes, regions in (("ordinary", 2, ordinary),
@@ -381,14 +385,14 @@ def _ref_slots(n_homeotic, functions, terminals, dc_alphabet):
     return tuple(names), tuple(allowed)
 
 
-def ref_allowed_sets(n_homeotic: int, symbols: SymbolSet) -> tuple[frozenset, ...]:
+def ref_allowed_sets(n_homeotic: int, extra_operators=()) -> tuple[frozenset, ...]:
     """The set of legal symbols at every slot of the chromosome string."""
-    return _ref_slots(n_homeotic, symbols.functions, symbols.terminals, symbols.dc_alphabet)[1]
+    return _ref_slots(n_homeotic, tuple(extra_operators))[1]
 
 
-def validate(chromosome: str, n_homeotic: int, symbols: SymbolSet) -> list[str]:
+def validate(chromosome: str, n_homeotic: int, extra_operators=()) -> list[str]:
     """Structural check; returns human-readable violations, empty when valid."""
-    names, allowed = _ref_slots(n_homeotic, symbols.functions, symbols.terminals, symbols.dc_alphabet)
+    names, allowed = _ref_slots(n_homeotic, tuple(extra_operators))
     if len(chromosome) != len(allowed):
         return [f"expected {len(allowed)} symbols, got {len(chromosome)}"]
     if all(map(contains, allowed, chromosome)):
@@ -397,13 +401,13 @@ def validate(chromosome: str, n_homeotic: int, symbols: SymbolSet) -> list[str]:
             for name, sym, ok in zip(names, chromosome, allowed) if sym not in ok]
 
 
-def expressed_length(coding: str, symbols: SymbolSet) -> int:
+def expressed_length(coding: str) -> int:
     """Length of the expressed prefix of a K-expression: reading left to
     right, each function opens as many argument slots as its arity, and the
     expression ends when every open slot is filled."""
     length, open_slots = 0, 1
     while open_slots:
-        open_slots += symbols.arity.get(coding[length], 0) - 1
+        open_slots += REF_ARITY.get(coding[length], 0) - 1
         length += 1
     return length
 

@@ -41,7 +41,7 @@ from fuzzygep.fuzzy import (
     infer_1d,
     infer_2d,
 )
-from fuzzygep.genome import SymbolSet, position_alphabets, random_chromosome
+from fuzzygep.genome import position_alphabets, random_chromosome
 
 SEED_BASE = 100
 SEEDS = range(SEED_BASE, SEED_BASE + 20)
@@ -62,16 +62,15 @@ def _sweep(name, dim, cfg):
 
 def test_bulk_generated_and_operated_genomes_all_validate():
     rng = random.Random(0)
-    symbols = SymbolSet()
-    alphabets = position_alphabets(2, symbols)
+    alphabets = position_alphabets(2)
     t0 = time.perf_counter()
     chroms = [random_chromosome(alphabets, rng) for _ in range(100_000)]
-    invalid = sum(validate(c, 2, symbols) != [] for c in chroms)
+    invalid = sum(validate(c, 2) != [] for c in chroms)
     for i in range(10_000):
         a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, rng)
-        invalid += (validate(a, 2, symbols) != []) + (validate(b, 2, symbols) != [])
+        invalid += (validate(a, 2) != []) + (validate(b, 2) != [])
     for i in range(10_000):
-        invalid += validate(mutate(chroms[i], 1.0, 2, alphabets, rng), 2, symbols) != []
+        invalid += validate(mutate(chroms[i], 1.0, 2, alphabets, rng), 2) != []
     elapsed = time.perf_counter() - t0
     ok = invalid == 0 and elapsed < 5.0
     assert _verdict(ok, "A01 bulk validity",

@@ -15,31 +15,29 @@ from fuzzygep.decode import (
 from fuzzygep.genome import (
     GENE_REFERENCES,
     N_CONSTANTS,
-    SymbolSet,
     gene_slices,
     position_alphabets,
     random_chromosome,
 )
 
-SYM = SymbolSet()
 CONSTS = (0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 # two ordinary genes (head 6, tail 7, dc 7), two homeotic genes (head 4, tail 5)
 SMALL = 2
 
 
 def ordinary(coding, dc):
-    return eval_ordinary(coding, dc, SYM, CONSTS)
+    return eval_ordinary(coding, dc, CONSTS)
 
 
 def test_single_terminal_root():
-    assert expressed_length("aabaaaa", SYM) == 1
-    tree = build_tree("aabaaaa", SYM)
+    assert expressed_length("aabaaaa") == 1
+    tree = build_tree("aabaaaa")
     assert tree.symbol == "a" and tree.children == ()
     assert ordinary("aabaaaa", "AAAA") == 0.0
 
 
 def test_breadth_first_structure():
-    tree = build_tree("+*abcaa", SYM)
+    tree = build_tree("+*abcaa")
     assert tree.symbol == "+"
     assert tree.children[0].symbol == "*"
     assert tree.children[1].symbol == "a"
@@ -54,15 +52,16 @@ def test_digit_terminals():
 
 
 def test_rnc_binding_uses_dc_order():
-    assert ordinary("*?baaaa", "DAAB") == 0.87227
-    tree = build_tree("*?baaaa", SYM)
+    # F is the fourth Dc letter (A B D F ...), so it names CONSTS[3]
+    assert ordinary("*?baaaa", "FAAB") == 0.87227
+    tree = build_tree("*?baaaa")
     assert tree.children[0].rnc_ordinal == 0
     assert tree.rnc_ordinal is None
 
 
 def test_multiple_rnc_terminals():
     # expressed: + ? ?  -> dc[0] and dc[1]
-    assert expressed_length("+???aaa", SYM) == 3
+    assert expressed_length("+???aaa") == 3
     v = ordinary("+???aaa", "ABCD")
     assert v == CONSTS[0] + CONSTS[1]
 
@@ -76,7 +75,7 @@ def test_expressed_length_worst_case_heads():
     for h in range(1, 9):
         layout_tail = h + 1
         coding = "+" * h + "a" * layout_tail
-        assert expressed_length(coding, SYM) == 2 * h + 1
+        assert expressed_length(coding) == 2 * h + 1
         assert ordinary(coding, "A" * layout_tail) == 0.0
 
 
@@ -112,8 +111,8 @@ def test_exact_ieee_for_ordinary_ops():
 
 def test_homeotic_gene_refs():
     values = {"0": 2.0, "1": 3.0}
-    assert eval_homeotic("+010000", SYM, values) == 5.0
-    assert eval_homeotic("1000000", SYM, values) == 3.0  # root only
+    assert eval_homeotic("+010000", values) == 5.0
+    assert eval_homeotic("1000000", values) == 3.0  # root only
 
 
 def test_eval_chromosome_full():
@@ -121,34 +120,32 @@ def test_eval_chromosome_full():
          "*cdaaaaaaaaaa" "AAAAAAA"  # 6
          "+01000000"                # 9
          "100000000")               # 6
-    assert eval_chromosome(c, SMALL, SYM, CONSTS) == (9.0, 6.0)
+    assert eval_chromosome(c, SMALL, CONSTS) == (9.0, 6.0)
 
 
 def test_homeotic_genes_are_independent():
     genes = "+bcaaaaaaaaaaAAAAAAA*cdaaaaaaaaaaAAAAAAA+01000000"
-    a = eval_chromosome(genes + "100000000", SMALL, SYM, CONSTS)
-    b = eval_chromosome(genes + "000000000", SMALL, SYM, CONSTS)
+    a = eval_chromosome(genes + "100000000", SMALL, CONSTS)
+    b = eval_chromosome(genes + "000000000", SMALL, CONSTS)
     assert a[0] == b[0]
     assert a[1] != b[1]
 
 
 def test_exp_clamp_keeps_single_chain_finite():
-    sym = SymbolSet(("E",))
     # E(E(9)) hits the clamp: exp(min(8103, 700)) = exp(700), large but finite
-    assert eval_ordinary("EEjaaaa", "AAAA", sym, CONSTS) == math.exp(700.0)
+    assert eval_ordinary("EEjaaaa", "AAAA", CONSTS) == math.exp(700.0)
 
 
 def test_non_finite_propagation_without_raising():
-    sym = SymbolSet(("E",))
     # exp(700) * exp(700) overflows to inf
-    assert math.isinf(eval_ordinary("*EEEE" + "j" * 6, "A" * 6, sym, CONSTS))
+    assert math.isinf(eval_ordinary("*EEEE" + "j" * 6, "A" * 6, CONSTS))
     # inf - inf propagates as nan, still no exception
-    assert math.isnan(eval_ordinary("-**EEEEEEEE" + "j" * 12, "A" * 12, sym, CONSTS))
+    assert math.isnan(eval_ordinary("-**EEEEEEEE" + "j" * 12, "A" * 12, CONSTS))
 
 
-def _randomize_unexpressed(c, n_homeotic, sym, rng):
+def _randomize_unexpressed(c, n_homeotic, extra, rng):
     """Rewrite every slot the decoder never reads; value must not move."""
-    alphabets = position_alphabets(n_homeotic, sym)
+    alphabets = position_alphabets(n_homeotic, extra)
     slots = list(c)
 
     def scramble(start, stop):
@@ -157,24 +154,24 @@ def _randomize_unexpressed(c, n_homeotic, sym, rng):
 
     ordinary, homeotic = gene_slices(n_homeotic)
     for coding, dc in ordinary:
-        n_expr = expressed_length(c[coding], sym)
+        n_expr = expressed_length(c[coding])
         n_rnc = c[coding][:n_expr].count("?")
         scramble(coding.start + n_expr, coding.stop)
         scramble(dc.start + n_rnc, dc.stop)
     for coding in homeotic:
-        scramble(coding.start + expressed_length(c[coding], sym), coding.stop)
+        scramble(coding.start + expressed_length(c[coding]), coding.stop)
     return "".join(slots)
 
 
 def test_unexpressed_regions_never_change_value():
-    sym = SymbolSet(("S", "Q"))
-    alphabets = position_alphabets(2, sym)
+    extra = ("S", "Q")
+    alphabets = position_alphabets(2, extra)
     rng = random.Random(17)
     for _ in range(100):
         c = random_chromosome(alphabets, rng)
-        base = eval_chromosome(c, 2, sym, CONSTS)
-        shuffled = _randomize_unexpressed(c, 2, sym, rng)
-        again = eval_chromosome(shuffled, 2, sym, CONSTS)
+        base = eval_chromosome(c, 2, CONSTS)
+        shuffled = _randomize_unexpressed(c, 2, extra, rng)
+        again = eval_chromosome(shuffled, 2, CONSTS)
         for u, v in zip(base, again):
             assert u == v or (math.isnan(u) and math.isnan(v))
 
@@ -189,8 +186,7 @@ def _same_float(a, b):
 def test_gene_values_match_the_level_by_level_reference(extra):
     """Both gene decoders give the bits of a decoder written from the
     K-expression definition, NaN for NaN, on random chromosomes."""
-    sym = SymbolSet(extra)
-    alphabets = position_alphabets(4, sym)
+    alphabets = position_alphabets(4, extra)
     ordinary_slices, homeotic_slices = gene_slices(4)
     rng = random.Random(31)
     for _ in range(3000):
@@ -199,9 +195,9 @@ def test_gene_values_match_the_level_by_level_reference(extra):
         consts = tuple(rng.uniform(-100.0, 100.0) for _ in range(N_CONSTANTS))
         values = {}
         for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary_slices):
-            values[ref] = eval_ordinary(c[coding], c[dc], sym, consts)
-            want = ref_eval_ordinary(c[coding], c[dc], sym.dc_alphabet, consts)
+            values[ref] = eval_ordinary(c[coding], c[dc], consts)
+            want = ref_eval_ordinary(c[coding], c[dc], consts)
             assert _same_float(values[ref], want), (c, ref)
         for coding in homeotic_slices:
             want = ref_eval_homeotic(c[coding], values)
-            assert _same_float(eval_homeotic(c[coding], sym, values), want), (c, coding)
+            assert _same_float(eval_homeotic(c[coding], values), want), (c, coding)

@@ -23,14 +23,12 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
-    SymbolSet,
     position_alphabets,
     random_chromosome,
 )
 
-SYM = SymbolSet()
 N_HOMEOTIC = 2
-ALPHABETS = position_alphabets(N_HOMEOTIC, SYM)
+ALPHABETS = position_alphabets(N_HOMEOTIC)
 
 
 def stub(fitness):
@@ -212,7 +210,7 @@ def test_crossover_offspring_always_valid():
         a = random_chromosome(ALPHABETS, rng)
         b = random_chromosome(ALPHABETS, rng)
         for child in crossover(a, b, 1.0, rng):
-            assert oracles.validate(child, N_HOMEOTIC, SYM) == []
+            assert oracles.validate(child, N_HOMEOTIC) == []
 
 
 # --- mutate ---
@@ -237,7 +235,7 @@ def test_mutate_respects_position_alphabets():
     for _ in range(1000):
         c = random_chromosome(ALPHABETS, rng)
         m = mutate(c, 1.0, 2, ALPHABETS, rng)
-        assert oracles.validate(m, N_HOMEOTIC, SYM) == []
+        assert oracles.validate(m, N_HOMEOTIC) == []
 
 
 # --- selection ---
@@ -338,7 +336,7 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
 ])
 @pytest.mark.parametrize("k", [1, 2, 6, 10])
 def test_mutate_matches_stdlib_reference(n_homeotic, k):
-    alphabets = position_alphabets(n_homeotic, SYM)
+    alphabets = position_alphabets(n_homeotic)
     genomes = random.Random(k)
     ours, twin = random.Random(k), random.Random(k)
     for _ in range(300):
@@ -372,7 +370,7 @@ def test_engine_layout_matches_problem():
     assert len(eng.ordinary_slices) == 2
     assert len(eng.homeotic_slices) == 30
     assert len(eng.alphabets) == 2 * (6 + 7 + 7) + 30 * (4 + 5)
-    assert len(eng.symbols.dc_alphabet) == 10
+    assert len(eng.alphabets[6 + 7]) == 10  # the first Dc slot offers ten constant letters
 
 
 def test_temp_population_is_parents_plus_four_batches():
@@ -383,7 +381,7 @@ def test_temp_population_is_parents_plus_four_batches():
     assert len(temp) == 50
     assert temp[:10] == parents
     for ind in temp:
-        assert oracles.validate(ind.chromosome, eng.problem.dim, eng.symbols) == []
+        assert oracles.validate(ind.chromosome, eng.problem.dim, eng.problem.extra_operators) == []
 
 
 def test_temp_population_zero_rates_gives_clones():
@@ -479,7 +477,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     for _ in range(2):
         eng.constants = _fresh_constants(eng, rng)
         for c in chromosomes:
-            want = oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, eng.constants)
+            want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
             assert pack(*eng.evaluate(c).point) == pack(*want)
     assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
 
@@ -517,7 +515,7 @@ def test_region_memo_follows_the_constant_set():
         for c in (c1, c2):
             point = eng.evaluate(c).point
             assert point == (x, x)
-            assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, constants))
+            assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.problem.dim, constants))
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
@@ -531,7 +529,7 @@ def test_region_memo_stays_bounded():
     pack = struct.Struct("<10d").pack
     for _ in range(3 * limit):
         c = random_chromosome(eng.alphabets, rng)
-        want = oracles.eval_chromosome(c, eng.problem.dim, eng.symbols, eng.constants)
+        want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit
 

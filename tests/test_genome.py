@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from oracles import expressed_length, ref_allowed_sets, validate
@@ -7,6 +8,7 @@ from oracles import expressed_length, ref_allowed_sets, validate
 from fuzzygep import bench
 from fuzzygep.evolve import Engine
 from fuzzygep.genome import (
+    DC_ALPHABET,
     DC_LEN,
     FUNCTION_ARITIES,
     GENE_REFERENCES,
@@ -18,7 +20,7 @@ from fuzzygep.genome import (
     ORDINARY_GENE_LEN,
     ORDINARY_HEAD_LEN,
     ORDINARY_TAIL_LEN,
-    SymbolSet,
+    TERMINALS,
     flatten,
     gene_slices,
     position_alphabets,
@@ -43,12 +45,11 @@ def test_fixed_tails_fit_every_registry_problem():
     head + tail slots."""
     assert max(FUNCTION_ARITIES.values()) == 2
     for name in bench.problem_names():
-        sym = SymbolSet(bench.builtin(name).extra_operators)
-        assert max(sym.arity.values()) == 2, name
-        for h, tail, terminal in ((ORDINARY_HEAD_LEN, ORDINARY_TAIL_LEN, "a"),
-                                  (HOMEOTIC_HEAD_LEN, HOMEOTIC_TAIL_LEN, "0")):
-            assert tail == h + 1
-            assert expressed_length("+" * h + terminal * tail, sym) == h + tail, name
+        assert set(bench.builtin(name).extra_operators) <= set(FUNCTION_ARITIES), name
+    for h, tail, terminal in ((ORDINARY_HEAD_LEN, ORDINARY_TAIL_LEN, "a"),
+                              (HOMEOTIC_HEAD_LEN, HOMEOTIC_TAIL_LEN, "0")):
+        assert tail == h + 1
+        assert expressed_length("+" * h + terminal * tail) == h + tail
 
 
 def test_layout_derived_sizes():
@@ -57,55 +58,49 @@ def test_layout_derived_sizes():
     assert ORDINARY_GENE_LEN == 20
     assert HOMEOTIC_GENE_LEN == 9
     assert ORDINARY_END == 40
-    assert len(position_alphabets(2, SymbolSet())) == 2 * 20 + 2 * 9
+    assert len(position_alphabets(2)) == 2 * 20 + 2 * 9
 
 
 def test_dimension_zero_is_rejected():
     """Problem is public, so a problem of dimension 0 built by hand must not
     give a chromosome without homeotic genes."""
     with pytest.raises(ValueError, match="n_homeotic must be positive"):
-        position_alphabets(0, SymbolSet())
+        position_alphabets(0)
     with pytest.raises(ValueError, match="n_homeotic must be positive"):
         Engine(dataclasses.replace(bench.builtin("f1"), dim=0))
 
 
-def test_symbolset_contents():
-    sym = SymbolSet()
-    assert sym.functions == ("+", "-", "*", "/")
-    assert sym.terminals[0] == "?"
-    assert set("abcdefghij") <= set(sym.terminals)
-    assert sym.dc_alphabet == tuple("ABCDEFGHIJ")
-    assert max(sym.arity.values()) == 2
-    assert sym.arity["+"] == 2
+def test_dc_alphabet_is_fixed_and_apart_from_every_other_symbol():
+    """Dc slots are read only through DC_INDEX, so the letters need only be
+    distinct and meet no operator, terminal or gene reference."""
+    assert len(DC_ALPHABET) == len(set(DC_ALPHABET)) == N_CONSTANTS == 10
+    assert all(len(c) == 1 and c.isascii() and c.isupper() for c in DC_ALPHABET)
+    others = set(FUNCTION_ARITIES) | set(TERMINALS) | set(GENE_REFERENCES)
+    assert not set(DC_ALPHABET) & others
 
 
-def test_symbolset_extra_operators():
-    sym = SymbolSet(("S", "Q"))
-    assert sym.arity["S"] == 1
-    assert max(sym.arity.values()) == 2
-    with pytest.raises(ValueError):
-        SymbolSet(("X",))
-    with pytest.raises(ValueError):
-        SymbolSet(("S", "S"))
-    with pytest.raises(ValueError):
-        SymbolSet(("+",))  # already a base operator
-
-
-def test_dc_alphabet_avoids_operator_letters():
-    sym = SymbolSet(("C", "E"))
-    assert "C" not in sym.dc_alphabet
-    assert "E" not in sym.dc_alphabet
-    assert len(sym.dc_alphabet) == 10
-    assert sym.dc_alphabet[:3] == ("A", "B", "D")
+def test_position_alphabets_rejects_bad_operators():
+    """An unknown operator, or one given twice (a base operator again
+    counts), is refused, also when an Engine is built for the problem."""
+    for extra, message in ((("X",), "unknown operator 'X'"),
+                           (("S", "S"), "repeated operator in ('+', '-', '*', '/', 'S', 'S')"),
+                           (("+",), "repeated operator in ('+', '-', '*', '/', '+')")):
+        message = re.escape(message)
+        with pytest.raises(ValueError, match=message):
+            position_alphabets(1, extra)
+        with pytest.raises(ValueError, match=message):
+            Engine(dataclasses.replace(bench.builtin("f1"), extra_operators=extra))
 
 
 def test_registry_alphabets_are_disjoint_single_ascii_non_digits():
     for name in bench.problem_names():
-        sym = SymbolSet(bench.builtin(name).extra_operators)
-        symbols = sym.functions + sym.terminals + sym.dc_alphabet
+        alphabets = position_alphabets(1, bench.builtin(name).extra_operators)
+        # an ordinary head slot offers the functions and the terminals
+        dc = alphabets[ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN]
+        symbols = alphabets[0] + dc
         assert all(len(s) == 1 and s.isascii() and not s.isdigit() for s in symbols), name
         assert len(set(symbols)) == len(symbols), name  # no repeat within or across alphabets
-        assert len(sym.dc_alphabet) == N_CONSTANTS == 10, name
+        assert len(dc) == N_CONSTANTS == 10, name
         assert not set(symbols) & set(GENE_REFERENCES), name
 
 
@@ -118,14 +113,13 @@ def test_gene_references():
 def test_gene_references_are_distinct_single_characters_outside_other_alphabets(n):
     """Every homeotic tail of an n-gene chromosome reads the same two
     references, which no other alphabet holds."""
-    sym = SymbolSet(("S", "C", "Q", "E"))
-    alphabets = position_alphabets(n, sym)
+    alphabets = position_alphabets(n, ("S", "C", "Q", "E"))
     start = ORDINARY_END + HOMEOTIC_HEAD_LEN
     tails = {alphabets[g * HOMEOTIC_GENE_LEN + start + i]
              for g in range(n) for i in range(HOMEOTIC_TAIL_LEN)}
     assert tails == {GENE_REFERENCES}
     assert len(set(GENE_REFERENCES)) == 2 and all(len(r) == 1 for r in GENE_REFERENCES)
-    assert not set(GENE_REFERENCES) & (set(sym.functions) | set(sym.terminals) | set(sym.dc_alphabet))
+    assert not set(GENE_REFERENCES) & (set(FUNCTION_ARITIES) | set(TERMINALS) | set(DC_ALPHABET))
 
 
 @pytest.mark.parametrize("n_homeotic", [
@@ -135,18 +129,18 @@ def test_gene_references_are_distinct_single_characters_outside_other_alphabets(
 ])
 def test_random_chromosome_equals_region_by_region_choices(n_homeotic):
     """The single-pass draw is the rng.choices draw, slot for slot."""
-    sym = SymbolSet(("S", "Q"))
+    functions = ("+", "-", "*", "/", "S", "Q")
     refs = GENE_REFERENCES
-    ordinary_head = sym.functions + sym.terminals
-    homeotic_head = sym.functions + refs
-    alphabets = position_alphabets(n_homeotic, sym)
+    ordinary_head = functions + TERMINALS
+    homeotic_head = functions + refs
+    alphabets = position_alphabets(n_homeotic, ("S", "Q"))
     for seed in range(20):
         twin = random.Random(seed)
         parts = []
         for _ in range(len(GENE_REFERENCES)):
             parts += twin.choices(ordinary_head, k=ORDINARY_HEAD_LEN)
-            parts += twin.choices(sym.terminals, k=ORDINARY_TAIL_LEN)
-            parts += twin.choices(sym.dc_alphabet, k=DC_LEN)
+            parts += twin.choices(TERMINALS, k=ORDINARY_TAIL_LEN)
+            parts += twin.choices(DC_ALPHABET, k=DC_LEN)
         for _ in range(n_homeotic):
             parts += twin.choices(homeotic_head, k=HOMEOTIC_HEAD_LEN)
             parts += twin.choices(refs, k=HOMEOTIC_TAIL_LEN)
@@ -156,17 +150,17 @@ def test_random_chromosome_equals_region_by_region_choices(n_homeotic):
 
 
 def test_random_chromosome_is_valid():
-    sym = SymbolSet(("S", "C", "Q", "E"))
-    alphabets = position_alphabets(3, sym)
+    extra = ("S", "C", "Q", "E")
+    alphabets = position_alphabets(3, extra)
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(alphabets, rng)
         assert isinstance(c, str) and len(c) == ORDINARY_END + 3 * HOMEOTIC_GENE_LEN
-        assert validate(c, 3, sym) == []
+        assert validate(c, 3, extra) == []
 
 
 def test_random_chromosome_deterministic():
-    alphabets = position_alphabets(1, SymbolSet())
+    alphabets = position_alphabets(1)
     a = random_chromosome(alphabets, random.Random(7))
     b = random_chromosome(alphabets, random.Random(7))
     c = random_chromosome(alphabets, random.Random(8))
@@ -176,8 +170,7 @@ def test_random_chromosome_deterministic():
 
 def test_position_uniformity():
     """Chi-square on every slot of the flat chromosome at the 99.9% level."""
-    sym = SymbolSet()
-    alphabets = position_alphabets(1, sym)
+    alphabets = position_alphabets(1)
     rng = random.Random(42)
     n = 20000
     counts = [dict.fromkeys(alpha, 0) for alpha in alphabets]
@@ -193,19 +186,18 @@ def test_position_uniformity():
 
 
 def test_position_alphabets_structure():
-    sym = SymbolSet()
-    alphabets = position_alphabets(1, sym)
+    alphabets = position_alphabets(1)
     assert len(alphabets) == ORDINARY_END + HOMEOTIC_GENE_LEN
     refs = GENE_REFERENCES
     # ordinary gene 0: head, tail, dc
     assert "+" in alphabets[0] and "?" in alphabets[0]
     tail_start = ORDINARY_HEAD_LEN
-    assert set(alphabets[tail_start]) == set(sym.terminals)
+    assert set(alphabets[tail_start]) == set(TERMINALS)
     dc_start = tail_start + ORDINARY_TAIL_LEN
-    assert set(alphabets[dc_start]) == set(sym.dc_alphabet)
+    assert set(alphabets[dc_start]) == set(DC_ALPHABET)
     # homeotic gene: head admits functions and refs, tail refs only
     hom_start = ORDINARY_END
-    assert set(alphabets[hom_start]) == set(sym.functions) | set(refs)
+    assert set(alphabets[hom_start]) == {"+", "-", "*", "/"} | set(refs)
     assert set(alphabets[hom_start + HOMEOTIC_HEAD_LEN]) == set(refs)
 
 
@@ -214,9 +206,9 @@ def test_position_alphabets_match_the_region_definitions(n_homeotic):
     """Every slot draws from exactly the set its region allows; a validity
     check of drawn genomes cannot see an alphabet that is too narrow."""
     for name in bench.problem_names():
-        sym = SymbolSet(bench.builtin(name).extra_operators)
-        alphabets = list(map(set, position_alphabets(n_homeotic, sym)))
-        assert alphabets == list(ref_allowed_sets(n_homeotic, sym)), name
+        extra = bench.builtin(name).extra_operators
+        alphabets = list(map(set, position_alphabets(n_homeotic, extra)))
+        assert alphabets == list(ref_allowed_sets(n_homeotic, extra)), name
 
 
 @pytest.mark.parametrize("n_homeotic", [1, 30, 50])
@@ -224,8 +216,8 @@ def test_every_slot_offers_a_mutation_target(n_homeotic):
     """mutate rewrites a slot to another symbol of its alphabet without
     checking that one exists, so every alphabet needs at least two."""
     for name in bench.problem_names():
-        sym = SymbolSet(bench.builtin(name).extra_operators)
-        assert min(map(len, position_alphabets(n_homeotic, sym))) >= 2, name
+        extra = bench.builtin(name).extra_operators
+        assert min(map(len, position_alphabets(n_homeotic, extra))) >= 2, name
 
 
 def test_random_constant_set_bounds_and_length():
@@ -252,8 +244,7 @@ def test_random_constant_set_mean():
 
 
 def test_flatten_rebuild_roundtrip():
-    sym = SymbolSet(("S",))
-    alphabets = position_alphabets(2, sym)
+    alphabets = position_alphabets(2, ("S",))
     rng = random.Random(3)
     for _ in range(50):
         c = random_chromosome(alphabets, rng)
@@ -267,25 +258,23 @@ def test_gene_slices_tile_the_chromosome():
     ordinary, homeotic = gene_slices(2)
     assert ordinary == ((slice(0, 13), slice(13, 20)), (slice(20, 33), slice(33, 40)))
     assert homeotic == (slice(40, 49), slice(49, 58))
-    sym = SymbolSet(("S", "C"))
     for n in (1, 2, 30, 50):
         ordinary, homeotic = gene_slices(n)
-        alphabets = position_alphabets(n, sym)
+        alphabets = position_alphabets(n, ("S", "C"))
         covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
         covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
         assert covered == list(range(len(alphabets))), n
-        assert all(a == sym.dc_alphabet for _, dc in ordinary for a in alphabets[dc]), n
+        assert all(a == DC_ALPHABET for _, dc in ordinary for a in alphabets[dc]), n
         assert all(a == GENE_REFERENCES for coding in homeotic
                    for a in alphabets[coding][-HOMEOTIC_TAIL_LEN:]), n
 
 
-def _valid_chromosome(n_homeotic, sym, seed=0):
-    return random_chromosome(position_alphabets(n_homeotic, sym), random.Random(seed))
+def _valid_chromosome(n_homeotic, seed=0):
+    return random_chromosome(position_alphabets(n_homeotic), random.Random(seed))
 
 
 def test_validate_accepts_valid():
-    sym = SymbolSet()
-    assert validate(_valid_chromosome(1, sym), 1, sym) == []
+    assert validate(_valid_chromosome(1), 1) == []
 
 
 def _replace(c: str, pos: int, sym: str) -> str:
@@ -297,31 +286,27 @@ def _replace(c: str, pos: int, sym: str) -> str:
 
 
 def test_validate_flags_function_in_tail():
-    sym = SymbolSet()
-    bad = _replace(_valid_chromosome(1, sym), 6, "+")
-    issues = validate(bad, 1, sym)
+    bad = _replace(_valid_chromosome(1), 6, "+")
+    issues = validate(bad, 1)
     assert len(issues) == 1
     assert "ordinary gene 0 tail" in issues[0] and "position 0" in issues[0]
 
 
 def test_validate_flags_bad_dc_symbol():
-    sym = SymbolSet()
-    bad = _replace(_valid_chromosome(1, sym), 36, "z")
-    issues = validate(bad, 1, sym)
+    bad = _replace(_valid_chromosome(1), 36, "z")
+    issues = validate(bad, 1)
     assert len(issues) == 1 and "ordinary gene 1 dc, position 3" in issues[0]
 
 
 def test_validate_flags_terminal_in_homeotic_head():
-    sym = SymbolSet()
-    bad = _replace(_valid_chromosome(1, sym), 40, "a")
-    issues = validate(bad, 1, sym)
+    bad = _replace(_valid_chromosome(1), 40, "a")
+    issues = validate(bad, 1)
     assert len(issues) == 1 and "homeotic gene 0 head, position 0" in issues[0]
 
 
 def test_validate_flags_every_bad_slot_by_gene_region_and_offset():
-    sym = SymbolSet()
-    bad = _replace(_replace(_valid_chromosome(3, sym), 8, "A"), 64, "a")
-    assert validate(bad, 3, sym) == [
+    bad = _replace(_replace(_valid_chromosome(3), 8, "A"), 64, "a")
+    assert validate(bad, 3) == [
         "ordinary gene 0 tail, position 2: symbol 'A' not allowed",
         "homeotic gene 2 tail, position 2: symbol 'a' not allowed",
     ]
@@ -331,11 +316,10 @@ def test_validate_flags_wrong_lengths_and_counts():
     """Gene counts and region sizes are fixed offsets in the string, so a
     missing gene, a short region or a homeotic Dc region all show up as a
     wrong total length."""
-    sym = SymbolSet()
-    c = _valid_chromosome(1, sym)
+    c = _valid_chromosome(1)
     short = c[:2] + c[3:]  # one head slot of ordinary gene 0 missing
-    assert validate(short, 1, sym) == ["expected 49 symbols, got 48"]
+    assert validate(short, 1) == ["expected 49 symbols, got 48"]
     missing = c[20:]  # ordinary gene 0 missing
-    assert validate(missing, 1, sym) == ["expected 49 symbols, got 29"]
+    assert validate(missing, 1) == ["expected 49 symbols, got 29"]
     with_dc = c + "A"  # a Dc slot after the homeotic gene
-    assert validate(with_dc, 1, sym) == ["expected 49 symbols, got 50"]
+    assert validate(with_dc, 1) == ["expected 49 symbols, got 50"]

@@ -13,6 +13,7 @@ compensates rounding from 3.12 on. Another libm or platform may
 legitimately print different bytes.
 """
 
+import glob
 import json
 import os
 import shutil
@@ -87,17 +88,25 @@ IDENTITY = "import sys; print(sys.prefix, sys.version)"
 
 
 def _other_interpreters():
-    """Every python3.10 ... python3.13 on PATH that starts and is not this
-    interpreter, and the names tried; a pyenv shim for a version that is
-    not installed exits non-zero and is left out."""
-    tried, found = [], []
-    for name in ("python3.10", "python3.11", "python3.12", "python3.13"):
-        path = shutil.which(name)
-        tried.append(f"{name} ({path})" if path else name)
-        if path is None:
+    """Every CPython 3.10 ... 3.13 that starts and is not this interpreter,
+    and the names tried: python3.10 ... python3.13 on PATH, then the
+    pyenv builds under $PYENV_ROOT/versions (default ~/.pyenv). A pyenv shim
+    for a version that is not the selected one exits non-zero and is left
+    out, which is why the builds are tried directly; an interpreter reached
+    by two paths runs once."""
+    names = ("python3.10", "python3.11", "python3.12", "python3.13")
+    pyenv = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    candidates = [shutil.which(name) or name for name in names]
+    candidates += sorted(glob.glob(os.path.join(pyenv, "versions", "*", "bin", "python3.1[0-3]")))
+    tried, found, seen = [], [], {f"{sys.prefix} {sys.version}"}
+    for path in candidates:
+        tried.append(path)
+        if not os.path.isabs(path):  # a name not on PATH
             continue
         probe = subprocess.run([path, "-c", IDENTITY], capture_output=True, text=True, timeout=60)
-        if probe.returncode == 0 and probe.stdout.strip() != f"{sys.prefix} {sys.version}":
+        identity = probe.stdout.strip()
+        if probe.returncode == 0 and identity not in seen:
+            seen.add(identity)
             found.append(path)
     return found, tried
 
