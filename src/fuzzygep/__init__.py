@@ -2,7 +2,7 @@
 optimization over real boxes."""
 
 from .bench import Problem, builtin, problem_names
-from .decode import build_tree, protected_apply
+from .decode import protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import Universe, infer_1d, infer_2d
 from .genome import random_chromosome, random_constant_set
@@ -18,7 +18,6 @@ __all__ = [
     "RunResult",
     "Universe",
     "adapt_rates",
-    "build_tree",
     "builtin",
     "diversity",
     "infer_1d",

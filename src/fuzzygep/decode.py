@@ -13,20 +13,11 @@ states, or terminals and gene references, which it does not list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .genome import DC_INDEX, DIGIT_VALUES, FUNCTION_ARITIES, RNC_TERMINAL
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
-
-
-@dataclass(frozen=True)
-class Node:
-    symbol: str
-    children: tuple["Node", ...] = ()
-    # ordinal of this '?' among expressed '?' terminals, None elsewhere
-    rnc_ordinal: int | None = None
 
 
 def protected_apply(op: str, args) -> float:
@@ -63,24 +54,6 @@ def _child_starts(seq, arity) -> list[int]:
         total += arity.get(seq[i], 0)
         i += 1
     return starts
-
-
-def build_tree(coding: str) -> Node:
-    """Expression tree of the expressed region; the gene suffix is ignored."""
-    starts = _child_starts(coding, FUNCTION_ARITIES)
-    n = len(starts)
-    # the reverse pass meets the expressed '?' terminals last to first
-    rnc = coding.count(RNC_TERMINAL, 0, n)
-    nodes: list[Node | None] = [None] * n
-    for i in range(n - 1, -1, -1):
-        sym = coding[i]
-        if sym == RNC_TERMINAL:
-            rnc -= 1
-        ar = FUNCTION_ARITIES.get(sym, 0)
-        first = starts[i]
-        nodes[i] = Node(sym, tuple(nodes[first:first + ar]),
-                        rnc if sym == RNC_TERMINAL else None)
-    return nodes[0]
 
 
 def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:

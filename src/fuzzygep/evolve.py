@@ -202,12 +202,13 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return list(picked)
 
 
-def mutate(chromosome: str, p_m: float, k: int, alphabets, rng: random.Random) -> str:
-    """With probability p_m, rewrite k distinct positions to new legal symbols."""
+def mutate(chromosome: str, p_m: float, alphabets, rng: random.Random) -> str:
+    """With probability p_m, rewrite MUTATIONS_PER_INDIVIDUAL distinct
+    positions to new legal symbols."""
     if rng.random() >= p_m:
         return chromosome
     flat = flatten(chromosome)
-    for pos in _sample_indices(rng, len(flat), min(k, len(flat))):
+    for pos in _sample_indices(rng, len(flat), MUTATIONS_PER_INDIVIDUAL):
         # every slot's alphabet holds at least two symbols, so others is never empty
         others = [s for s in alphabets[pos] if s != flat[pos]]
         flat[pos] = others[rng.randrange(len(others))]
@@ -334,7 +335,7 @@ class Engine:
             return out + pool[len(out):]
 
         def mutated(genomes):
-            return [mutate(g, rates.p_m, MUTATIONS_PER_INDIVIDUAL, self.alphabets, rng)
+            return [mutate(g, rates.p_m, self.alphabets, rng)
                     for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]

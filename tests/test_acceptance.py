@@ -70,7 +70,7 @@ def test_bulk_generated_and_operated_genomes_all_validate():
         a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, rng)
         invalid += (validate(a, 2) != []) + (validate(b, 2) != [])
     for i in range(10_000):
-        invalid += validate(mutate(chroms[i], 1.0, 2, alphabets, rng), 2) != []
+        invalid += validate(mutate(chroms[i], 1.0, alphabets, rng), 2) != []
     elapsed = time.perf_counter() - t0
     ok = invalid == 0 and elapsed < 5.0
     assert _verdict(ok, "A01 bulk validity",

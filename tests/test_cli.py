@@ -28,14 +28,36 @@ def _run_args(tmp_path, *extra):
     ]
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports the package from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzygep.__file__)))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+
+
 def test_package_imports_without_numpy():
     """The package has no runtime dependency: importing it and its command
     line in a fresh interpreter loads no numpy."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzygep.__file__)))
-    code = "import sys, fuzzygep, fuzzygep.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
+    out = _fresh_python("-c", "import sys, fuzzygep, fuzzygep.cli; print('numpy' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """`python -m fuzzygep` hands main's return value to the shell: 0 after
+    a run that writes both files, 1 on a usage error, 2 on an I/O error."""
+    ok = _fresh_python("-m", "fuzzygep", *_run_args(
+        tmp_path, "--problem", "f1", "--runs", "1", "--generations", "5", "--pop-size", "10"))
+    assert ok.returncode == 0, ok.stderr
+    assert _lines(tmp_path / "trace.csv")[0] == TRACE_HEADER
+    assert _lines(tmp_path / "summary.csv")[0] == SUMMARY_HEADER
+    # an uncaught exception also exits 1, so each failure must be main's own
+    usage = _fresh_python("-m", "fuzzygep")
+    assert usage.returncode == 1 and usage.stderr.startswith("error:"), usage.stderr
+    missing_dir = _fresh_python("-m", "fuzzygep", "run", "--problem", "f1",
+                                "--trace", str(tmp_path / "absent" / "trace.csv"),
+                                "--summary", str(tmp_path / "summary2.csv"))
+    assert missing_dir.returncode == 2 and missing_dir.stderr.startswith("error:"), missing_dir.stderr
 
 
 def test_star_import_resolves_every_export():

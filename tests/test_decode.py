@@ -6,12 +6,7 @@ import pytest
 from oracles import eval_chromosome, expressed_length, ref_eval_homeotic, ref_eval_ordinary
 
 from fuzzygep import bench
-from fuzzygep.decode import (
-    build_tree,
-    eval_homeotic,
-    eval_ordinary,
-    protected_apply,
-)
+from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
 from fuzzygep.genome import (
     GENE_REFERENCES,
     N_CONSTANTS,
@@ -31,19 +26,13 @@ def ordinary(coding, dc):
 
 def test_single_terminal_root():
     assert expressed_length("aabaaaa") == 1
-    tree = build_tree("aabaaaa")
-    assert tree.symbol == "a" and tree.children == ()
     assert ordinary("aabaaaa", "AAAA") == 0.0
 
 
 def test_breadth_first_structure():
-    tree = build_tree("+*abcaa")
-    assert tree.symbol == "+"
-    assert tree.children[0].symbol == "*"
-    assert tree.children[1].symbol == "a"
-    assert [n.symbol for n in tree.children[0].children] == ["b", "c"]
-    # (1*2) + 0
-    assert ordinary("+*abcaa", "AAAA") == 2.0
+    # breadth first, - takes * and a, then * takes b and c: (1*2) - 0;
+    # depth first, * would take a and b and - would take c: (0*1) - 2
+    assert ordinary("-*abcaa", "AAAA") == 2.0
 
 
 def test_digit_terminals():
@@ -54,16 +43,12 @@ def test_digit_terminals():
 def test_rnc_binding_uses_dc_order():
     # F is the fourth Dc letter (A B D F ...), so it names CONSTS[3]
     assert ordinary("*?baaaa", "FAAB") == 0.87227
-    tree = build_tree("*?baaaa")
-    assert tree.children[0].rnc_ordinal == 0
-    assert tree.rnc_ordinal is None
 
 
 def test_multiple_rnc_terminals():
-    # expressed: + ? ?  -> dc[0] and dc[1]
-    assert expressed_length("+???aaa") == 3
-    v = ordinary("+???aaa", "ABCD")
-    assert v == CONSTS[0] + CONSTS[1]
+    # expressed: - ? ?  -> the first '?' reads dc[0], the second dc[1]
+    assert expressed_length("-???aaa") == 3
+    assert ordinary("-???aaa", "ABDF") == CONSTS[0] - CONSTS[1]
 
 
 def test_unexpressed_suffix_is_ignored():

@@ -10,6 +10,7 @@ from fuzzygep import cli, evolve
 from fuzzygep.bench import builtin
 from fuzzygep.evolve import (
     BASELINE_RATES,
+    MUTATIONS_PER_INDIVIDUAL,
     Engine,
     EngineConfig,
     Individual,
@@ -218,14 +219,14 @@ def test_crossover_offspring_always_valid():
 def test_mutate_never_fires_at_zero_rate():
     rng = random.Random(4)
     c = random_chromosome(ALPHABETS, rng)
-    assert mutate(c, 0.0, 2, ALPHABETS, rng) == c
+    assert mutate(c, 0.0, ALPHABETS, rng) == c
 
 
 def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, 2, ALPHABETS, rng)
+        m = mutate(c, 1.0, ALPHABETS, rng)
         diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
 
@@ -234,7 +235,7 @@ def test_mutate_respects_position_alphabets():
     rng = random.Random(6)
     for _ in range(1000):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, 2, ALPHABETS, rng)
+        m = mutate(c, 1.0, ALPHABETS, rng)
         assert oracles.validate(m, N_HOMEOTIC) == []
 
 
@@ -334,15 +335,14 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     pytest.param(N_HOMEOTIC, id="layout1"),  # 58 slots
     pytest.param(30, id="layout2"),  # 310 slots
 ])
-@pytest.mark.parametrize("k", [1, 2, 6, 10])
-def test_mutate_matches_stdlib_reference(n_homeotic, k):
+def test_mutate_matches_stdlib_reference(n_homeotic):
     alphabets = position_alphabets(n_homeotic)
-    genomes = random.Random(k)
-    ours, twin = random.Random(k), random.Random(k)
+    genomes = random.Random(2)
+    ours, twin = random.Random(2), random.Random(2)
     for _ in range(300):
         c = random_chromosome(alphabets, genomes)
-        assert (mutate(c, 0.5, k, alphabets, ours)
-                == oracles.ref_mutate(c, 0.5, k, alphabets, twin))
+        assert (mutate(c, 0.5, alphabets, ours)
+                == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin))
     assert ours.getstate() == twin.getstate()
 
 
@@ -463,7 +463,7 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     rng = random.Random(17)
     parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
-    chromosomes = parents + [mutate(c, 1.0, 2, eng.alphabets, rng) for c in parents]
+    chromosomes = parents + [mutate(c, 1.0, eng.alphabets, rng) for c in parents]
     chromosomes += [crossover(a, b, 1.0, rng)[0] for a, b in zip(parents, parents[1:])]
     real = evolve.eval_homeotic
     calls = Counter()
