@@ -9,6 +9,8 @@ offspring.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import random
 import struct
@@ -161,12 +163,17 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
     if gen <= cfg.max_gen / 2.0:
         r_c = 0.0
     else:
-        # the iteration universe is the second half of the run; fuzzify clamps
-        # a diversity below the fuzzy band up to its floor
-        iteration = Universe(cfg.max_gen / 2.0, float(cfg.max_gen))
-        r_c = infer_2d(CONSTANT_MUTATION_RULES, iteration, DIVERSITY_UNIVERSE,
-                       CONSTANT_UNIVERSE, float(gen), d)
+        # fuzzify clamps a diversity below the fuzzy band up to its floor
+        r_c = infer_2d(CONSTANT_MUTATION_RULES, _iteration_universe(cfg.max_gen),
+                       DIVERSITY_UNIVERSE, CONSTANT_UNIVERSE, float(gen), d)
     return Rates(p_c, p_m, r_c)
+
+
+@functools.lru_cache(maxsize=1)
+def _iteration_universe(max_gen: int) -> Universe:
+    """The constant rate's iteration universe, the second half of the run;
+    held while max_gen stays the same, so its breakpoints are computed once."""
+    return Universe(max_gen / 2.0, float(max_gen))
 
 
 def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]:
@@ -175,6 +182,24 @@ def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]
         return a, b
     cut = rng.randrange(len(a))
     return a[:cut] + b[cut:], b[:cut] + a[cut:]
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """`rng.shuffle(x)`, draw for draw, for a `random.Random`.
+
+    CPython 3.10 to 3.13 shuffle by Fisher-Yates from the end, picking each
+    swap partner below n = i + 1 as `_randbelow_with_getrandbits` does:
+    drawing `getrandbits(n.bit_length())` until the value is below n. Inlined
+    here without the per-element method call.
+    """
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
 
 
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
@@ -209,9 +234,12 @@ def mutate(chromosome: str, p_m: float, alphabets, rng: random.Random) -> str:
         return chromosome
     flat = flatten(chromosome)
     for pos in _sample_indices(rng, len(flat), MUTATIONS_PER_INDIVIDUAL):
-        # every slot's alphabet holds at least two symbols, so others is never empty
-        others = [s for s in alphabets[pos] if s != flat[pos]]
-        flat[pos] = others[rng.randrange(len(others))]
+        # every slot's alphabet holds at least two symbols; a draw over the
+        # others skips the old symbol's index, as indexing a list of the
+        # others would
+        alphabet = alphabets[pos]
+        r = rng.randrange(len(alphabet) - 1)
+        flat[pos] = alphabet[r + (r >= alphabet.index(flat[pos]))]
     return rebuild(flat)
 
 
@@ -237,10 +265,14 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
         raise ValueError("temp population smaller than pop_size")
     elite = cfg.elite_count
     size = cfg.tournament_size(len(temp))
-    keys = list(map(_sort_key(direction), temp))
+    # _sort_key(direction) of each member, without a call per member
+    sign = 1.0 if direction == "minimize" else -1.0
+    isfinite, inf = math.isfinite, math.inf
+    keys = [sign * f if isfinite(f) else inf for f in [ind.fitness for ind in temp]]
     rank = keys.__getitem__
-    # a stable sort of positions by key orders temp as sorted(temp, key=...) does
-    chosen = [temp[i] for i in sorted(range(len(temp)), key=rank)[:elite]]
+    # nsmallest equals sorted(...)[:elite], a stable sort of positions, so
+    # the elites come first in the order sorted(temp, key=...) gives them
+    chosen = [temp[i] for i in heapq.nsmallest(elite, range(len(temp)), key=rank)]
     for _ in range(cfg.pop_size - elite):
         # min keeps the first of equal keys in draw order, as a strict < scan does
         chosen.append(temp[min(_sample_indices(rng, len(temp), size), key=rank)])
@@ -275,18 +307,30 @@ class Engine:
         # reuse comes from recent ancestors, and without the limit a run would
         # keep every region it saw before its first constant reset.
         self._regions: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
+        # On a region miss, an ordinary gene (coding and Dc string) seen
+        # under the same constants takes its value from _genes, which is
+        # emptied whenever _regions is.
+        self._genes: dict[str, float] = {}
         self._regions_constants = None
         self._regions_limit = REGION_MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
 
     def evaluate(self, chromosome: str) -> Individual:
         if self.constants is not self._regions_constants or len(self._regions) >= self._regions_limit:
             self._regions = {}
+            self._genes = {}
             self._regions_constants = self.constants
         region = chromosome[:ORDINARY_END]
         entry = self._regions.get(region)
         if entry is None:
-            values = [eval_ordinary(chromosome[coding], chromosome[dc], self.constants)
-                      for coding, dc in self.ordinary_slices]
+            genes = self._genes
+            values = []
+            for coding, dc in self.ordinary_slices:
+                gene = chromosome[coding.start:dc.stop]
+                value = genes.get(gene)
+                if value is None:
+                    value = genes[gene] = eval_ordinary(chromosome[coding], chromosome[dc],
+                                                        self.constants)
+                values.append(value)
             key = self._pack_ordinary(*values)
             entry = self._coordinates.get(key)
             if entry is None:
@@ -316,18 +360,10 @@ class Engine:
     def build_temp_population(self, parents, rates: Rates):
         """Parents plus four same-size offspring batches, duplicates shared."""
         rng = self.rng
-        cache = {ind.chromosome: ind for ind in parents}
-
-        def materialize(chromosome):
-            ind = cache.get(chromosome)
-            if ind is None:
-                ind = self.evaluate(chromosome)
-                cache[chromosome] = ind
-            return ind
 
         def crossed(genomes):
             pool = list(genomes)
-            rng.shuffle(pool)
+            _shuffle(rng, pool)
             out = []
             for a, b in zip(pool[0::2], pool[1::2]):
                 out += crossover(a, b, rates.p_c, rng)
@@ -344,7 +380,14 @@ class Engine:
         offspring += mutated(genomes)
         offspring += mutated(crossed(genomes))
         offspring += crossed(mutated(genomes))
-        return list(parents) + [materialize(c) for c in offspring]
+        cache = {ind.chromosome: ind for ind in parents}
+        temp = list(parents)
+        for chromosome in offspring:
+            ind = cache.get(chromosome)
+            if ind is None:
+                ind = cache[chromosome] = self.evaluate(chromosome)
+            temp.append(ind)
+        return temp
 
     def maybe_mutate_constants(self, gen: int, r_c: float, population):
         """Second-half coin flip; on success the whole constant pool is redrawn."""
@@ -378,7 +421,8 @@ class Engine:
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)
             temp = self.build_temp_population(population, rates)
             population = select(temp, cfg, direction, self.rng)
-            candidate = min(population, key=key)
+            # select puts the best of temp first
+            candidate = population[0]
             if key(candidate) < key(best):
                 best, first_best_gen = candidate, gen
             generations = gen

@@ -283,7 +283,23 @@ def test_select_requires_enough_candidates():
         select([stub(1.0)], EngineConfig(pop_size=10), "minimize", random.Random(0))
 
 
-# --- draws inlined from random.sample ---
+@pytest.mark.parametrize("direction", ["minimize", "maximize"])
+def test_select_puts_the_best_of_temp_first(direction):
+    """Engine.run reads its best candidate off population[0]: it must be
+    the member min(temp, key=...) returns, the first of equal keys."""
+    rng = random.Random(len(direction))
+    values = [-0.0, 0.0, float("nan"), float("inf"), float("-inf")]
+    key = evolve._sort_key(direction)
+    for pop_size in (2, 10, 100, 250):
+        cfg = EngineConfig(pop_size=pop_size)
+        for _ in range(20):
+            # few distinct values, so ties are common
+            pool = values + [float(rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 6))]
+            temp = [stub(rng.choice(pool)) for _ in range(5 * pop_size)]
+            assert select(temp, cfg, direction, rng)[0] is min(temp, key=key)
+
+
+# --- draws inlined from random.sample and random.shuffle ---
 
 @pytest.mark.parametrize("n", [2, 21, 22, 37, 38, 500])
 @pytest.mark.parametrize("k", [1, 2, 5, 6])
@@ -299,6 +315,19 @@ def test_sample_indices_matches_random_sample(n, k):
     else:
         for _ in range(300):
             assert evolve._sample_indices(ours, n, k) == twin.sample(range(n), k)
+    assert ours.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 99, 100, 101, 500])
+def test_shuffle_matches_random_shuffle(n):
+    """Draw for draw, at lengths around powers of two, where the rejection
+    loop's bit count steps."""
+    ours, twin = random.Random(n), random.Random(n)
+    x, y = list(range(n)), list(range(n))
+    for _ in range(100):
+        evolve._shuffle(ours, x)
+        twin.shuffle(y)
+        assert x == y
     assert ours.getstate() == twin.getstate()
 
 
@@ -330,13 +359,15 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
         assert ours.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("n_homeotic", [
-    pytest.param(1, id="layout0"),  # 49 slots
-    pytest.param(N_HOMEOTIC, id="layout1"),  # 58 slots
-    pytest.param(30, id="layout2"),  # 310 slots
+@pytest.mark.parametrize("n_homeotic, operators", [
+    pytest.param(1, (), id="layout0"),  # 49 slots
+    pytest.param(N_HOMEOTIC, (), id="layout1"),  # 58 slots
+    pytest.param(30, (), id="layout2"),  # 310 slots
+    # the longest head alphabets, where the old symbol is first, last or between
+    pytest.param(3, ("S", "C", "Q", "E"), id="unary"),
 ])
-def test_mutate_matches_stdlib_reference(n_homeotic):
-    alphabets = position_alphabets(n_homeotic)
+def test_mutate_matches_stdlib_reference(n_homeotic, operators):
+    alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(2)
     ours, twin = random.Random(2), random.Random(2)
     for _ in range(300):
@@ -455,6 +486,7 @@ def test_sphere_zero_chromosome_has_zero_fitness():
 @pytest.mark.parametrize("name, dim", [
     ("f9", 30),
     ("f12", 10),  # S, C, Q and E
+    ("f8", 2),  # few homeotic genes, so more of the work is in ordinary genes
 ])
 def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     """Memoized coordinates carry the bits the uncached decode computes,
@@ -519,6 +551,9 @@ def test_region_memo_follows_the_constant_set():
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
+        # the gene memo holds only this constant set's values
+        gene = end // 2
+        assert eng._genes == {c1[:gene]: x, c1[gene:end]: 1.0, c2[gene:end]: 1.0}
 
 
 def test_region_memo_stays_bounded():
@@ -532,6 +567,7 @@ def test_region_memo_stays_bounded():
         want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit
+        assert len(eng._genes) <= 2 * limit
 
 
 # --- full runs ---
