@@ -58,6 +58,12 @@ def _child_starts(seq, arity) -> list[int]:
 
 def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:
     """Value of one ordinary gene; the k-th expressed '?' reads dc[k]."""
+    # a terminal root is the whole expression
+    root = coding[0]
+    if root == RNC_TERMINAL:
+        return constants[DC_INDEX[dc[0]]]
+    if root in DIGIT_VALUES:
+        return DIGIT_VALUES[root]
     arity = FUNCTION_ARITIES
     starts = _child_starts(coding, arity)
     n = len(starts)
@@ -82,6 +88,9 @@ def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:
 def eval_homeotic(coding: str, ordinary_values) -> float:
     """Value of one homeotic gene; ordinary_values maps each reference
     character to the value of the ordinary gene it names."""
+    root = coding[0]
+    if root in ordinary_values:  # a reference root is the whole expression
+        return ordinary_values[root]
     arity = FUNCTION_ARITIES
     starts = _child_starts(coding, arity)
     n = len(starts)

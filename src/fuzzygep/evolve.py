@@ -202,6 +202,16 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+def _samples_by_rejection(n: int, k: int) -> bool:
+    """Whether `rng.sample(range(n), k)` picks by rejection against a set of
+    picks, the path _sample_indices and select inline, rather than from a
+    pool list; False also for a k that rng.sample rejects."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize < n and 0 <= k <= n
+
+
 def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     """`rng.sample(range(n), k)`, draw for draw, for a `random.Random`.
 
@@ -212,10 +222,7 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     the per-draw calls; the first, and any invalid k, go to `rng.sample`
     unchanged, so the result matches draw for draw on all four versions.
     """
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize or not 0 <= k <= n:
+    if not _samples_by_rejection(n, k):
         return rng.sample(range(n), k)
     getrandbits = rng.getrandbits
     bits = n.bit_length()
@@ -273,9 +280,26 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
     # nsmallest equals sorted(...)[:elite], a stable sort of positions, so
     # the elites come first in the order sorted(temp, key=...) gives them
     chosen = [temp[i] for i in heapq.nsmallest(elite, range(len(temp)), key=rank)]
-    for _ in range(cfg.pop_size - elite):
+    n = len(temp)
+    tournaments = range(cfg.pop_size - elite)
+    if not _samples_by_rejection(n, size):
         # min keeps the first of equal keys in draw order, as a strict < scan does
-        chosen.append(temp[min(_sample_indices(rng, len(temp), size), key=rank)])
+        chosen += [temp[min(_sample_indices(rng, n, size), key=rank)] for _ in tournaments]
+        return chosen
+    # _sample_indices' rejection draws, keeping the best contender so far;
+    # the strict < keeps the first of equal keys, as min over the picks does
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    for _ in tournaments:
+        picked = set()
+        best = None
+        while len(picked) < size:
+            j = getrandbits(bits)
+            if j < n and j not in picked:
+                picked.add(j)
+                if best is None or keys[j] < keys[best]:
+                    best = j
+        chosen.append(temp[best])
     return chosen
 
 
@@ -311,13 +335,23 @@ class Engine:
         # under the same constants takes its value from _genes, which is
         # emptied whenever _regions is.
         self._genes: dict[str, float] = {}
+        # Many chromosomes decode to the same point, and the objective
+        # depends only on the point's bits: _fitnesses maps a packed point
+        # (signed zeros apart, as above) to its fitness, NaN for an unfit
+        # one. It is emptied with _regions, and also once it holds as many
+        # points as _regions may hold regions.
+        self._pack_point = struct.Struct(f"<{problem.dim}d").pack
+        self._fitnesses: dict[bytes, float] = {}
         self._regions_constants = None
         self._regions_limit = REGION_MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
 
     def evaluate(self, chromosome: str) -> Individual:
-        if self.constants is not self._regions_constants or len(self._regions) >= self._regions_limit:
+        if (self.constants is not self._regions_constants
+                or len(self._regions) >= self._regions_limit
+                or len(self._fitnesses) >= self._regions_limit):
             self._regions = {}
             self._genes = {}
+            self._fitnesses = {}
             self._regions_constants = self.constants
         region = chromosome[:ORDINARY_END]
         entry = self._regions.get(region)
@@ -345,7 +379,11 @@ class Engine:
                 x = coordinates[gene] = eval_homeotic(gene, ordinary)
             point.append(x)
         point = tuple(point)
-        return Individual(chromosome, point, self._fitness(point))
+        key = self._pack_point(*point)
+        fitness = self._fitnesses.get(key)
+        if fitness is None:
+            fitness = self._fitnesses[key] = self._fitness(point)
+        return Individual(chromosome, point, fitness)
 
     def _fitness(self, point) -> float:
         for v in point:

@@ -8,6 +8,8 @@ from oracles import eval_chromosome, expressed_length, ref_eval_homeotic, ref_ev
 from fuzzygep import bench
 from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
 from fuzzygep.genome import (
+    DC_ALPHABET,
+    DIGIT_TERMINALS,
     GENE_REFERENCES,
     N_CONSTANTS,
     gene_slices,
@@ -92,6 +94,32 @@ def test_exact_ieee_for_ordinary_ops():
     assert protected_apply("+", (0.1, 0.2)) == 0.1 + 0.2
     assert protected_apply("-", (1.0, 0.3)) == 1.0 - 0.3
     assert protected_apply("*", (1e308, 10.0)) == float("inf")
+
+
+# Single-symbol genes: the root is the whole expression. Every slot after it
+# holds an operator, which no terminal or Dc read accepts, so a decoder that
+# reads past the root gives another value or raises.
+ORDINARY_OPERATORS = "+-*/SCQE+-*/"  # the 12 coding slots after the root
+HOMEOTIC_OPERATORS = "+-*/SCQE"  # the 8 coding slots after the root
+
+
+def test_rnc_root_reads_only_the_first_dc_letter():
+    coding = "?" + ORDINARY_OPERATORS
+    assert ordinary(coding, "F" + "+-*/SC") == CONSTS[3]
+    for later in DC_ALPHABET:
+        assert ordinary(coding, "F" + later * 6) == CONSTS[3]
+
+
+def test_digit_root_is_the_digit():
+    for value, digit in enumerate(DIGIT_TERMINALS):
+        assert ordinary(digit + ORDINARY_OPERATORS, "+-*/SCQ") == float(value)
+
+
+def test_reference_root_is_the_referenced_value():
+    values = {"0": -0.0, "1": 3.0}
+    assert eval_homeotic("1" + HOMEOTIC_OPERATORS, values) == 3.0
+    # the referenced float itself, sign of zero included
+    assert math.copysign(1.0, eval_homeotic("0" + HOMEOTIC_OPERATORS, values)) == -1.0
 
 
 def test_homeotic_gene_refs():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -24,6 +25,7 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
+    ORDINARY_END,
     position_alphabets,
     random_chromosome,
 )
@@ -331,15 +333,18 @@ def test_shuffle_matches_random_shuffle(n):
     assert ours.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("temp_size", [20, 500])
+@pytest.mark.parametrize("temp_size", [20, 25, 30, 500])
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
 @pytest.mark.parametrize("tournament_size", [None, 6, 20])
 def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     """The same members, by identity, as the rng.sample version picks; ties,
     signed zeros and non-finite fitnesses keep their draw-order tie-break.
 
-    The pop size is temp_size // 5. A tournament size of 6 or 20 is what a
-    temp of 600 or 2000 members gives, so those cases use such a temp.
+    The pop size is temp_size // 5. A temp of 20 takes rng.sample's pool
+    path; 25 and 30 are the smallest temps on its set path, where select
+    draws the contenders itself and repeats are frequent. A tournament size
+    of 6 or 20 is what a temp of 600 or 2000 members gives, so those cases
+    use such a temp.
     """
     cfg = EngineConfig(pop_size=temp_size // 5)
     if tournament_size is not None:
@@ -468,9 +473,12 @@ def test_evaluate_penalizes_objective_blowups():
     eng.constants = _fresh_constants(eng, rng)
     # homeotic output -exp(700): far outside the box, exp(-0.001*x) overflows
     c = "Ej" + "a" * 11 + "A" * 7 + "EEj" + "a" * 10 + "A" * 7 + "-010" + "0" * 5
-    ind = eng.evaluate(c)
-    assert math.isfinite(ind.point[0]) and ind.point[0] < -1e300
-    assert math.isnan(ind.fitness)
+    # the second evaluation takes the NaN from the fitness memo
+    for _ in range(2):
+        ind = eng.evaluate(c)
+        assert math.isfinite(ind.point[0]) and ind.point[0] < -1e300
+        assert math.isnan(ind.fitness)
+    assert len(eng._fitnesses) == 1
 
 
 def test_sphere_zero_chromosome_has_zero_fitness():
@@ -489,8 +497,8 @@ def test_sphere_zero_chromosome_has_zero_fitness():
     ("f8", 2),  # few homeotic genes, so more of the work is in ordinary genes
 ])
 def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
-    """Memoized coordinates carry the bits the uncached decode computes,
-    also once the constants are redrawn."""
+    """Memoized coordinates and fitnesses carry the bits the uncached decode
+    and objective compute, also once the constants are redrawn."""
     eng = Engine(builtin(name, dim), seed=3)
     rng = random.Random(17)
     parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
@@ -510,22 +518,29 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
         eng.constants = _fresh_constants(eng, rng)
         for c in chromosomes:
             want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
-            assert pack(*eng.evaluate(c).point) == pack(*want)
+            ind = eng.evaluate(c)
+            assert pack(*ind.point) == pack(*want)
+            assert struct.pack("<d", ind.fitness) == struct.pack("<d", eng.problem.evaluate(want))
     assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
     """0.0 == -0.0, so a float-tuple memo key would hand the second
-    chromosome the first one's +0.0 coordinates."""
-    eng = make_engine("f1", max_gen=10)
+    chromosome the first one's +0.0 coordinates, and its fitness too: the
+    objective here returns the first coordinate, sign of zero included."""
+    eng = Engine(dataclasses.replace(builtin("f1"), func=lambda x: x[0]), seed=123)
     eng.constants = (-3.0, 2.0) + (1.0,) * 8
     # first ordinary gene a*?: 0 * constant A = -0.0, 0 * constant B = +0.0;
     # the second is 1; both homeotic genes read the first ordinary gene
     second_and_homeotic = "b" + "a" * 12 + "A" * 7 + "0" * 9 * 2
     positive = "*a?" + "a" * 10 + "B" * 7 + second_and_homeotic
     negative = "*a?" + "a" * 10 + "A" * 7 + second_and_homeotic
-    assert [math.copysign(1.0, x) for x in eng.evaluate(positive).point] == [1.0, 1.0]
-    assert [math.copysign(1.0, x) for x in eng.evaluate(negative).point] == [-1.0, -1.0]
+    for chromosome, sign in ((positive, 1.0), (negative, -1.0)):
+        ind = eng.evaluate(chromosome)
+        assert [math.copysign(1.0, x) for x in ind.point] == [sign, sign]
+        assert math.copysign(1.0, ind.fitness) == sign
+    pack = struct.Struct("<2d").pack
+    assert list(eng._fitnesses) == [pack(0.0, 0.0), pack(-0.0, -0.0)]
 
 
 def test_region_memo_follows_the_constant_set():
@@ -551,9 +566,10 @@ def test_region_memo_follows_the_constant_set():
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
-        # the gene memo holds only this constant set's values
+        # the gene and fitness memos hold only this constant set's entries
         gene = end // 2
         assert eng._genes == {c1[:gene]: x, c1[gene:end]: 1.0, c2[gene:end]: 1.0}
+        assert eng._fitnesses == {pack(x, x): eng.problem.evaluate((x, x))}
 
 
 def test_region_memo_stays_bounded():
@@ -568,6 +584,14 @@ def test_region_memo_stays_bounded():
         assert pack(*eng.evaluate(c).point) == pack(*want)
         assert len(eng._regions) <= limit
         assert len(eng._genes) <= 2 * limit
+        assert len(eng._fitnesses) <= limit
+    # one ordinary region for all: new points fill the fitness memo, not _regions
+    region = random_chromosome(eng.alphabets, rng)[:ORDINARY_END]
+    for _ in range(3 * limit):
+        c = region + random_chromosome(eng.alphabets, rng)[ORDINARY_END:]
+        want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
+        assert pack(*eng.evaluate(c).point) == pack(*want)
+        assert len(eng._fitnesses) <= limit
 
 
 # --- full runs ---
