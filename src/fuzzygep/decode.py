@@ -8,40 +8,72 @@ functions take slices of the chromosome string: a gene's coding region
 (head + tail) and, for an ordinary gene, its Dc region.  Arities come from
 FUNCTION_ARITIES: a coding slot holds only operators, whose arities it
 states, or terminals and gene references, which it does not list.
+
+A homeotic gene's tail holds only references, so its head alone fixes which
+positions are expressed and the arity of each: the gene's shape.  Every
+shape gets one generated function, and every head the function of its shape.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 
-from .genome import DC_INDEX, DIGIT_VALUES, FUNCTION_ARITIES, RNC_TERMINAL
+from .genome import (
+    DC_INDEX,
+    DIGIT_VALUES,
+    FUNCTION_ARITIES,
+    GENE_REFERENCES,
+    HOMEOTIC_HEAD_LEN,
+    HOMEOTIC_TAIL_LEN,
+    RNC_TERMINAL,
+)
 
 MIN_DENOMINATOR = 1e-12
 MAX_EXP_ARG = 700.0
 
 
+def _divide(a: float, b: float) -> float:
+    return 1.0 if abs(b) < MIN_DENOMINATOR else a / b
+
+
+def _sin(x: float) -> float:
+    return math.sin(x) if math.isfinite(x) else math.nan
+
+
+def _cos(x: float) -> float:
+    return math.cos(x) if math.isfinite(x) else math.nan
+
+
+def _sqrt_abs(x: float) -> float:
+    return math.sqrt(abs(x))
+
+
+def _exp(x: float) -> float:
+    return math.exp(min(x, MAX_EXP_ARG))
+
+
+# The protected operators, one per FUNCTION_ARITIES symbol; every decoder
+# reads this table, and none raises on float inputs.
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "S": _sin,
+    "C": _cos,
+    "Q": _sqrt_abs,
+    "E": _exp,
+}
+
+
 def protected_apply(op: str, args) -> float:
     """One protected operator application; never raises on float inputs."""
-    if op == "+":
-        return args[0] + args[1]
-    if op == "-":
-        return args[0] - args[1]
-    if op == "*":
-        return args[0] * args[1]
-    if op == "/":
-        if abs(args[1]) < MIN_DENOMINATOR:
-            return 1.0
-        return args[0] / args[1]
-    x = args[0]
-    if op == "S":
-        return math.sin(x) if math.isfinite(x) else float("nan")
-    if op == "C":
-        return math.cos(x) if math.isfinite(x) else float("nan")
-    if op == "Q":
-        return math.sqrt(abs(x))
-    if op == "E":
-        return math.exp(min(x, MAX_EXP_ARG))
-    raise ValueError(f"unknown operator {op!r}")
+    fn = OPERATORS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown operator {op!r}")
+    return fn(*args)
 
 
 def _child_starts(seq, arity) -> list[int]:
@@ -81,8 +113,42 @@ def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:
                 values[i] = DIGIT_VALUES[sym]
         else:
             first = starts[i]
-            values[i] = protected_apply(sym, values[first:first + ar])
+            values[i] = OPERATORS[sym](*values[first:first + ar])
     return values[0]
+
+
+# Generated homeotic evaluators, built on first use and kept for the process:
+# shape -> function, and head -> its shape's function. A shape is the tuple of
+# arities of the expressed positions, breadth first. There is at most one
+# entry per head over functions and references, 10**4 with all eight
+# operators, and far fewer shapes.
+_by_shape: dict[tuple[int, ...], Callable] = {}
+_by_head: dict[str, Callable] = {}
+
+
+def _shape(head: str) -> tuple[int, ...]:
+    """Shape of every homeotic gene with this head; any tail of references
+    gives the same one."""
+    gene = head + GENE_REFERENCES[0] * HOMEOTIC_TAIL_LEN
+    n = len(_child_starts(gene, FUNCTION_ARITIES))
+    return tuple(FUNCTION_ARITIES.get(symbol, 0) for symbol in gene[:n])
+
+
+def _compile(shape: tuple[int, ...]) -> Callable:
+    """`lambda g, v: ...` that evaluates a homeotic coding string g of this
+    shape against the reference values v, as dataclasses builds its methods:
+    the source holds only positions and the operator table's name, A."""
+    first = [1]
+    for ar in shape:
+        first.append(first[-1] + ar)
+
+    def node(i: int) -> str:
+        if shape[i] == 0:
+            return f"v[g[{i}]]"
+        children = ", ".join(node(j) for j in range(first[i], first[i] + shape[i]))
+        return f"A[g[{i}]]({children})"
+
+    return eval(f"lambda g, v: {node(0)}", {"A": OPERATORS})
 
 
 def eval_homeotic(coding: str, ordinary_values) -> float:
@@ -91,16 +157,12 @@ def eval_homeotic(coding: str, ordinary_values) -> float:
     root = coding[0]
     if root in ordinary_values:  # a reference root is the whole expression
         return ordinary_values[root]
-    arity = FUNCTION_ARITIES
-    starts = _child_starts(coding, arity)
-    n = len(starts)
-    values = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        sym = coding[i]
-        ar = arity.get(sym, 0)
-        if ar == 0:
-            values[i] = ordinary_values[sym]
-        else:
-            first = starts[i]
-            values[i] = protected_apply(sym, values[first:first + ar])
-    return values[0]
+    head = coding[:HOMEOTIC_HEAD_LEN]
+    fn = _by_head.get(head)
+    if fn is None:
+        shape = _shape(head)
+        fn = _by_shape.get(shape)
+        if fn is None:
+            fn = _by_shape[shape] = _compile(shape)
+        _by_head[head] = fn
+    return fn(coding, ordinary_values)

@@ -338,8 +338,9 @@ class Engine:
         # Many chromosomes decode to the same point, and the objective
         # depends only on the point's bits: _fitnesses maps a packed point
         # (signed zeros apart, as above) to its fitness, NaN for an unfit
-        # one. It is emptied with _regions, and also once it holds as many
-        # points as _regions may hold regions.
+        # one. No constant set enters a fitness, so it outlives constant
+        # resets and is emptied only once it holds as many points as
+        # _regions may hold regions.
         self._pack_point = struct.Struct(f"<{problem.dim}d").pack
         self._fitnesses: dict[bytes, float] = {}
         self._regions_constants = None
@@ -347,12 +348,12 @@ class Engine:
 
     def evaluate(self, chromosome: str) -> Individual:
         if (self.constants is not self._regions_constants
-                or len(self._regions) >= self._regions_limit
-                or len(self._fitnesses) >= self._regions_limit):
+                or len(self._regions) >= self._regions_limit):
             self._regions = {}
             self._genes = {}
-            self._fitnesses = {}
             self._regions_constants = self.constants
+        if len(self._fitnesses) >= self._regions_limit:
+            self._fitnesses = {}
         region = chromosome[:ORDINARY_END]
         entry = self._regions.get(region)
         if entry is None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -5,11 +6,13 @@ import struct
 import pytest
 from oracles import eval_chromosome, expressed_length, ref_eval_homeotic, ref_eval_ordinary
 
-from fuzzygep import bench
+from fuzzygep import bench, decode
 from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
 from fuzzygep.genome import (
+    BASE_OPERATORS,
     DC_ALPHABET,
     DIGIT_TERMINALS,
+    FUNCTION_ARITIES,
     GENE_REFERENCES,
     N_CONSTANTS,
     gene_slices,
@@ -214,3 +217,38 @@ def test_gene_values_match_the_level_by_level_reference(extra):
         for coding in homeotic_slices:
             want = ref_eval_homeotic(c[coding], values)
             assert _same_float(eval_homeotic(c[coding], values), want), (c, coding)
+
+
+REGISTRY_OPERATOR_SETS = sorted({bench.builtin(name).extra_operators for name in bench.problem_names()})
+# signed zeros, values under the division guard, NaN, infinities and values
+# whose products overflow
+SPECIAL_VALUES = (0.0, -0.0, 1e-13, -1e-13, math.nan, math.inf, -math.inf, 1e200, -1e200)
+SPECIAL_PAIRS = list(itertools.product(SPECIAL_VALUES, repeat=2))
+# complementary tails, so every tail slot names each ordinary gene once
+TAILS = ("01101", "10010")
+
+
+def test_every_operator_has_a_protected_function():
+    assert set(decode.OPERATORS) == set(FUNCTION_ARITIES)
+
+
+@pytest.mark.parametrize("extra", REGISTRY_OPERATOR_SETS, ids=lambda extra: "".join(extra) or "arithmetic")
+def test_every_head_matches_the_reference_and_the_caches_stay_bounded(extra, monkeypatch):
+    """Every head over the functions and references, with special ordinary
+    values, decodes to the reference's bits, NaN for NaN; the generated
+    evaluators number at most one per head and one per shape."""
+    monkeypatch.setattr(decode, "_by_head", {})
+    monkeypatch.setattr(decode, "_by_shape", {})
+    symbols = BASE_OPERATORS + extra + GENE_REFERENCES
+    for k, head in enumerate(itertools.product(symbols, repeat=4)):
+        head = "".join(head)
+        # three of the 81 ordered pairs per head, all 81 over any 27 heads in a row
+        for pair in SPECIAL_PAIRS[3 * k % 81:3 * k % 81 + 3]:
+            values = dict(zip(GENE_REFERENCES, pair))
+            for tail in TAILS:
+                coding = head + tail
+                want = ref_eval_homeotic(coding, values)
+                assert _same_float(eval_homeotic(coding, values), want), (coding, pair)
+    assert len(decode._by_head) <= len(symbols) ** 4
+    # the shapes seen: 7 with binary operators only, 42 with S, C, Q and E
+    assert len(decode._by_shape) <= (7 if all(FUNCTION_ARITIES[op] == 2 for op in extra) else 42)

@@ -546,7 +546,8 @@ def test_coordinate_memo_keeps_signed_zeros_apart():
 def test_region_memo_follows_the_constant_set():
     """Assigning eng.constants directly, as the tests above do, decodes the
     ordinary genes afresh; regions with the same ordinary values share the
-    _coordinates pair."""
+    _coordinates pair. A fitness depends on the point alone, so the fitness
+    memo keeps the points of every constant set."""
     eng = make_engine("f1", max_gen=10)
     first = (-3.0,) + (1.0,) * 9
     second = (4.5,) + (1.0,) * 9
@@ -557,6 +558,7 @@ def test_region_memo_follows_the_constant_set():
     c2 = "+a?" + "a" * 10 + "A" * 7 + "bc" + tail
     end = 2 * (6 + 7 + 7)
     pack = struct.Struct("<2d").pack
+    fitnesses = {}
     for constants, x in ((first, -3.0), (second, 4.5), (first, -3.0)):
         eng.constants = constants
         for c in (c1, c2):
@@ -566,10 +568,13 @@ def test_region_memo_follows_the_constant_set():
         shared = eng._coordinates[pack(x, 1.0)]
         assert eng._regions[c1[:end]] is shared
         assert eng._regions[c2[:end]] is shared
-        # the gene and fitness memos hold only this constant set's entries
+        # the gene memo holds only this constant set's entries
         gene = end // 2
         assert eng._genes == {c1[:gene]: x, c1[gene:end]: 1.0, c2[gene:end]: 1.0}
-        assert eng._fitnesses == {pack(x, x): eng.problem.evaluate((x, x))}
+        # the fitness memo keeps the points of every set seen so far, bit for bit
+        fitnesses[pack(x, x)] = struct.pack("<d", eng.problem.evaluate((x, x)))
+        assert {k: struct.pack("<d", f) for k, f in eng._fitnesses.items()} == fitnesses
+    assert len(fitnesses) == 2
 
 
 def test_region_memo_stays_bounded():
