@@ -28,7 +28,6 @@ from .fuzzy import (
 )
 from .genome import (
     GENE_REFERENCES,
-    ORDINARY_END,
     flatten,
     gene_slices,
     position_alphabets,
@@ -53,8 +52,9 @@ CROSSOVER_UNIVERSE = Universe(0.1, 0.3)
 MUTATION_UNIVERSE = Universe(0.05, 0.25)
 CONSTANT_UNIVERSE = Universe(0.0, 0.5)
 
-# Engine.evaluate's region memo starts over after this many 5N temp populations
-REGION_MEMO_TEMP_POPULATIONS = 10
+# each of Engine.evaluate's memos starts over once it holds what this many
+# 5N temp populations' evaluations can add
+MEMO_TEMP_POPULATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -315,62 +315,58 @@ class Engine:
         # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(problem.dim)
         self.constants = None
+        # One memo per decode stage, each limited to what this many
+        # evaluations can add: reuse comes from recent ancestors, and without
+        # a limit a long run would keep everything it ever decoded.
+        evaluations = MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
+        # _genes maps an ordinary gene's string (coding and Dc) to its value,
+        # which depends on the constants too: it also starts over when
+        # self.constants becomes another object (a reset, or a caller's).
+        self._genes: dict[str, float] = {}
+        self._genes_constants = None
+        self._genes_limit = len(GENE_REFERENCES) * evaluations
         # A homeotic gene's coordinate depends only on its coding string and
         # the ordinary-gene values, so it is computed once per pair: packed
         # ordinary values -> ({homeotic coding string: coordinate},
         # {reference: ordinary value}). The key is the values' bytes, not a
         # float tuple, so that 0.0 and -0.0 stay apart and a NaN value still
-        # finds its entry.
-        self._pack_ordinary = struct.Struct("<2d").pack
+        # finds its entry. No constant enters it, so it outlives constant
+        # resets; its limit counts the coordinates stored, dim per evaluation.
+        self._pack_ordinary = struct.Struct(f"<{len(GENE_REFERENCES)}d").pack
         self._coordinates: dict[bytes, tuple[dict[str, float], dict[str, float]]] = {}
-        # The ordinary values depend only on the ordinary region and the
-        # constants, so a second memo maps the region string to its
-        # _coordinates pair. It is emptied when self.constants becomes another
-        # object (a reset, or a caller assigning it), and when it holds
-        # REGION_MEMO_TEMP_POPULATIONS temp populations' worth of regions:
-        # reuse comes from recent ancestors, and without the limit a run would
-        # keep every region it saw before its first constant reset.
-        self._regions: dict[str, tuple[dict[str, float], dict[str, float]]] = {}
-        # On a region miss, an ordinary gene (coding and Dc string) seen
-        # under the same constants takes its value from _genes, which is
-        # emptied whenever _regions is.
-        self._genes: dict[str, float] = {}
+        self._coordinates_stored = 0
+        self._coordinates_limit = problem.dim * evaluations
         # Many chromosomes decode to the same point, and the objective
         # depends only on the point's bits: _fitnesses maps a packed point
         # (signed zeros apart, as above) to its fitness, NaN for an unfit
-        # one. No constant set enters a fitness, so it outlives constant
-        # resets and is emptied only once it holds as many points as
-        # _regions may hold regions.
+        # one. It outlives constant resets too.
         self._pack_point = struct.Struct(f"<{problem.dim}d").pack
         self._fitnesses: dict[bytes, float] = {}
-        self._regions_constants = None
-        self._regions_limit = REGION_MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
+        self._fitnesses_limit = evaluations
 
     def evaluate(self, chromosome: str) -> Individual:
-        if (self.constants is not self._regions_constants
-                or len(self._regions) >= self._regions_limit):
-            self._regions = {}
+        if (self.constants is not self._genes_constants
+                or len(self._genes) >= self._genes_limit):
             self._genes = {}
-            self._regions_constants = self.constants
-        if len(self._fitnesses) >= self._regions_limit:
+            self._genes_constants = self.constants
+        if self._coordinates_stored >= self._coordinates_limit:
+            self._coordinates = {}
+            self._coordinates_stored = 0
+        if len(self._fitnesses) >= self._fitnesses_limit:
             self._fitnesses = {}
-        region = chromosome[:ORDINARY_END]
-        entry = self._regions.get(region)
+        genes = self._genes
+        values = []
+        for coding, dc in self.ordinary_slices:
+            gene = chromosome[coding.start:dc.stop]
+            value = genes.get(gene)
+            if value is None:
+                value = genes[gene] = eval_ordinary(chromosome[coding], chromosome[dc],
+                                                    self.constants)
+            values.append(value)
+        key = self._pack_ordinary(*values)
+        entry = self._coordinates.get(key)
         if entry is None:
-            genes = self._genes
-            values = []
-            for coding, dc in self.ordinary_slices:
-                gene = chromosome[coding.start:dc.stop]
-                value = genes.get(gene)
-                if value is None:
-                    value = genes[gene] = eval_ordinary(chromosome[coding], chromosome[dc],
-                                                        self.constants)
-                values.append(value)
-            key = self._pack_ordinary(*values)
-            entry = self._coordinates.get(key)
-            if entry is None:
-                entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
-            self._regions[region] = entry
+            entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
         point = []
         for coding in self.homeotic_slices:
@@ -378,6 +374,7 @@ class Engine:
             x = coordinates.get(gene)
             if x is None:
                 x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                self._coordinates_stored += 1
             point.append(x)
         point = tuple(point)
         key = self._pack_point(*point)

@@ -543,11 +543,12 @@ def test_coordinate_memo_keeps_signed_zeros_apart():
     assert list(eng._fitnesses) == [pack(0.0, 0.0), pack(-0.0, -0.0)]
 
 
-def test_region_memo_follows_the_constant_set():
+def test_memos_follow_the_constant_set(monkeypatch):
     """Assigning eng.constants directly, as the tests above do, decodes the
-    ordinary genes afresh; regions with the same ordinary values share the
-    _coordinates pair. A fitness depends on the point alone, so the fitness
-    memo keeps the points of every constant set."""
+    ordinary genes afresh. Coordinates are keyed on the ordinary values, so
+    regions with equal values share them, under any constant set. A fitness
+    depends on the point alone, so the fitness memo keeps the points of
+    every constant set."""
     eng = make_engine("f1", max_gen=10)
     first = (-3.0,) + (1.0,) * 9
     second = (4.5,) + (1.0,) * 9
@@ -557,17 +558,27 @@ def test_region_memo_follows_the_constant_set():
     c1 = "+a?" + "a" * 10 + "A" * 7 + "ba" + tail
     c2 = "+a?" + "a" * 10 + "A" * 7 + "bc" + tail
     end = 2 * (6 + 7 + 7)
+    real = evolve.eval_homeotic
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "eval_homeotic", counted)
     pack = struct.Struct("<2d").pack
     fitnesses = {}
-    for constants, x in ((first, -3.0), (second, 4.5), (first, -3.0)):
+    # the two homeotic genes are equal, so a new pair of ordinary values
+    # costs one decode; -3.0's coordinate is still stored when first returns
+    for constants, x, decoded in ((first, -3.0, 1), (second, 4.5, 1), (first, -3.0, 0)):
         eng.constants = constants
+        calls.clear()
         for c in (c1, c2):
             point = eng.evaluate(c).point
             assert point == (x, x)
             assert pack(*point) == pack(*oracles.eval_chromosome(c, eng.problem.dim, constants))
-        shared = eng._coordinates[pack(x, 1.0)]
-        assert eng._regions[c1[:end]] is shared
-        assert eng._regions[c2[:end]] is shared
+        # c2 differs from c1 only in an unexpressed slot: it decodes nothing
+        assert len(calls) == decoded
         # the gene memo holds only this constant set's entries
         gene = end // 2
         assert eng._genes == {c1[:gene]: x, c1[gene:end]: 1.0, c2[gene:end]: 1.0}
@@ -577,26 +588,30 @@ def test_region_memo_follows_the_constant_set():
     assert len(fitnesses) == 2
 
 
-def test_region_memo_stays_bounded():
+def test_memos_stay_bounded():
+    """Each memo holds at most what its limit of evaluations can add: two
+    genes, dim coordinates and one fitness each; a memo is checked before
+    an evaluation, which may add one evaluation's worth past the limit."""
     eng = Engine(builtin("f9", 10), EngineConfig(pop_size=2), seed=1)
-    limit = evolve.REGION_MEMO_TEMP_POPULATIONS * 5 * 2
+    limit = evolve.MEMO_TEMP_POPULATIONS * 5 * 2
+    dim = eng.problem.dim
     rng = random.Random(5)
     eng.constants = _fresh_constants(eng, rng)
     pack = struct.Struct("<10d").pack
-    for _ in range(3 * limit):
-        c = random_chromosome(eng.alphabets, rng)
-        want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
-        assert pack(*eng.evaluate(c).point) == pack(*want)
-        assert len(eng._regions) <= limit
+
+    def check(chromosome):
+        want = oracles.eval_chromosome(chromosome, dim, eng.constants)
+        assert pack(*eng.evaluate(chromosome).point) == pack(*want)
         assert len(eng._genes) <= 2 * limit
+        assert sum(len(c) for c, _ in eng._coordinates.values()) <= (limit + 1) * dim
         assert len(eng._fitnesses) <= limit
-    # one ordinary region for all: new points fill the fitness memo, not _regions
+
+    for _ in range(3 * limit):
+        check(random_chromosome(eng.alphabets, rng))
+    # one ordinary region for all: every coordinate lands in one entry
     region = random_chromosome(eng.alphabets, rng)[:ORDINARY_END]
     for _ in range(3 * limit):
-        c = region + random_chromosome(eng.alphabets, rng)[ORDINARY_END:]
-        want = oracles.eval_chromosome(c, eng.problem.dim, eng.constants)
-        assert pack(*eng.evaluate(c).point) == pack(*want)
-        assert len(eng._fitnesses) <= limit
+        check(region + random_chromosome(eng.alphabets, rng)[ORDINARY_END:])
 
 
 # --- full runs ---
