@@ -57,7 +57,9 @@ CONSTANT_UNIVERSE = Universe(0.0, 0.5)
 MEMO_TEMP_POPULATIONS = 10
 
 
-@dataclass(frozen=True)
+# slotted and unfrozen: one is built per evaluation, and nothing hashes or
+# changes one after it is built
+@dataclass(slots=True)
 class Individual:
     chromosome: str
     point: tuple[float, ...]
@@ -176,10 +178,9 @@ def _iteration_universe(max_gen: int) -> Universe:
     return Universe(max_gen / 2.0, float(max_gen))
 
 
-def crossover(a: str, b: str, p_c: float, rng: random.Random) -> tuple[str, str]:
-    """One-point crossover of two chromosome strings with probability p_c."""
-    if rng.random() >= p_c:
-        return a, b
+def crossover(a: str, b: str, rng: random.Random) -> tuple[str, str]:
+    """One-point crossover of two chromosome strings; the caller draws the
+    p_c coin."""
     cut = rng.randrange(len(a))
     return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
@@ -234,18 +235,21 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return list(picked)
 
 
-def mutate(chromosome: str, p_m: float, alphabets, rng: random.Random) -> str:
-    """With probability p_m, rewrite MUTATIONS_PER_INDIVIDUAL distinct
-    positions to new legal symbols."""
-    if rng.random() >= p_m:
-        return chromosome
+def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
+    """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
+    symbols; the caller draws the p_m coin."""
     flat = flatten(chromosome)
+    getrandbits = rng.getrandbits
     for pos in _sample_indices(rng, len(flat), MUTATIONS_PER_INDIVIDUAL):
         # every slot's alphabet holds at least two symbols; a draw over the
         # others skips the old symbol's index, as indexing a list of the
-        # others would
+        # others would. The draw is rng.randrange(n)'s, as _shuffle inlines it.
         alphabet = alphabets[pos]
-        r = rng.randrange(len(alphabet) - 1)
+        n = len(alphabet) - 1
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
         flat[pos] = alphabet[r + (r >= alphabet.index(flat[pos]))]
     return rebuild(flat)
 
@@ -394,20 +398,28 @@ class Engine:
             return float("nan")
 
     def build_temp_population(self, parents, rates: Rates):
-        """Parents plus four same-size offspring batches, duplicates shared."""
+        """Parents plus four same-size offspring batches, duplicates shared.
+
+        The pipelines draw each operator's coin, a pair crossing with
+        probability p_c and a genome mutating with probability p_m, and
+        call the operator only when it fires.
+        """
         rng = self.rng
+        rand = rng.random
+        p_c, p_m = rates.p_c, rates.p_m
+        alphabets = self.alphabets
 
         def crossed(genomes):
             pool = list(genomes)
             _shuffle(rng, pool)
             out = []
             for a, b in zip(pool[0::2], pool[1::2]):
-                out += crossover(a, b, rates.p_c, rng)
+                out += crossover(a, b, rng) if rand() < p_c else (a, b)
             # an odd count leaves the last genome unpaired
             return out + pool[len(out):]
 
         def mutated(genomes):
-            return [mutate(g, rates.p_m, self.alphabets, rng)
+            return [g if rand() >= p_m else mutate(g, alphabets, rng)
                     for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]

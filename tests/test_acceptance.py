@@ -67,10 +67,10 @@ def test_bulk_generated_and_operated_genomes_all_validate():
     chroms = [random_chromosome(alphabets, rng) for _ in range(100_000)]
     invalid = sum(validate(c, 2) != [] for c in chroms)
     for i in range(10_000):
-        a, b = crossover(chroms[2 * i], chroms[2 * i + 1], 1.0, rng)
+        a, b = crossover(chroms[2 * i], chroms[2 * i + 1], rng)
         invalid += (validate(a, 2) != []) + (validate(b, 2) != [])
     for i in range(10_000):
-        invalid += validate(mutate(chroms[i], 1.0, alphabets, rng), 2) != []
+        invalid += validate(mutate(chroms[i], alphabets, rng), 2) != []
     elapsed = time.perf_counter() - t0
     ok = invalid == 0 and elapsed < 5.0
     assert _verdict(ok, "A01 bulk validity",

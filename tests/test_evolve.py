@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from fuzzygep import cli, evolve
-from fuzzygep.bench import builtin
+from fuzzygep.bench import builtin, problem_names
 from fuzzygep.evolve import (
     BASELINE_RATES,
     MUTATIONS_PER_INDIVIDUAL,
@@ -39,15 +39,12 @@ def stub(fitness):
 
 
 class ScriptedRng:
-    """Returns pre-baked values; fails loudly when the script runs dry."""
+    """Returns pre-baked values; fails loudly when the script runs dry or
+    a draw it has no script for is made."""
 
-    def __init__(self, randoms=(), randranges=(), samples=()):
-        self.randoms = list(randoms)
+    def __init__(self, randranges=(), samples=()):
         self.randranges = list(randranges)
         self.samples = list(samples)
-
-    def random(self):
-        return self.randoms.pop(0)
 
     def randrange(self, n):
         return self.randranges.pop(0)
@@ -181,19 +178,12 @@ def test_config_derived_counts():
 
 # --- crossover ---
 
-def test_crossover_never_fires_at_zero_rate():
-    rng = random.Random(0)
-    a = random_chromosome(ALPHABETS, rng)
-    b = random_chromosome(ALPHABETS, rng)
-    assert crossover(a, b, 0.0, rng) == (a, b)
-
-
 def test_crossover_cut_zero_swaps_parents():
     rng = random.Random(1)
     a = random_chromosome(ALPHABETS, rng)
     b = random_chromosome(ALPHABETS, rng)
-    scripted = ScriptedRng(randoms=[0.0], randranges=[0])
-    assert crossover(a, b, 1.0, scripted) == (b, a)
+    scripted = ScriptedRng(randranges=[0])  # it has no random(), so no coin
+    assert crossover(a, b, scripted) == (b, a)
 
 
 def test_crossover_exchanges_suffixes():
@@ -201,8 +191,8 @@ def test_crossover_exchanges_suffixes():
     a = random_chromosome(ALPHABETS, rng)
     b = random_chromosome(ALPHABETS, rng)
     cut = 13
-    scripted = ScriptedRng(randoms=[0.0], randranges=[cut])
-    child_a, child_b = crossover(a, b, 1.0, scripted)
+    scripted = ScriptedRng(randranges=[cut])
+    child_a, child_b = crossover(a, b, scripted)
     assert child_a == a[:cut] + b[cut:]
     assert child_b == b[:cut] + a[cut:]
 
@@ -212,23 +202,17 @@ def test_crossover_offspring_always_valid():
     for _ in range(1000):
         a = random_chromosome(ALPHABETS, rng)
         b = random_chromosome(ALPHABETS, rng)
-        for child in crossover(a, b, 1.0, rng):
+        for child in crossover(a, b, rng):
             assert oracles.validate(child, N_HOMEOTIC) == []
 
 
 # --- mutate ---
 
-def test_mutate_never_fires_at_zero_rate():
-    rng = random.Random(4)
-    c = random_chromosome(ALPHABETS, rng)
-    assert mutate(c, 0.0, ALPHABETS, rng) == c
-
-
 def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, ALPHABETS, rng)
+        m = mutate(c, ALPHABETS, rng)
         diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
 
@@ -237,7 +221,7 @@ def test_mutate_respects_position_alphabets():
     rng = random.Random(6)
     for _ in range(1000):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, 1.0, ALPHABETS, rng)
+        m = mutate(c, ALPHABETS, rng)
         assert oracles.validate(m, N_HOMEOTIC) == []
 
 
@@ -372,14 +356,38 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     pytest.param(3, ("S", "C", "Q", "E"), id="unary"),
 ])
 def test_mutate_matches_stdlib_reference(n_homeotic, operators):
+    """The p_m coin that build_temp_population draws, then mutate, consume
+    and return what the reference's coin and mutation do."""
     alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(2)
     ours, twin = random.Random(2), random.Random(2)
     for _ in range(300):
         c = random_chromosome(alphabets, genomes)
-        assert (mutate(c, 0.5, alphabets, ours)
+        assert ((c if ours.random() >= 0.5 else mutate(c, alphabets, ours))
                 == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin))
     assert ours.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("operators", sorted({builtin(name).extra_operators
+                                              for name in problem_names()}),
+                         ids=lambda operators: "".join(operators) or "base")
+def test_mutation_symbol_draw_matches_randrange(operators, monkeypatch):
+    """mutate's inlined symbol draw is rng.randrange(n), draw for draw, for
+    every n = len(alphabet) - 1 a slot has, and so at each bit count of its
+    rejection loop; the mutation site is fixed so only that draw is made."""
+    alphabets = position_alphabets(N_HOMEOTIC, operators)
+    slots = {len(alphabet) - 1: pos for pos, alphabet in enumerate(alphabets)}
+    genomes = random.Random(8)
+    for n, pos in sorted(slots.items()):
+        monkeypatch.setattr(evolve, "_sample_indices", lambda rng, size, k, pos=pos: [pos])
+        ours, twin = random.Random(n), random.Random(n)
+        for _ in range(300):
+            c = random_chromosome(alphabets, genomes)
+            others = [s for s in alphabets[pos] if s != c[pos]]
+            assert len(others) == n
+            m = mutate(c, alphabets, ours)
+            assert m == c[:pos] + others[twin.randrange(n)] + c[pos + 1:]
+        assert ours.getstate() == twin.getstate()
 
 
 # --- engine pieces ---
@@ -420,11 +428,22 @@ def test_temp_population_is_parents_plus_four_batches():
         assert oracles.validate(ind.chromosome, eng.problem.dim, eng.problem.extra_operators) == []
 
 
-def test_temp_population_zero_rates_gives_clones():
+def test_temp_population_zero_rates_gives_clones(monkeypatch):
+    """The pipelines draw the coins, so at zero rates neither operator is
+    called and every offspring is a parent's clone."""
+    calls = Counter()
+
+    def counted(name):
+        def count(*args):
+            calls[name] += 1
+        return count
+
+    monkeypatch.setattr(evolve, "crossover", counted("crossover"))
+    monkeypatch.setattr(evolve, "mutate", counted("mutate"))
     eng = make_engine(max_gen=10)
-    parents = seeded_population(eng, 10)
-    from fuzzygep.evolve import Rates
+    parents = seeded_population(eng, 11)  # odd: each crossing leaves one unpaired
     temp = eng.build_temp_population(parents, Rates(0.0, 0.0, 0.0))
+    assert calls == Counter()
     counts = Counter(ind.chromosome for ind in temp)
     assert counts == Counter({ind.chromosome: 5 for ind in parents})
     by_chromosome = {ind.chromosome: ind.fitness for ind in parents}
@@ -503,8 +522,8 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     rng = random.Random(17)
     parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
-    chromosomes = parents + [mutate(c, 1.0, eng.alphabets, rng) for c in parents]
-    chromosomes += [crossover(a, b, 1.0, rng)[0] for a, b in zip(parents, parents[1:])]
+    chromosomes = parents + [mutate(c, eng.alphabets, rng) for c in parents]
+    chromosomes += [crossover(a, b, rng)[0] for a, b in zip(parents, parents[1:])]
     real = evolve.eval_homeotic
     calls = Counter()
 

@@ -11,6 +11,8 @@ read, not imported, so nothing is written under perfbench/.
 import types
 from pathlib import Path
 
+import pytest
+
 from fuzzygep import cli
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -36,12 +38,27 @@ def test_tracer_installs_and_restores_every_target():
         assert owner.__dict__[attr] is original, name
 
 
-def test_short_run_records_a_span_for_every_target(tmp_path):
+@pytest.fixture(scope="module")
+def short_run_spans(tmp_path_factory):
+    """Per-span stats of one traced short run."""
     tracer = _load_tracer()
+    out = tmp_path_factory.mktemp("traced")
     argv = ["run", "--problem", "f9", "--dim", "3", "--pop-size", "10", "--generations", "20",
             "--runs", "1", "--seed", "0", "--termination-tolerance", "none",
-            "--trace", str(tmp_path / "trace.csv"), "--summary", str(tmp_path / "summary.csv")]
+            "--trace", str(out / "trace.csv"), "--summary", str(out / "summary.csv")]
     with tracer.Tracer() as spans:
         assert cli.main(argv) == 0
-    by_name = tracer.span_stats(spans)["by_name"]
-    assert [name for name, stats in by_name.items() if stats["calls"] == 0] == []
+    return tracer.span_stats(spans)["by_name"]
+
+
+def test_short_run_records_a_span_for_every_target(short_run_spans):
+    assert [name for name, stats in short_run_spans.items() if stats["calls"] == 0] == []
+
+
+def test_every_mutate_call_mutates(short_run_spans):
+    """The pipelines draw the p_m coin, so each evolve.mutate span is a
+    mutation: one flatten and one rebuild each, and evolve.mutate.us
+    times mutations only."""
+    calls = [short_run_spans[name]["calls"]
+             for name in ("evolve.mutate", "genome.flatten", "genome.rebuild")]
+    assert calls[0] > 0 and calls == [calls[0]] * 3
