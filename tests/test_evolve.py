@@ -178,6 +178,19 @@ def test_config_derived_counts():
 
 # --- crossover ---
 
+def test_crossover_never_fires_at_zero_rate(monkeypatch):
+    """The pipelines draw the p_c coin, so at p_c = 0 crossover is never
+    called, even with every genome mutating."""
+    def never(*args):
+        raise AssertionError("crossover called at p_c = 0")
+
+    monkeypatch.setattr(evolve, "crossover", never)
+    eng = make_engine(max_gen=10)
+    parents = seeded_population(eng, 10)
+    temp = eng.build_temp_population(parents, Rates(0.0, 1.0, 0.0))
+    assert len(temp) == 50
+
+
 def test_crossover_cut_zero_swaps_parents():
     rng = random.Random(1)
     a = random_chromosome(ALPHABETS, rng)
@@ -207,6 +220,19 @@ def test_crossover_offspring_always_valid():
 
 
 # --- mutate ---
+
+def test_mutate_never_fires_at_zero_rate(monkeypatch):
+    """The pipelines draw the p_m coin, so at p_m = 0 mutate is never
+    called, even with every pair crossing."""
+    def never(*args):
+        raise AssertionError("mutate called at p_m = 0")
+
+    monkeypatch.setattr(evolve, "mutate", never)
+    eng = make_engine(max_gen=10)
+    parents = seeded_population(eng, 10)
+    temp = eng.build_temp_population(parents, Rates(1.0, 0.0, 0.0))
+    assert len(temp) == 50
+
 
 def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
