@@ -2,7 +2,6 @@
 optimization over real boxes."""
 
 from .bench import Problem, builtin, problem_names
-from .decode import protected_apply
 from .evolve import Engine, EngineConfig, Individual, Rates, RunResult, adapt_rates, diversity, run
 from .fuzzy import Universe, infer_1d, infer_2d
 from .genome import random_chromosome, random_constant_set
@@ -23,7 +22,6 @@ __all__ = [
     "infer_1d",
     "infer_2d",
     "problem_names",
-    "protected_apply",
     "random_chromosome",
     "random_constant_set",
     "run",

@@ -68,14 +68,6 @@ OPERATORS = {
 }
 
 
-def protected_apply(op: str, args) -> float:
-    """One protected operator application; never raises on float inputs."""
-    fn = OPERATORS.get(op)
-    if fn is None:
-        raise ValueError(f"unknown operator {op!r}")
-    return fn(*args)
-
-
 def _child_starts(seq, arity) -> list[int]:
     """First-child index for every expressed position; length = expressed size."""
     starts: list[int] = []

@@ -203,44 +203,24 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def _samples_by_rejection(n: int, k: int) -> bool:
-    """Whether `rng.sample(range(n), k)` picks by rejection against a set of
-    picks, the path _sample_indices and select inline, rather than from a
-    pool list; False also for a k that rng.sample rejects."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return setsize < n and 0 <= k <= n
-
-
-def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
-    """`rng.sample(range(n), k)`, draw for draw, for a `random.Random`.
-
-    CPython 3.10 to 3.13 pick k of n with the same draws: by tracking a pool
-    list when n is at most its set size, and otherwise by rejection against
-    a set of picks, drawing `getrandbits(n.bit_length())` until the value is
-    below n and new. The second path is inlined here, without the range or
-    the per-draw calls; the first, and any invalid k, go to `rng.sample`
-    unchanged, so the result matches draw for draw on all four versions.
-    """
-    if not _samples_by_rejection(n, k):
-        return rng.sample(range(n), k)
-    getrandbits = rng.getrandbits
-    bits = n.bit_length()
-    picked = {}  # keeps draw order; a repeat adds nothing, so another is drawn
-    while len(picked) < k:
-        j = getrandbits(bits)
-        if j < n:
-            picked[j] = None
-    return list(picked)
-
-
 def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
     symbols; the caller draws the p_m coin."""
     flat = flatten(chromosome)
+    slots = len(flat)
     getrandbits = rng.getrandbits
-    for pos in _sample_indices(rng, len(flat), MUTATIONS_PER_INDIVIDUAL):
+    # The sites are rng.sample(range(slots), MUTATIONS_PER_INDIVIDUAL), draw
+    # for draw. For at most 5 picks, rng.sample tracks a pool list only when
+    # there are at most 21 slots, and every chromosome has at least 49, so it
+    # always draws getrandbits(slots.bit_length()) until the value is below
+    # slots and new.
+    bits = slots.bit_length()
+    sites = {}  # keeps draw order; a repeat adds nothing, so another is drawn
+    while len(sites) < MUTATIONS_PER_INDIVIDUAL:
+        j = getrandbits(bits)
+        if j < slots:
+            sites[j] = None
+    for pos in sites:
         # every slot's alphabet holds at least two symbols; a draw over the
         # others skips the old symbol's index, as indexing a list of the
         # others would. The draw is rng.randrange(n)'s, as _shuffle inlines it.
@@ -286,12 +266,19 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
     chosen = [temp[i] for i in heapq.nsmallest(elite, range(len(temp)), key=rank)]
     n = len(temp)
     tournaments = range(cfg.pop_size - elite)
-    if not _samples_by_rejection(n, size):
+    # rng.sample(range(n), size) picks from a pool list when n is at most its
+    # set size, and otherwise by rejection against a set of picks; as
+    # 2 <= size <= n here, it never raises.
+    setsize = 21
+    if size > 5:
+        setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    if n <= setsize:
         # min keeps the first of equal keys in draw order, as a strict < scan does
-        chosen += [temp[min(_sample_indices(rng, n, size), key=rank)] for _ in tournaments]
+        chosen += [temp[min(rng.sample(range(n), size), key=rank)] for _ in tournaments]
         return chosen
-    # _sample_indices' rejection draws, keeping the best contender so far;
-    # the strict < keeps the first of equal keys, as min over the picks does
+    # rng.sample's rejection draws, getrandbits(n.bit_length()) until the
+    # value is below n and new, keeping the best contender so far; the
+    # strict < keeps the first of equal keys, as min over the picks does
     getrandbits = rng.getrandbits
     bits = n.bit_length()
     for _ in tournaments:

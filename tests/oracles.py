@@ -6,17 +6,21 @@ level-by-level K-expression decoder, a second copy of each benchmark
 objective, and numeric argmax refinement for the two maximization problems. The exceptions are copies of package code
 that a faster version replaced or that the package no longer needs:
 `ref_select` and `ref_mutate`, `ref_defuzzify`, `ref_label_membership` and
-`eval_chromosome` (see their docstrings).
+`eval_chromosome` (see their docstrings), and `ref_run`, which builds a
+whole run from them.
 """
 
 import math
+import random
 from functools import lru_cache
 from operator import contains
 
 import numpy as np
 
-from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
-from fuzzygep.genome import GENE_REFERENCES, gene_slices
+from fuzzygep.bench import reached_optimum
+from fuzzygep.decode import OPERATORS, eval_homeotic, eval_ordinary
+from fuzzygep.evolve import Individual, RunResult, TraceRow, adapt_rates, diversity
+from fuzzygep.genome import GENE_REFERENCES, gene_slices, position_alphabets, random_constant_set
 
 LABELS = ("XL", "ML", "M", "MH", "XH")
 
@@ -300,6 +304,81 @@ def eval_chromosome(chromosome: str, n_homeotic: int, constants: tuple[float, ..
     return tuple(eval_homeotic(chromosome[coding], ordinary_values) for coding in homeotic)
 
 
+REF_MUTATED_SLOTS = 2  # distinct slots each mutant rewrites
+
+
+def ref_run(problem, cfg, seed):
+    """`evolve.Engine.run` without its speed code: every draw is the stdlib
+    call it stands for (`rng.choices` per slot, `rng.shuffle`, `rng.randrange`
+    for the cut, `ref_mutate` with its coin inside, `ref_select`), and every
+    individual is decoded by `eval_chromosome`, with no memo and no
+    offspring cache. The rate controllers, `diversity`, the constant draw,
+    the alphabets, the objective and the stopping rule `reached_optimum` are
+    the package's, with checks of their own."""
+    rng = random.Random(seed)
+    alphabets = position_alphabets(problem.dim, problem.extra_operators)
+    key = _ref_sort_key(problem.direction)
+
+    def evaluate(chromosome, constants):
+        point = eval_chromosome(chromosome, problem.dim, constants)
+        fitness = float("nan")
+        if all(math.isfinite(x) for x in point):
+            try:
+                fitness = problem.evaluate(point)
+            except (OverflowError, ValueError):
+                pass
+        return Individual(chromosome, point, fitness)
+
+    def crossed(genomes, p_c):
+        pool = list(genomes)
+        rng.shuffle(pool)
+        out = []
+        for a, b in zip(pool[0::2], pool[1::2]):
+            if rng.random() < p_c:
+                cut = rng.randrange(len(a))
+                a, b = a[:cut] + b[cut:], b[:cut] + a[cut:]
+            out += [a, b]
+        return out + pool[len(out):]
+
+    def mutated(genomes, p_m):
+        return [ref_mutate(g, p_m, REF_MUTATED_SLOTS, alphabets, rng) for g in genomes]
+
+    constants = random_constant_set(problem.lower, problem.upper, rng)
+    population = [evaluate("".join(rng.choices(alphabet)[0] for alphabet in alphabets),
+                           constants)
+                  for _ in range(cfg.pop_size)]
+    best = min(population, key=key)
+    first_best_gen = generations = 0
+    reading = diversity(population, problem.direction)
+    rates = adapt_rates(reading.d, 0, cfg)
+    trace = [TraceRow(0, best.fitness, reading.f_ave, reading.d, rates.p_c, rates.p_m,
+                      rates.r_c, False)]
+    for gen in range(1, cfg.max_gen + 1):
+        if reached_optimum(problem, cfg.termination_tol, best.fitness):
+            break
+        rates = adapt_rates(reading.d, gen, cfg)
+        reset = gen > cfg.max_gen / 2.0 and rng.random() < rates.r_c
+        if reset:
+            constants = random_constant_set(problem.lower, problem.upper, rng)
+            population = [evaluate(ind.chromosome, constants) for ind in population]
+        genomes = [ind.chromosome for ind in population]
+        offspring = (crossed(genomes, rates.p_c) + mutated(genomes, rates.p_m)
+                     + mutated(crossed(genomes, rates.p_c), rates.p_m)
+                     + crossed(mutated(genomes, rates.p_m), rates.p_c))
+        temp = population + [evaluate(c, constants) for c in offspring]
+        population = ref_select(temp, cfg.pop_size, cfg.elite_count,
+                                cfg.tournament_size(len(temp)), problem.direction, rng)
+        candidate = min(population, key=key)
+        if key(candidate) < key(best):
+            best, first_best_gen = candidate, gen
+        generations = gen
+        selected = diversity(population, problem.direction)
+        trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d, rates.p_c,
+                              rates.p_m, rates.r_c, reset))
+        reading = selected
+    return RunResult(seed, best, first_best_gen, generations, trace)
+
+
 # --- K-expressions, from the definition ---
 
 REF_ARITY = {"+": 2, "-": 2, "*": 2, "/": 2, "S": 1, "C": 1, "Q": 1, "E": 1}
@@ -316,7 +395,8 @@ def ref_kexpression(coding, terminal_value):
     as many of the following symbols as the functions on the level above
     take arguments; the tree ends at a level of terminals only.
     `terminal_value(i)` is the value of the terminal at position i. Only
-    `protected_apply`, which has unit tests of its own, comes from the package.
+    the protected operators, `decode.OPERATORS`, which have unit tests of
+    their own, come from the package.
     """
     children = {}
     level, end = [0], 1
@@ -331,7 +411,7 @@ def ref_kexpression(coding, terminal_value):
 
     def value(i):
         if children[i]:
-            return protected_apply(coding[i], [value(j) for j in children[i]])
+            return OPERATORS[coding[i]](*[value(j) for j in children[i]])
         return terminal_value(i)
 
     return value(0)

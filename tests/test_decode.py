@@ -7,7 +7,7 @@ import pytest
 from oracles import eval_chromosome, expressed_length, ref_eval_homeotic, ref_eval_ordinary
 
 from fuzzygep import bench, decode
-from fuzzygep.decode import eval_homeotic, eval_ordinary, protected_apply
+from fuzzygep.decode import OPERATORS, eval_homeotic, eval_ordinary
 from fuzzygep.genome import (
     BASE_OPERATORS,
     DC_ALPHABET,
@@ -70,33 +70,30 @@ def test_expressed_length_worst_case_heads():
 
 
 def test_protected_division():
-    assert protected_apply("/", (5.0, 0.0)) == 1.0
-    assert protected_apply("/", (5.0, 1e-13)) == 1.0
-    assert protected_apply("/", (6.0, 2.0)) == 3.0
-    assert protected_apply("/", (1.0, -1e-13)) == 1.0
-    assert math.isnan(protected_apply("/", (float("inf"), float("inf"))))
+    assert OPERATORS["/"](5.0, 0.0) == 1.0
+    assert OPERATORS["/"](5.0, 1e-13) == 1.0
+    assert OPERATORS["/"](6.0, 2.0) == 3.0
+    assert OPERATORS["/"](1.0, -1e-13) == 1.0
+    assert math.isnan(OPERATORS["/"](float("inf"), float("inf")))
 
 
 def test_protected_unaries():
-    assert protected_apply("Q", (-4.0,)) == 2.0
-    assert math.isnan(protected_apply("Q", (float("nan"),)))
-    assert protected_apply("Q", (float("-inf"),)) == float("inf")
-    assert protected_apply("S", (1.0,)) == pytest.approx(0.8414709848, abs=1e-10)
-    assert math.isnan(protected_apply("S", (float("inf"),)))
-    assert math.isnan(protected_apply("C", (float("-inf"),)))
-    assert protected_apply("E", (710.0,)) == math.exp(700.0)
-    assert protected_apply("E", (float("-inf"),)) == 0.0
-    assert math.isnan(protected_apply("E", (float("nan"),)))
-    assert protected_apply("C", (0.0,)) == 1.0
-    # unknown symbol is a programming error, not a protected case
-    with pytest.raises(ValueError):
-        protected_apply("@", (1.0, 2.0))
+    assert OPERATORS["Q"](-4.0) == 2.0
+    assert math.isnan(OPERATORS["Q"](float("nan")))
+    assert OPERATORS["Q"](float("-inf")) == float("inf")
+    assert OPERATORS["S"](1.0) == pytest.approx(0.8414709848, abs=1e-10)
+    assert math.isnan(OPERATORS["S"](float("inf")))
+    assert math.isnan(OPERATORS["C"](float("-inf")))
+    assert OPERATORS["E"](710.0) == math.exp(700.0)
+    assert OPERATORS["E"](float("-inf")) == 0.0
+    assert math.isnan(OPERATORS["E"](float("nan")))
+    assert OPERATORS["C"](0.0) == 1.0
 
 
 def test_exact_ieee_for_ordinary_ops():
-    assert protected_apply("+", (0.1, 0.2)) == 0.1 + 0.2
-    assert protected_apply("-", (1.0, 0.3)) == 1.0 - 0.3
-    assert protected_apply("*", (1e308, 10.0)) == float("inf")
+    assert OPERATORS["+"](0.1, 0.2) == 0.1 + 0.2
+    assert OPERATORS["-"](1.0, 0.3) == 1.0 - 0.3
+    assert OPERATORS["*"](1e308, 10.0) == float("inf")
 
 
 # Single-symbol genes: the root is the whole expression. Every slot after it

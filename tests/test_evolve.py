@@ -311,24 +311,7 @@ def test_select_puts_the_best_of_temp_first(direction):
             assert select(temp, cfg, direction, rng)[0] is min(temp, key=key)
 
 
-# --- draws inlined from random.sample and random.shuffle ---
-
-@pytest.mark.parametrize("n", [2, 21, 22, 37, 38, 500])
-@pytest.mark.parametrize("k", [1, 2, 5, 6])
-def test_sample_indices_matches_random_sample(n, k):
-    """Draw for draw on both of random.sample's paths: the pool for n up to
-    21 (85 once k > 5), the set above; k > n raises as sample does."""
-    ours, twin = random.Random(100 * n + k), random.Random(100 * n + k)
-    if k > n:
-        with pytest.raises(ValueError):
-            evolve._sample_indices(ours, n, k)
-        with pytest.raises(ValueError):
-            twin.sample(range(n), k)
-    else:
-        for _ in range(300):
-            assert evolve._sample_indices(ours, n, k) == twin.sample(range(n), k)
-    assert ours.getstate() == twin.getstate()
-
+# --- draws inlined from random.sample, random.shuffle and random.randrange ---
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 99, 100, 101, 500])
 def test_shuffle_matches_random_shuffle(n):
@@ -380,40 +363,25 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     pytest.param(30, (), id="layout2"),  # 310 slots
     # the longest head alphabets, where the old symbol is first, last or between
     pytest.param(3, ("S", "C", "Q", "E"), id="unary"),
-])
+] + [pytest.param(N_HOMEOTIC, operators, id="".join(operators) or "base")
+     for operators in sorted({builtin(name).extra_operators for name in problem_names()})])
 def test_mutate_matches_stdlib_reference(n_homeotic, operators):
     """The p_m coin that build_temp_population draws, then mutate, consume
-    and return what the reference's coin and mutation do."""
+    and return what the reference's coin and mutation do: sites by
+    rng.sample, each new symbol by rng.randrange(n) over the n others. Every
+    n = len(alphabet) - 1 a slot has is drawn, and so each bit count of
+    mutate's inlined symbol draw."""
     alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(2)
     ours, twin = random.Random(2), random.Random(2)
+    drawn = set()
     for _ in range(300):
         c = random_chromosome(alphabets, genomes)
-        assert ((c if ours.random() >= 0.5 else mutate(c, alphabets, ours))
-                == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin))
+        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours)
+        assert m == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin)
+        drawn |= {len(alphabets[pos]) - 1 for pos, (a, b) in enumerate(zip(c, m)) if a != b}
     assert ours.getstate() == twin.getstate()
-
-
-@pytest.mark.parametrize("operators", sorted({builtin(name).extra_operators
-                                              for name in problem_names()}),
-                         ids=lambda operators: "".join(operators) or "base")
-def test_mutation_symbol_draw_matches_randrange(operators, monkeypatch):
-    """mutate's inlined symbol draw is rng.randrange(n), draw for draw, for
-    every n = len(alphabet) - 1 a slot has, and so at each bit count of its
-    rejection loop; the mutation site is fixed so only that draw is made."""
-    alphabets = position_alphabets(N_HOMEOTIC, operators)
-    slots = {len(alphabet) - 1: pos for pos, alphabet in enumerate(alphabets)}
-    genomes = random.Random(8)
-    for n, pos in sorted(slots.items()):
-        monkeypatch.setattr(evolve, "_sample_indices", lambda rng, size, k, pos=pos: [pos])
-        ours, twin = random.Random(n), random.Random(n)
-        for _ in range(300):
-            c = random_chromosome(alphabets, genomes)
-            others = [s for s in alphabets[pos] if s != c[pos]]
-            assert len(others) == n
-            m = mutate(c, alphabets, ours)
-            assert m == c[:pos] + others[twin.randrange(n)] + c[pos + 1:]
-        assert ours.getstate() == twin.getstate()
+    assert drawn == {len(alphabet) - 1 for alphabet in alphabets}
 
 
 # --- engine pieces ---
@@ -716,3 +684,34 @@ def test_first_best_gen_matches_trace():
     final = res.best.fitness
     first = next(row.generation for row in res.trace if row.best_fitness == final)
     assert res.first_best_gen == first
+
+
+def _ref_run_cases():
+    """Every problem in both modes, at pops 2 and 4, where select takes
+    rng.sample's pool path, and at one pop from 20 to 30, where it draws
+    the set path itself; early stopping is on in half of the runs of each
+    pop and each mode. The scalable problems run at D5, which keeps the
+    unmemoized reference to a few seconds over the grid."""
+    for i, (name, mode) in enumerate((name, mode) for name in problem_names()
+                                     for mode in ("adaptive", "baseline")):
+        for j, pop in enumerate((2, 4, 20 + i % 11)):
+            stop = (i + j) % 2 == 0
+            yield pytest.param(name, mode, pop, stop, 3 * i + j,
+                               id=f"{name}-{mode}-pop{pop}-{'stop' if stop else 'full'}")
+
+
+@pytest.mark.parametrize("name, mode, pop, stop, seed", _ref_run_cases())
+def test_run_matches_the_reference_engine(name, mode, pop, stop, seed):
+    """200 generations, so that the second half draws constant resets; the
+    trace rows and the best agree to the last bit of their reprs."""
+    problem = builtin(name)
+    if problem.dim > 5:
+        problem = builtin(name, 5)
+    cfg = EngineConfig(pop_size=pop, max_gen=200, mode=mode,
+                       termination_tol=1e-12 if stop else None)
+    got = run(problem, cfg, seed)
+    want = oracles.ref_run(problem, cfg, seed)
+    assert repr(got.trace) == repr(want.trace)
+    assert repr(got.best) == repr(want.best)
+    assert got.first_best_gen == want.first_best_gen
+    assert got.generations == want.generations

@@ -7,9 +7,12 @@ re-pins them and says which draws or values moved, and why.
 The hashes depend on the float results of `math` (sin, cos, exp, sqrt via
 the platform libm) and on CPython's `random` and float `repr`. They were
 taken on x86-64 Linux (glibc libm) and hold on CPython 3.10 to 3.13: the
-package's samplers match `random.sample` draw for draw on all four, and
-its float sums add left to right rather than through `sum()`, which
-compensates rounding from 3.12 on. Another libm or platform may
+draws the package inlines in `mutate`, `select` and `_shuffle` match
+`random.sample`, `random.randrange` and `random.shuffle` draw for draw on
+all four, and its float sums add left to right rather than through
+`sum()`, which compensates rounding from 3.12 on. The hashes say only
+that bytes moved; `oracles.ref_run` says whether a whole run is still the
+one the stdlib draws give. Another libm or platform may
 legitimately print different bytes.
 """
 
