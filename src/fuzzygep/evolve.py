@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import random
 import struct
 from dataclasses import dataclass
@@ -64,6 +65,9 @@ class Individual:
     chromosome: str
     point: tuple[float, ...]
     fitness: float
+    # ascending, best first: sign * fitness, with sign -1.0 for a maximized
+    # problem; NaN and infinities rank inf, after every finite value
+    rank: float
 
 
 @dataclass(frozen=True)
@@ -234,19 +238,11 @@ def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
     return rebuild(flat)
 
 
-def _sort_key(direction: str):
-    """Ascending key, best first; NaN and infinities rank after every finite value."""
-    sign = 1.0 if direction == "minimize" else -1.0
-
-    def key(ind: Individual) -> float:
-        f = ind.fitness
-        return sign * f if math.isfinite(f) else math.inf
-
-    return key
+_by_rank = operator.attrgetter("rank")
 
 
-def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
-    """Elites verbatim, remainder by tournaments over temp.
+def select(temp, cfg: EngineConfig, rng: random.Random):
+    """Elites verbatim, remainder by tournaments over temp, by rank.
 
     Each tournament samples its contenders without internal repeats, so a
     tournament spanning all of temp returns the global best; across
@@ -256,14 +252,9 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
         raise ValueError("temp population smaller than pop_size")
     elite = cfg.elite_count
     size = cfg.tournament_size(len(temp))
-    # _sort_key(direction) of each member, without a call per member
-    sign = 1.0 if direction == "minimize" else -1.0
-    isfinite, inf = math.isfinite, math.inf
-    keys = [sign * f if isfinite(f) else inf for f in [ind.fitness for ind in temp]]
-    rank = keys.__getitem__
-    # nsmallest equals sorted(...)[:elite], a stable sort of positions, so
-    # the elites come first in the order sorted(temp, key=...) gives them
-    chosen = [temp[i] for i in heapq.nsmallest(elite, range(len(temp)), key=rank)]
+    # nsmallest equals sorted(temp, key=...)[:elite], a stable sort, so the
+    # elites come first in the order sorted gives them
+    chosen = heapq.nsmallest(elite, temp, key=_by_rank)
     n = len(temp)
     tournaments = range(cfg.pop_size - elite)
     # rng.sample(range(n), size) picks from a pool list when n is at most its
@@ -273,24 +264,35 @@ def select(temp, cfg: EngineConfig, direction: str, rng: random.Random):
     if size > 5:
         setsize += 4 ** math.ceil(math.log(size * 3, 4))
     if n <= setsize:
-        # min keeps the first of equal keys in draw order, as a strict < scan does
-        chosen += [temp[min(rng.sample(range(n), size), key=rank)] for _ in tournaments]
+        # min keeps the first of equal ranks in draw order, as a strict < scan does
+        chosen += [min([temp[i] for i in rng.sample(range(n), size)], key=_by_rank)
+                   for _ in tournaments]
         return chosen
     # rng.sample's rejection draws, getrandbits(n.bit_length()) until the
-    # value is below n and new, keeping the best contender so far; the
-    # strict < keeps the first of equal keys, as min over the picks does
+    # value is below n and new: the first contender, then size - 1 rivals,
+    # keeping the best so far; the strict < keeps the first of equal ranks,
+    # as min over the picks does. A list of picks would scan in O(size) per
+    # draw, which loses at large temps.
     getrandbits = rng.getrandbits
     bits = n.bit_length()
+    rivals = range(size - 1)
     for _ in tournaments:
-        picked = set()
-        best = None
-        while len(picked) < size:
+        j = getrandbits(bits)
+        while j >= n:
             j = getrandbits(bits)
-            if j < n and j not in picked:
-                picked.add(j)
-                if best is None or keys[j] < keys[best]:
-                    best = j
-        chosen.append(temp[best])
+        picked = {j}
+        best = temp[j]
+        best_rank = best.rank
+        for _ in rivals:
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+            contender = temp[j]
+            if contender.rank < best_rank:
+                best = contender
+                best_rank = best.rank
+        chosen.append(best)
     return chosen
 
 
@@ -334,6 +336,7 @@ class Engine:
         self._pack_point = struct.Struct(f"<{problem.dim}d").pack
         self._fitnesses: dict[bytes, float] = {}
         self._fitnesses_limit = evaluations
+        self._sign = 1.0 if problem.direction == "minimize" else -1.0
 
     def evaluate(self, chromosome: str) -> Individual:
         if (self.constants is not self._genes_constants
@@ -372,7 +375,8 @@ class Engine:
         fitness = self._fitnesses.get(key)
         if fitness is None:
             fitness = self._fitnesses[key] = self._fitness(point)
-        return Individual(chromosome, point, fitness)
+        rank = self._sign * fitness if math.isfinite(fitness) else math.inf
+        return Individual(chromosome, point, fitness, rank)
 
     def _fitness(self, point) -> float:
         for v in point:
@@ -425,24 +429,27 @@ class Engine:
         return temp
 
     def maybe_mutate_constants(self, gen: int, r_c: float, population):
-        """Second-half coin flip; on success the whole constant pool is redrawn."""
+        """Second-half coin flip; on success the whole constant pool is
+        redrawn, and each distinct chromosome of the population is evaluated
+        once, in first-seen order, for every member that holds it."""
         if gen <= self.cfg.max_gen / 2.0:
             return population, False
         if self.rng.random() >= r_c:
             return population, False
         self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
-        return [self.evaluate(ind.chromosome) for ind in population], True
+        evaluated = {c: self.evaluate(c)
+                     for c in dict.fromkeys(ind.chromosome for ind in population)}
+        return [evaluated[ind.chromosome] for ind in population], True
 
     def run(self) -> RunResult:
         cfg = self.cfg
         direction = self.problem.direction
-        key = _sort_key(direction)
         self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
         population = [
             self.evaluate(random_chromosome(self.alphabets, self.rng))
             for _ in range(cfg.pop_size)
         ]
-        best = min(population, key=key)
+        best = min(population, key=_by_rank)
         first_best_gen = 0
         generations = 0
         reading = diversity(population, direction)
@@ -455,10 +462,10 @@ class Engine:
             rates = adapt_rates(reading.d, gen, cfg)
             population, reset = self.maybe_mutate_constants(gen, rates.r_c, population)
             temp = self.build_temp_population(population, rates)
-            population = select(temp, cfg, direction, self.rng)
+            population = select(temp, cfg, self.rng)
             # select puts the best of temp first
             candidate = population[0]
-            if key(candidate) < key(best):
+            if candidate.rank < best.rank:
                 best, first_best_gen = candidate, gen
             generations = gen
             # the rates were read from the parents; the next generation reads

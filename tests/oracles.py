@@ -246,6 +246,15 @@ def refined_max_1d(f, lo, hi):
     return float(-res.fun)
 
 
+def ref_rank(fitness, direction):
+    """`Individual.rank` by its definition: lower is better, so a maximized
+    fitness is negated, and NaN and the infinities come after every finite
+    fitness."""
+    if not math.isfinite(fitness):
+        return math.inf
+    return fitness if direction == "minimize" else -fitness
+
+
 def _ref_sort_key(direction):
     sign = 1.0 if direction == "minimize" else -1.0
 
@@ -327,7 +336,7 @@ def ref_run(problem, cfg, seed):
                 fitness = problem.evaluate(point)
             except (OverflowError, ValueError):
                 pass
-        return Individual(chromosome, point, fitness)
+        return Individual(chromosome, point, fitness, ref_rank(fitness, problem.direction))
 
     def crossed(genomes, p_c):
         pool = list(genomes)

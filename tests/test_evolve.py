@@ -34,8 +34,8 @@ N_HOMEOTIC = 2
 ALPHABETS = position_alphabets(N_HOMEOTIC)
 
 
-def stub(fitness):
-    return Individual(None, (), fitness)
+def stub(fitness, direction="minimize"):
+    return Individual(None, (), fitness, oracles.ref_rank(fitness, direction))
 
 
 class ScriptedRng:
@@ -257,7 +257,7 @@ def test_select_keeps_elites_and_size():
     rng = random.Random(7)
     cfg = EngineConfig(pop_size=10)
     temp = [stub(float(i)) for i in range(50)]
-    out = select(temp, cfg, "minimize", rng)
+    out = select(temp, cfg, rng)
     assert len(out) == 10
     assert out[0].fitness == 0.0
     assert min(ind.fitness for ind in out) == 0.0
@@ -266,8 +266,8 @@ def test_select_keeps_elites_and_size():
 def test_select_direction_aware():
     rng = random.Random(8)
     cfg = EngineConfig(pop_size=5)
-    temp = [stub(float(i)) for i in range(40)]
-    out = select(temp, cfg, "maximize", rng)
+    temp = [stub(float(i), "maximize") for i in range(40)]
+    out = select(temp, cfg, rng)
     assert out[0].fitness == 39.0
 
 
@@ -277,7 +277,7 @@ def test_select_degenerate_tournament_returns_global_best():
     cfg = EngineConfig(pop_size=2)
     temp = [stub(1.0), stub(0.0)]
     assert cfg.tournament_size(len(temp)) == len(temp)
-    out = select(temp, cfg, "minimize", rng)
+    out = select(temp, cfg, rng)
     assert [ind.fitness for ind in out] == [0.0, 0.0]
 
 
@@ -285,14 +285,14 @@ def test_select_finite_beats_non_finite():
     cfg = EngineConfig(pop_size=2)
     temp = [stub(float("nan")), stub(5.0)]
     scripted = ScriptedRng(samples=[[0, 1]])
-    out = select(temp, cfg, "minimize", scripted)
+    out = select(temp, cfg, scripted)
     assert out[0].fitness == 5.0   # elite
     assert out[1].fitness == 5.0   # tournament: finite wins over nan
 
 
 def test_select_requires_enough_candidates():
     with pytest.raises(ValueError):
-        select([stub(1.0)], EngineConfig(pop_size=10), "minimize", random.Random(0))
+        select([stub(1.0)], EngineConfig(pop_size=10), random.Random(0))
 
 
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
@@ -301,14 +301,14 @@ def test_select_puts_the_best_of_temp_first(direction):
     the member min(temp, key=...) returns, the first of equal keys."""
     rng = random.Random(len(direction))
     values = [-0.0, 0.0, float("nan"), float("inf"), float("-inf")]
-    key = evolve._sort_key(direction)
+    key = oracles._ref_sort_key(direction)
     for pop_size in (2, 10, 100, 250):
         cfg = EngineConfig(pop_size=pop_size)
         for _ in range(20):
             # few distinct values, so ties are common
             pool = values + [float(rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 6))]
-            temp = [stub(rng.choice(pool)) for _ in range(5 * pop_size)]
-            assert select(temp, cfg, direction, rng)[0] is min(temp, key=key)
+            temp = [stub(rng.choice(pool), direction) for _ in range(5 * pop_size)]
+            assert select(temp, cfg, rng)[0] is min(temp, key=key)
 
 
 # --- draws inlined from random.sample, random.shuffle and random.randrange ---
@@ -326,7 +326,7 @@ def test_shuffle_matches_random_shuffle(n):
     assert ours.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("temp_size", [20, 25, 30, 500])
+@pytest.mark.parametrize("temp_size", [20, 25, 30, 500, 1000])
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
 @pytest.mark.parametrize("tournament_size", [None, 6, 20])
 def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
@@ -335,9 +335,11 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
 
     The pop size is temp_size // 5. A temp of 20 takes rng.sample's pool
     path; 25 and 30 are the smallest temps on its set path, where select
-    draws the contenders itself and repeats are frequent. A tournament size
-    of 6 or 20 is what a temp of 600 or 2000 members gives, so those cases
-    use such a temp.
+    draws the contenders itself and repeats are frequent. A temp of 1000
+    is a pop size of 200, the smallest with two elites, whose order is
+    that of the reference's stable sort. A tournament size of 6 or 20 is
+    what a temp of 600 or 2000 members gives, so those cases use such a
+    temp.
     """
     cfg = EngineConfig(pop_size=temp_size // 5)
     if tournament_size is not None:
@@ -347,10 +349,10 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     rng = random.Random(temp_size)
     values = [float(v) for v in range(temp_size // 8)]
     values += [-0.0, float("nan"), float("inf"), float("-inf")]
-    temp = [stub(rng.choice(values)) for _ in range(temp_size)]
+    temp = [stub(rng.choice(values), direction) for _ in range(temp_size)]
     for seed in range(10):
         ours, twin = random.Random(seed), random.Random(seed)
-        got = select(temp, cfg, direction, ours)
+        got = select(temp, cfg, ours)
         want = oracles.ref_select(temp, cfg.pop_size, cfg.elite_count, size, direction, twin)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
@@ -460,7 +462,7 @@ def test_constant_mutation_zero_rate_noop():
     assert out is pop and not reset
 
 
-def test_constant_mutation_reset_reevaluates():
+def test_constant_mutation_reset_reevaluates(monkeypatch):
     eng = make_engine(max_gen=10)
     rng = random.Random(31)
     eng.constants = _fresh_constants(eng, rng)
@@ -478,6 +480,52 @@ def test_constant_mutation_reset_reevaluates():
     assert out[1].fitness == pop[1].fitness
     assert out[1].point == (2.0, 3.0)
     assert out[0].fitness == eng.problem.evaluate(out[0].point)
+    # a population that repeats a chromosome, once in a member of its own:
+    # the next reset evaluates each distinct chromosome once, in first-seen
+    # order, and the members that hold it share the one result
+    repeated = [out[0], out[1], out[1], eng.evaluate(with_rnc), out[0]]
+    evaluated = []
+    real = Engine.evaluate
+
+    def counted(self, chromosome):
+        evaluated.append(chromosome)
+        return real(self, chromosome)
+
+    monkeypatch.setattr(Engine, "evaluate", counted)
+    again, reset = eng.maybe_mutate_constants(8, 1.0, repeated)
+    monkeypatch.undo()
+    assert reset
+    assert evaluated == [with_rnc, digits_only]
+    assert again[0] is again[3] is again[4]
+    assert again[1] is again[2] is not again[0]
+    for ind in again:
+        assert repr(ind) == repr(eng.evaluate(ind.chromosome))
+    assert again[0].point == (eng.constants[0], eng.constants[1])
+
+
+@pytest.mark.parametrize("direction", ["minimize", "maximize"])
+def test_evaluate_ranks_as_the_reference_sort_key(direction):
+    """Individual.rank, which select and Engine.run compare, orders the
+    signed zeros, the infinities and NaN as the reference key does, and has
+    the bits of the reference rule."""
+    fitnesses = [float("-inf"), -0.0, 0.0, 2.5, float("inf"), float("nan")]
+    # the chromosome whose two homeotic genes read its first ordinary gene,
+    # the digit k, decodes to (k, k); the objective returns fitnesses[k]
+    problem = dataclasses.replace(builtin("f1"), direction=direction,
+                                  func=lambda x: fitnesses[int(x[0])])
+    eng = Engine(problem, seed=5)
+    eng.constants = (1.0,) * 10
+    rest = "a" * 12 + "A" * 7 + "b" + "a" * 12 + "A" * 7 + "0" * 9 * 2
+    # each fitness twice, in an order that puts equal ranks apart
+    order = [5, 1, 3, 0, 2, 4, 2, 5, 0, 1, 4, 3]
+    temp = [eng.evaluate("abcdef"[k] + rest) for k in order]
+    assert [ind.point for ind in temp] == [(float(k), float(k)) for k in order]
+    for ind, k in zip(temp, order):
+        assert repr(ind.fitness) == repr(fitnesses[k])
+        assert repr(ind.rank) == repr(oracles.ref_rank(ind.fitness, direction))
+    key = oracles._ref_sort_key(direction)
+    got = sorted(temp, key=lambda ind: ind.rank)
+    assert all(a is b for a, b in zip(got, sorted(temp, key=key)))
 
 
 def test_evaluate_penalizes_objective_blowups():
