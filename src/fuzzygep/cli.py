@@ -100,7 +100,8 @@ _RUN_ONLY_KEYS = ("problem", "dim", "trace", "summary")
 def parse_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment; errors carry file:line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as some editors write, is not part of the first key
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
@@ -252,13 +253,9 @@ succeeded = bench.reached_optimum
 
 def summarize(problem: bench.Problem, cfg: ExperimentConfig, results) -> Summary:
     bests = [r.best.fitness for r in results]
-    finite = [b for b in bests if math.isfinite(b)]
-    if not finite:
-        best = float("nan")
-    elif problem.direction == "minimize":
-        best = min(finite)
-    else:
-        best = max(finite)
+    # the engine's ranking: best first, and inf for every non-finite fitness
+    winner = min((r.best for r in results), key=attrgetter("rank"))
+    best = winner.fitness if math.isfinite(winner.rank) else float("nan")
     mean_best = evolve.plain_sum(bests) / len(bests)
     variance = evolve.plain_sum((b - mean_best) ** 2 for b in bests) / len(bests)
     winners = [r for r in results if succeeded(problem, cfg.tolerance, r.best.fitness)]

@@ -3,9 +3,9 @@
 The coding region of a gene is read left to right; position 0 is the root and
 every function claims the next unclaimed positions as its children, exactly in
 the order the symbols appear.  The scan stops once all open slots are filled,
-so a gene usually expresses only a prefix of head+tail.  The gene-level
-functions take slices of the chromosome string: a gene's coding region
-(head + tail) and, for an ordinary gene, its Dc region.  Arities come from
+so a gene usually expresses only a prefix of head+tail.  Both gene-level
+functions take one gene, a slice of the chromosome string; an ordinary gene
+holds its Dc region after head and tail, at DC_START.  Arities come from
 FUNCTION_ARITIES: a coding slot holds only operators, whose arities it
 states, or terminals and gene references, which it does not list.
 
@@ -22,6 +22,7 @@ from collections.abc import Callable
 
 from .genome import (
     DC_INDEX,
+    DC_START,
     DIGIT_VALUES,
     FUNCTION_ARITIES,
     GENE_REFERENCES,
@@ -80,27 +81,29 @@ def _child_starts(seq, arity) -> list[int]:
     return starts
 
 
-def eval_ordinary(coding: str, dc: str, constants: tuple[float, ...]) -> float:
-    """Value of one ordinary gene; the k-th expressed '?' reads dc[k]."""
+def eval_ordinary(gene: str, constants: tuple[float, ...]) -> float:
+    """Value of one ordinary gene; the k-th expressed '?' reads the gene's
+    k-th Dc letter, gene[DC_START + k]."""
     # a terminal root is the whole expression
-    root = coding[0]
+    root = gene[0]
     if root == RNC_TERMINAL:
-        return constants[DC_INDEX[dc[0]]]
+        return constants[DC_INDEX[gene[DC_START]]]
     if root in DIGIT_VALUES:
         return DIGIT_VALUES[root]
     arity = FUNCTION_ARITIES
-    starts = _child_starts(coding, arity)
+    starts = _child_starts(gene, arity)
     n = len(starts)
     values = [0.0] * n
-    # the reverse pass meets the expressed '?' terminals last to first
-    rnc = coding.count(RNC_TERMINAL, 0, n)
+    # the reverse pass meets the expressed '?' terminals last to first; dc
+    # is one past the Dc slot of the next one it meets
+    dc = DC_START + gene.count(RNC_TERMINAL, 0, n)
     for i in range(n - 1, -1, -1):
-        sym = coding[i]
+        sym = gene[i]
         ar = arity.get(sym, 0)
         if ar == 0:
             if sym == RNC_TERMINAL:
-                rnc -= 1
-                values[i] = constants[DC_INDEX[dc[rnc]]]
+                dc -= 1
+                values[i] = constants[DC_INDEX[gene[dc]]]
             else:
                 values[i] = DIGIT_VALUES[sym]
         else:
@@ -127,7 +130,7 @@ def _shape(head: str) -> tuple[int, ...]:
 
 
 def _compile(shape: tuple[int, ...]) -> Callable:
-    """`lambda g, v: ...` that evaluates a homeotic coding string g of this
+    """`lambda g, v: ...` that evaluates a homeotic gene string g of this
     shape against the reference values v, as dataclasses builds its methods:
     the source holds only positions and the operator table's name, A."""
     first = [1]
@@ -143,13 +146,13 @@ def _compile(shape: tuple[int, ...]) -> Callable:
     return eval(f"lambda g, v: {node(0)}", {"A": OPERATORS})
 
 
-def eval_homeotic(coding: str, ordinary_values) -> float:
+def eval_homeotic(gene: str, ordinary_values) -> float:
     """Value of one homeotic gene; ordinary_values maps each reference
     character to the value of the ordinary gene it names."""
-    root = coding[0]
+    root = gene[0]
     if root in ordinary_values:  # a reference root is the whole expression
         return ordinary_values[root]
-    head = coding[:HOMEOTIC_HEAD_LEN]
+    head = gene[:HOMEOTIC_HEAD_LEN]
     fn = _by_head.get(head)
     if fn is None:
         shape = _shape(head)
@@ -157,4 +160,4 @@ def eval_homeotic(coding: str, ordinary_values) -> float:
         if fn is None:
             fn = _by_shape[shape] = _compile(shape)
         _by_head[head] = fn
-    return fn(coding, ordinary_values)
+    return fn(gene, ordinary_values)

@@ -305,22 +305,21 @@ class Engine:
         self.seed = seed
         self.rng = random.Random(seed)
         self.alphabets = position_alphabets(problem.dim, problem.extra_operators)
-        # (coding slice, dc slice) per ordinary gene; coding slice per homeotic gene
         self.ordinary_slices, self.homeotic_slices = gene_slices(problem.dim)
         self.constants = None
         # One memo per decode stage, each limited to what this many
         # evaluations can add: reuse comes from recent ancestors, and without
         # a limit a long run would keep everything it ever decoded.
         evaluations = MEMO_TEMP_POPULATIONS * 5 * self.cfg.pop_size
-        # _genes maps an ordinary gene's string (coding and Dc) to its value,
+        # _genes maps an ordinary gene's string (head, tail and Dc) to its value,
         # which depends on the constants too: it also starts over when
         # self.constants becomes another object (a reset, or a caller's).
         self._genes: dict[str, float] = {}
         self._genes_constants = None
         self._genes_limit = len(GENE_REFERENCES) * evaluations
-        # A homeotic gene's coordinate depends only on its coding string and
+        # A homeotic gene's coordinate depends only on its string and
         # the ordinary-gene values, so it is computed once per pair: packed
-        # ordinary values -> ({homeotic coding string: coordinate},
+        # ordinary values -> ({homeotic gene string: coordinate},
         # {reference: ordinary value}). The key is the values' bytes, not a
         # float tuple, so that 0.0 and -0.0 stay apart and a NaN value still
         # finds its entry. No constant enters it, so it outlives constant
@@ -350,12 +349,11 @@ class Engine:
             self._fitnesses = {}
         genes = self._genes
         values = []
-        for coding, dc in self.ordinary_slices:
-            gene = chromosome[coding.start:dc.stop]
+        for where in self.ordinary_slices:
+            gene = chromosome[where]
             value = genes.get(gene)
             if value is None:
-                value = genes[gene] = eval_ordinary(chromosome[coding], chromosome[dc],
-                                                    self.constants)
+                value = genes[gene] = eval_ordinary(gene, self.constants)
             values.append(value)
         key = self._pack_ordinary(*values)
         entry = self._coordinates.get(key)
@@ -363,8 +361,8 @@ class Engine:
             entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
         point = []
-        for coding in self.homeotic_slices:
-            gene = chromosome[coding]
+        for where in self.homeotic_slices:
+            gene = chromosome[where]
             x = coordinates.get(gene)
             if x is None:
                 x = coordinates[gene] = eval_homeotic(gene, ordinary)

@@ -55,9 +55,10 @@ ORDINARY_HEAD_LEN = 6
 HOMEOTIC_HEAD_LEN = 4
 ORDINARY_TAIL_LEN = ORDINARY_HEAD_LEN + 1
 HOMEOTIC_TAIL_LEN = HOMEOTIC_HEAD_LEN + 1
-# one Dc slot per possible '?' in the expressed region
+# one Dc slot per possible '?' in the expressed region, after head and tail
 DC_LEN = ORDINARY_TAIL_LEN
-ORDINARY_GENE_LEN = ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN + DC_LEN
+DC_START = ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN
+ORDINARY_GENE_LEN = DC_START + DC_LEN
 HOMEOTIC_GENE_LEN = HOMEOTIC_HEAD_LEN + HOMEOTIC_TAIL_LEN
 # where the ordinary region ends and the first homeotic gene starts
 ORDINARY_END = len(GENE_REFERENCES) * ORDINARY_GENE_LEN
@@ -111,15 +112,11 @@ def rebuild(flat) -> str:
     return "".join(flat)
 
 
-def gene_slices(n_homeotic: int) -> tuple[tuple[tuple[slice, slice], ...], tuple[slice, ...]]:
+def gene_slices(n_homeotic: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
     """Where the genes sit in a chromosome string with n_homeotic homeotic
-    genes: a (coding, dc) slice pair per ordinary gene, then the coding slice
-    of each homeotic gene."""
-    ordinary = []
-    for g in range(len(GENE_REFERENCES)):
-        start = g * ORDINARY_GENE_LEN
-        dc = start + ORDINARY_HEAD_LEN + ORDINARY_TAIL_LEN
-        ordinary.append((slice(start, dc), slice(dc, dc + DC_LEN)))
+    genes: one slice per ordinary gene, then one per homeotic gene."""
+    ordinary = tuple(slice(g * ORDINARY_GENE_LEN, (g + 1) * ORDINARY_GENE_LEN)
+                     for g in range(len(GENE_REFERENCES)))
     size = HOMEOTIC_GENE_LEN
     homeotic = tuple(slice(ORDINARY_END + g * size, ORDINARY_END + (g + 1) * size) for g in range(n_homeotic))
-    return tuple(ordinary), homeotic
+    return ordinary, homeotic

@@ -307,10 +307,10 @@ def eval_chromosome(chromosome: str, n_homeotic: int, constants: tuple[float, ..
     """
     ordinary, homeotic = gene_slices(n_homeotic)
     ordinary_values = {
-        ref: eval_ordinary(chromosome[coding], chromosome[dc], constants)
-        for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary)
+        ref: eval_ordinary(chromosome[gene], constants)
+        for ref, gene in zip(GENE_REFERENCES, ordinary)
     }
-    return tuple(eval_homeotic(chromosome[coding], ordinary_values) for coding in homeotic)
+    return tuple(eval_homeotic(chromosome[gene], ordinary_values) for gene in homeotic)
 
 
 REF_MUTATED_SLOTS = 2  # distinct slots each mutant rewrites

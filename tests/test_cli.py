@@ -1,14 +1,18 @@
 """Harness tests: flag/config parsing, CSV output, determinism, exit codes."""
 
+import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
 
+import oracles
 import pytest
 
 import fuzzygep
 from fuzzygep import bench, cli
+from fuzzygep.evolve import Individual, RunResult
 
 TRACE_HEADER = "run,generation,best_fitness,avg_fitness,diversity_d,p_c,p_m,r_c,constant_reset"
 SUMMARY_HEADER = "problem,dim,mode,runs,best,mean_best,variance,success_rate,mean_gens_to_best"
@@ -232,6 +236,45 @@ def test_config_file_not_utf8_exits_1_before_any_run(tmp_path, capsys, monkeypat
     assert calls == []
     assert f"error: cannot read config {conf}" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_config_file_with_byte_order_mark_runs(tmp_path, capsys):
+    """Some editors start a UTF-8 file with a byte-order mark; it is not
+    part of the first key."""
+    conf = tmp_path / "bom.cfg"
+    conf.write_bytes("\ufeffproblem = f1\nruns = 1\ngenerations = 3\npop_size = 10\n".encode("utf-8"))
+    assert cli.parse_config_file(str(conf)) == {"problem": "f1", "runs": 1, "generations": 3,
+                                                "pop_size": 10}
+    assert cli.main(_run_args(tmp_path, "--config", str(conf))) == 0, capsys.readouterr().err
+    assert _lines(tmp_path / "trace.csv")[0] == TRACE_HEADER
+    assert _lines(tmp_path / "summary.csv")[1].startswith("f1,2,adaptive,1,")
+
+
+def _old_summary_best(direction, bests):
+    """The summary's best as it was computed before it read the ranks:
+    the least or greatest finite fitness, NaN when there is none."""
+    finite = [b for b in bests if math.isfinite(b)]
+    if not finite:
+        return float("nan")
+    return min(finite) if direction == "minimize" else max(finite)
+
+
+@pytest.mark.parametrize("name", ["f1", "f6"])  # minimized, maximized
+def test_summary_best_is_the_best_ranked_fitness(name):
+    """The summary's best is the fitness of the best-ranked run's best, and
+    NaN when no run found a finite one: bit for bit, signed zeros and
+    order of ties included, what the old rule gave."""
+    problem = bench.builtin(name)
+    cfg = cli.ExperimentConfig(name)
+    values = (0.0, -0.0, 2.5, -2.5, math.inf, -math.inf, math.nan)
+    sets = [list(c) for k in (1, 2, 3) for c in itertools.permutations(values, k)]
+    sets += [[math.nan, math.inf, -math.inf], [math.nan], [-math.inf, -math.inf], [-0.0, 0.0, 0.0]]
+    for bests in sets:
+        results = [RunResult(i, Individual("", (), b, oracles.ref_rank(b, problem.direction)), 0, 1, [])
+                   for i, b in enumerate(bests)]
+        got = cli.summarize(problem, cfg, results).best
+        want = _old_summary_best(problem.direction, bests)
+        assert struct.pack("<d", got) == struct.pack("<d", want) or math.isnan(got) and math.isnan(want), bests
 
 
 @pytest.mark.parametrize("kwargs,fragment", [

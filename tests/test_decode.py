@@ -11,10 +11,12 @@ from fuzzygep.decode import OPERATORS, eval_homeotic, eval_ordinary
 from fuzzygep.genome import (
     BASE_OPERATORS,
     DC_ALPHABET,
+    DC_START,
     DIGIT_TERMINALS,
     FUNCTION_ARITIES,
     GENE_REFERENCES,
     N_CONSTANTS,
+    ORDINARY_GENE_LEN,
     gene_slices,
     position_alphabets,
     random_chromosome,
@@ -25,40 +27,42 @@ CONSTS = (0.1, 0.2, 0.3, 0.87227, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 SMALL = 2
 
 
-def ordinary(coding, dc):
-    return eval_ordinary(coding, dc, CONSTS)
+def ordinary(gene):
+    assert len(gene) == ORDINARY_GENE_LEN
+    return eval_ordinary(gene, CONSTS)
 
 
 def test_single_terminal_root():
     assert expressed_length("aabaaaa") == 1
-    assert ordinary("aabaaaa", "AAAA") == 0.0
+    assert ordinary("aabaaaaaaaaaa" "AAAAAAA") == 0.0
 
 
 def test_breadth_first_structure():
     # breadth first, - takes * and a, then * takes b and c: (1*2) - 0;
     # depth first, * would take a and b and - would take c: (0*1) - 2
-    assert ordinary("-*abcaa", "AAAA") == 2.0
+    assert ordinary("-*abcaaaaaaaa" "AAAAAAA") == 2.0
 
 
 def test_digit_terminals():
-    assert ordinary("+bcaaaa", "AAAA") == 3.0
-    assert ordinary("jaaaaaa", "AAAA") == 9.0
+    assert ordinary("+bcaaaaaaaaaa" "AAAAAAA") == 3.0
+    assert ordinary("jaaaaaaaaaaaa" "AAAAAAA") == 9.0
 
 
 def test_rnc_binding_uses_dc_order():
     # F is the fourth Dc letter (A B D F ...), so it names CONSTS[3]
-    assert ordinary("*?baaaa", "FAAB") == 0.87227
+    assert ordinary("*?baaaaaaaaaa" "FAABAAA") == 0.87227
 
 
 def test_multiple_rnc_terminals():
-    # expressed: - ? ?  -> the first '?' reads dc[0], the second dc[1]
+    # expressed: - ? ?  -> the first '?' reads the first Dc letter, the
+    # second the second
     assert expressed_length("-???aaa") == 3
-    assert ordinary("-???aaa", "ABDF") == CONSTS[0] - CONSTS[1]
+    assert ordinary("-???aaaaaaaaa" "ABDFAAA") == CONSTS[0] - CONSTS[1]
 
 
 def test_unexpressed_suffix_is_ignored():
-    # same expressed prefix, junk after
-    assert ordinary("+abaaaa", "AAAA") == ordinary("+abjijj", "AAAA") == 1.0
+    # same expressed prefix, junk after, in the coding and the Dc region
+    assert ordinary("+abaaaaaaaaaa" "AAAAAAA") == ordinary("+abjijjjijjij" "BDFGHIJ") == 1.0
 
 
 def test_expressed_length_worst_case_heads():
@@ -66,7 +70,10 @@ def test_expressed_length_worst_case_heads():
         layout_tail = h + 1
         coding = "+" * h + "a" * layout_tail
         assert expressed_length(coding) == 2 * h + 1
-        assert ordinary(coding, "A" * layout_tail) == 0.0
+        # no '?' is expressed, so no Dc letter is read, and a coding string
+        # longer than DC_START (h > 6) still decodes
+        gene = coding.ljust(DC_START, "a").ljust(ORDINARY_GENE_LEN, "A")
+        assert ordinary(gene) == 0.0
 
 
 def test_protected_division():
@@ -105,14 +112,14 @@ HOMEOTIC_OPERATORS = "+-*/SCQE"  # the 8 coding slots after the root
 
 def test_rnc_root_reads_only_the_first_dc_letter():
     coding = "?" + ORDINARY_OPERATORS
-    assert ordinary(coding, "F" + "+-*/SC") == CONSTS[3]
+    assert ordinary(coding + "F" + "+-*/SC") == CONSTS[3]
     for later in DC_ALPHABET:
-        assert ordinary(coding, "F" + later * 6) == CONSTS[3]
+        assert ordinary(coding + "F" + later * 6) == CONSTS[3]
 
 
 def test_digit_root_is_the_digit():
     for value, digit in enumerate(DIGIT_TERMINALS):
-        assert ordinary(digit + ORDINARY_OPERATORS, "+-*/SCQ") == float(value)
+        assert ordinary(digit + ORDINARY_OPERATORS + "+-*/SCQ") == float(value)
 
 
 def test_reference_root_is_the_referenced_value():
@@ -146,14 +153,17 @@ def test_homeotic_genes_are_independent():
 
 def test_exp_clamp_keeps_single_chain_finite():
     # E(E(9)) hits the clamp: exp(min(8103, 700)) = exp(700), large but finite
-    assert eval_ordinary("EEjaaaa", "AAAA", CONSTS) == math.exp(700.0)
+    assert ordinary("EEjaaa" + "a" * 7 + "A" * 7) == math.exp(700.0)
 
 
 def test_non_finite_propagation_without_raising():
     # exp(700) * exp(700) overflows to inf
-    assert math.isinf(eval_ordinary("*EEEE" + "j" * 6, "A" * 6, CONSTS))
+    assert ordinary("*EEEEj" + "j" * 7 + "A" * 7) == math.inf
     # inf - inf propagates as nan, still no exception
-    assert math.isnan(eval_ordinary("-**EEEEEEEE" + "j" * 12, "A" * 12, CONSTS))
+    infinite = (math.inf,) + CONSTS[1:]
+    assert math.isnan(eval_ordinary("-??" + "a" * 10 + "A" * 7, infinite))
+    # and so does the sine of the overflow
+    assert math.isnan(ordinary("S*EEEE" + "j" * 7 + "A" * 7))
 
 
 def _randomize_unexpressed(c, n_homeotic, extra, rng):
@@ -166,13 +176,14 @@ def _randomize_unexpressed(c, n_homeotic, extra, rng):
             slots[pos] = rng.choice(alphabets[pos])
 
     ordinary, homeotic = gene_slices(n_homeotic)
-    for coding, dc in ordinary:
-        n_expr = expressed_length(c[coding])
-        n_rnc = c[coding][:n_expr].count("?")
-        scramble(coding.start + n_expr, coding.stop)
-        scramble(dc.start + n_rnc, dc.stop)
-    for coding in homeotic:
-        scramble(coding.start + expressed_length(c[coding]), coding.stop)
+    for gene in ordinary:
+        n_expr = expressed_length(c[gene])
+        n_rnc = c[gene][:n_expr].count("?")
+        dc = gene.start + DC_START
+        scramble(gene.start + n_expr, dc)
+        scramble(dc + n_rnc, gene.stop)
+    for gene in homeotic:
+        scramble(gene.start + expressed_length(c[gene]), gene.stop)
     return "".join(slots)
 
 
@@ -207,13 +218,15 @@ def test_gene_values_match_the_level_by_level_reference(extra):
         # a wide range, so that E overflows and the protected paths run
         consts = tuple(rng.uniform(-100.0, 100.0) for _ in range(N_CONSTANTS))
         values = {}
-        for ref, (coding, dc) in zip(GENE_REFERENCES, ordinary_slices):
-            values[ref] = eval_ordinary(c[coding], c[dc], consts)
-            want = ref_eval_ordinary(c[coding], c[dc], consts)
+        for ref, where in zip(GENE_REFERENCES, ordinary_slices):
+            gene = c[where]
+            values[ref] = eval_ordinary(gene, consts)
+            # the reference takes head + tail (6 + 7 slots) and Dc apart
+            want = ref_eval_ordinary(gene[:13], gene[13:], consts)
             assert _same_float(values[ref], want), (c, ref)
-        for coding in homeotic_slices:
-            want = ref_eval_homeotic(c[coding], values)
-            assert _same_float(eval_homeotic(c[coding], values), want), (c, coding)
+        for where in homeotic_slices:
+            want = ref_eval_homeotic(c[where], values)
+            assert _same_float(eval_homeotic(c[where], values), want), (c, where)
 
 
 REGISTRY_OPERATOR_SETS = sorted({bench.builtin(name).extra_operators for name in bench.problem_names()})

@@ -649,6 +649,32 @@ def test_memos_follow_the_constant_set(monkeypatch):
     assert len(fitnesses) == 2
 
 
+def test_evaluate_decodes_each_ordinary_gene_whole(monkeypatch):
+    """eval_ordinary gets the string that keys the gene memo, the whole
+    20-slot ordinary gene (head 6, tail 7, Dc 7), and the engine's constants."""
+    eng = make_engine("f9")
+    rng = random.Random(8)
+    eng.constants = _fresh_constants(eng, rng)
+    real = evolve.eval_ordinary
+    calls = []
+
+    def recorded(gene, constants):
+        assert constants is eng.constants
+        calls.append(gene)
+        return real(gene, constants)
+
+    monkeypatch.setattr(evolve, "eval_ordinary", recorded)
+    chromosomes = [random_chromosome(eng.alphabets, rng) for _ in range(20)]
+    for c in chromosomes:
+        eng.evaluate(c)
+    assert calls == [gene for c in chromosomes for gene in (c[0:20], c[20:40])]
+    # the very objects the memo holds as keys, in the order it stored them
+    assert len(eng._genes) == len(calls)
+    assert all(key is gene for key, gene in zip(eng._genes, calls))
+    assert all(eng._genes[gene] == real(gene, eng.constants)
+               or math.isnan(eng._genes[gene]) for gene in calls)
+
+
 def test_memos_stay_bounded():
     """Each memo holds at most what its limit of evaluations can add: two
     genes, dim coordinates and one fitness each; a memo is checked before

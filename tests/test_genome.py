@@ -10,6 +10,7 @@ from fuzzygep.evolve import Engine
 from fuzzygep.genome import (
     DC_ALPHABET,
     DC_LEN,
+    DC_START,
     FUNCTION_ARITIES,
     GENE_REFERENCES,
     HOMEOTIC_GENE_LEN,
@@ -253,20 +254,23 @@ def test_flatten_rebuild_roundtrip():
 
 
 def test_gene_slices_tile_the_chromosome():
-    """gene_slices and position_alphabets read the sizes separately, so the
-    slices must tile the alphabet table and land on the regions it lists."""
+    """gene_slices, DC_START and position_alphabets read the sizes
+    separately, so the slices must tile the alphabet table, and the tail and
+    Dc region of each ordinary gene must meet at DC_START."""
     ordinary, homeotic = gene_slices(2)
-    assert ordinary == ((slice(0, 13), slice(13, 20)), (slice(20, 33), slice(33, 40)))
+    assert ordinary == (slice(0, 20), slice(20, 40))
     assert homeotic == (slice(40, 49), slice(49, 58))
+    assert DC_START == 13
     for n in (1, 2, 30, 50):
         ordinary, homeotic = gene_slices(n)
         alphabets = position_alphabets(n, ("S", "C"))
-        covered = [i for coding, dc in ordinary for i in range(coding.start, dc.stop)]
-        covered += [i for coding in homeotic for i in range(coding.start, coding.stop)]
+        covered = [i for gene in ordinary + homeotic for i in range(gene.start, gene.stop)]
         assert covered == list(range(len(alphabets))), n
-        assert all(a == DC_ALPHABET for _, dc in ordinary for a in alphabets[dc]), n
-        assert all(a == GENE_REFERENCES for coding in homeotic
-                   for a in alphabets[coding][-HOMEOTIC_TAIL_LEN:]), n
+        for gene in ordinary:
+            tail_and_dc = alphabets[gene][DC_START - ORDINARY_TAIL_LEN:]
+            assert tail_and_dc == (TERMINALS,) * ORDINARY_TAIL_LEN + (DC_ALPHABET,) * DC_LEN, n
+        assert all(a == GENE_REFERENCES for gene in homeotic
+                   for a in alphabets[gene][-HOMEOTIC_TAIL_LEN:]), n
 
 
 def _valid_chromosome(n_homeotic, seed=0):
