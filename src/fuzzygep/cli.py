@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="repeated seeded runs of one problem")
     bench_p = sub.add_parser("bench", help="run the whole 12-problem suite")
-    bench_p.add_argument("--out-dir", default=None)
+    bench_p.add_argument("--out-dir", default="results")
     for key, coerce in _CONFIG_COERCERS.items():
         for p in (run_p,) if key in _RUN_ONLY_KEYS else (run_p, bench_p):
             p.add_argument("--" + key.replace("_", "-"), type=coerce, default=argparse.SUPPRESS)
@@ -198,6 +198,8 @@ def validate_experiment(cfg: ExperimentConfig):
         raise ConfigError("runs must be at least 1")
     if cfg.generations < 1:
         raise ConfigError("generations must be at least 1")
+    if cfg.seed < 0:  # random.Random(-s) draws as random.Random(s), so runs would repeat
+        raise ConfigError("seed must be non-negative")
     if not cfg.tolerance >= 0.0:  # NaN fails too
         raise ConfigError("tolerance must be non-negative")
     if os.path.realpath(cfg.trace_path) == os.path.realpath(cfg.summary_path):
@@ -221,8 +223,6 @@ def _check_outputs(paths):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -289,9 +289,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             experiments = [experiment_from_args(args)]
         else:
-            out_dir = args.out_dir if args.out_dir is not None else "results"
-            experiments = bench_experiments(args, out_dir)
-            os.makedirs(out_dir, exist_ok=True)
+            experiments = bench_experiments(args, args.out_dir)
+            os.makedirs(args.out_dir, exist_ok=True)
         # bench gives every problem the same summary file
         summary_path = experiments[0].summary_path
         _check_outputs([cfg.trace_path for cfg in experiments] + [summary_path])

@@ -48,6 +48,12 @@ BASELINE_RATES = (0.3, 0.2, 0.01)
 # distinct slots each mutant rewrites
 MUTATIONS_PER_INDIVIDUAL = 2
 
+# rng.sample(range(n), k) keeps a pool list exactly when n <= 21 for every k
+# drawn here: mutate picks 2 of at least 49 slots, so it always takes the set
+# path; select's tournaments pick 2 whenever n <= 21, and CPython's larger bound
+# for k > 5 stays far below the temps (n >= 550) that give such a k.
+SAMPLE_POOL_MAX = 21
+
 DIVERSITY_UNIVERSE = Universe(FUZZY_DIVERSITY_FLOOR, 1.0)
 CROSSOVER_UNIVERSE = Universe(0.1, 0.3)
 MUTATION_UNIVERSE = Universe(0.05, 0.25)
@@ -213,11 +219,8 @@ def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
     flat = flatten(chromosome)
     slots = len(flat)
     getrandbits = rng.getrandbits
-    # The sites are rng.sample(range(slots), MUTATIONS_PER_INDIVIDUAL), draw
-    # for draw. For at most 5 picks, rng.sample tracks a pool list only when
-    # there are at most 21 slots, and every chromosome has at least 49, so it
-    # always draws getrandbits(slots.bit_length()) until the value is below
-    # slots and new.
+    # The sites are rng.sample(range(slots), MUTATIONS_PER_INDIVIDUAL)'s set path, as
+    # slots > SAMPLE_POOL_MAX: getrandbits(slots.bit_length()) until below slots and new.
     bits = slots.bit_length()
     sites = {}  # keeps draw order; a repeat adds nothing, so another is drawn
     while len(sites) < MUTATIONS_PER_INDIVIDUAL:
@@ -257,13 +260,9 @@ def select(temp, cfg: EngineConfig, rng: random.Random):
     chosen = heapq.nsmallest(elite, temp, key=_by_rank)
     n = len(temp)
     tournaments = range(cfg.pop_size - elite)
-    # rng.sample(range(n), size) picks from a pool list when n is at most its
-    # set size, and otherwise by rejection against a set of picks; as
-    # 2 <= size <= n here, it never raises.
-    setsize = 21
-    if size > 5:
-        setsize += 4 ** math.ceil(math.log(size * 3, 4))
-    if n <= setsize:
+    # rng.sample(range(n), size) keeps a pool list only when n <= SAMPLE_POOL_MAX,
+    # and otherwise draws by rejection; as 2 <= size <= n, it never raises.
+    if n <= SAMPLE_POOL_MAX:
         # min keeps the first of equal ranks in draw order, as a strict < scan does
         chosen += [min([temp[i] for i in rng.sample(range(n), size)], key=_by_rank)
                    for _ in tournaments]

@@ -98,6 +98,7 @@ def test_defaults_when_only_problem_given(tmp_path):
     assert (cfg.pop_size, cfg.generations, cfg.runs, cfg.seed) == (100, 1000, 50, 0)
     assert cfg.mode == "adaptive"
     assert cfg.tolerance == 1e-6
+    assert cli.build_parser().parse_args(["bench"]).out_dir == "results"
 
 
 def test_config_file_supplies_values(tmp_path):
@@ -288,6 +289,7 @@ def test_summary_best_is_the_best_ranked_fitness(name):
     (dict(problem="f2", dim=5), "fixed"),
     (dict(tolerance=float("nan")), "tolerance"),
     (dict(termination_tolerance=float("nan")), "termination_tol"),
+    (dict(seed=-1), "seed"),
 ])
 def test_validate_rejects(kwargs, fragment):
     base = dict(problem="f1")
@@ -309,6 +311,19 @@ def test_nan_tolerance_exits_1_from_flag_or_config(tmp_path, capsys, key):
         assert cli.main(base + extra) == 1
         assert f"error: {name} must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_negative_seed_exits_1_before_any_run(tmp_path, capsys):
+    # random.Random(-2) draws as random.Random(2) does, so runs 0 and 4 of
+    # seeds -2..2 would repeat each other and the summary would count both
+    assert cli.main(_run_args(tmp_path, "--problem", "f8", "--runs", "5", "--seed", "-2",
+                              "--generations", "3", "--pop-size", "10")) == 1
+    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+    out_dir = tmp_path / "results"
+    assert cli.main(["bench", "--out-dir", str(out_dir), "--runs", "1", "--seed", "-1"]) == 1
+    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_missing_problem_exits_1(tmp_path, capsys):
@@ -334,6 +349,9 @@ def test_fmt_cells():
     assert cli._fmt(False) == "0"
     assert cli._fmt(0.1) == "0.1"
     assert cli._fmt(float("nan")) == "nan"
+    # str and repr agree on every float, so a float needs no case of its own
+    for value, text in [(-0.0, "-0.0"), (math.inf, "inf"), (1e16, "1e+16"), (5e-324, "5e-324")]:
+        assert cli._fmt(value) == text == repr(value)
     assert cli._fmt(3) == "3"
 
 

@@ -326,16 +326,37 @@ def test_shuffle_matches_random_shuffle(n):
     assert ours.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("temp_size", [20, 25, 30, 500, 1000])
+def _sample_setsize(k):
+    """The set size of random.sample in CPython 3.10 to 3.13: with
+    n <= setsize it picks from a pool list, otherwise from a set of picks."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+class _SampleCountingRandom(random.Random):
+    """Draws as random.Random does, and counts calls of rng.sample."""
+    samples = 0
+
+    def sample(self, population, k):
+        self.samples += 1
+        return super().sample(population, k)
+
+
+@pytest.mark.parametrize("temp_size", [20, 21, 22, 25, 30, 500, 1000])
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
 @pytest.mark.parametrize("tournament_size", [None, 6, 20])
 def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     """The same members, by identity, as the rng.sample version picks; ties,
     signed zeros and non-finite fitnesses keep their draw-order tie-break.
 
-    The pop size is temp_size // 5. A temp of 20 takes rng.sample's pool
-    path; 25 and 30 are the smallest temps on its set path, where select
-    draws the contenders itself and repeats are frequent. A temp of 1000
+    The pop size is temp_size // 5. Temps of 20 and 21 take rng.sample's
+    pool path, where select calls rng.sample; 22 is the smallest temp on its
+    set path, where select draws the contenders itself, and at 22, 25 and 30
+    repeats are frequent. Temps of 21 and 22 are a pop size of 4, as 20 is,
+    and calling rng.sample on the set path would draw the same, so the test
+    also checks which path select takes. A temp of 1000
     is a pop size of 200, the smallest with two elites, whose order is
     that of the reference's stable sort. A tournament size of 6 or 20 is
     what a temp of 600 or 2000 members gives, so those cases use such a
@@ -351,12 +372,26 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     values += [-0.0, float("nan"), float("inf"), float("-inf")]
     temp = [stub(rng.choice(values), direction) for _ in range(temp_size)]
     for seed in range(10):
-        ours, twin = random.Random(seed), random.Random(seed)
+        ours, twin = _SampleCountingRandom(seed), random.Random(seed)
         got = select(temp, cfg, ours)
         want = oracles.ref_select(temp, cfg.pop_size, cfg.elite_count, size, direction, twin)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
         assert ours.getstate() == twin.getstate()
+        # select calls rng.sample on its pool path only, the path rng.sample itself takes
+        assert (ours.samples > 0) == (temp_size <= _sample_setsize(size))
+
+
+def test_sample_pool_max_is_random_samples_choice():
+    """SAMPLE_POOL_MAX decides rng.sample's path as its own set size does:
+    for every temp select draws tournaments from, and for mutate's picks
+    from the shortest chromosome."""
+    cfg = EngineConfig()
+    pool_max = evolve.SAMPLE_POOL_MAX
+    for n in range(2, 100_001):
+        assert (n <= _sample_setsize(cfg.tournament_size(n))) == (n <= pool_max), n
+    slots = len(position_alphabets(1))
+    assert slots == 49 and slots > _sample_setsize(MUTATIONS_PER_INDIVIDUAL) == pool_max
 
 
 @pytest.mark.parametrize("n_homeotic, operators", [
