@@ -237,7 +237,7 @@ def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        flat[pos] = alphabet[r + (r >= alphabet.index(flat[pos]))]
+        flat[pos] = ord(alphabet[r + (r >= alphabet.index(chr(flat[pos])))])
     return rebuild(flat)
 
 

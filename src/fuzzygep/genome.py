@@ -102,14 +102,14 @@ def random_chromosome(alphabets, rng: random.Random) -> str:
     return "".join([alpha[int(rand() * len(alpha))] for alpha in alphabets])
 
 
-def flatten(chromosome: str) -> list[str]:
-    """The chromosome's slots as a list, for editing in place."""
-    return list(chromosome)
+def flatten(chromosome: str) -> bytearray:
+    """The chromosome's slots as ASCII bytes (every symbol is one), to edit in place."""
+    return bytearray(chromosome, "ascii")
 
 
-def rebuild(flat) -> str:
+def rebuild(flat: bytearray) -> str:
     """Inverse of flatten."""
-    return "".join(flat)
+    return flat.decode("ascii")
 
 
 def gene_slices(n_homeotic: int) -> tuple[tuple[slice, ...], tuple[slice, ...]]:

@@ -81,12 +81,17 @@ def test_bulk_generated_and_operated_genomes_all_validate():
 def test_controllers_match_bruteforce_mamdani_oracle():
     cfg = EngineConfig()  # max_gen 1000, so the constant rate runs on generations 500..1000
     rng = random.Random(1)
-    t0 = time.perf_counter()
+    # the budget is the package's; the brute-force oracle is timed apart
+    clock = time.perf_counter
+    package_s = oracle_s = 0.0
     worst = 0.0
     for _ in range(1000):
         d = rng.uniform(0.6, 1.0)
         gen = rng.uniform(500.0, 1000.0)
+        t0 = clock()
         rates = adapt_rates(d, gen, cfg)
+        t1 = clock()
+        package_s += t1 - t0
         worst = max(
             worst,
             abs(rates.p_c - ref_infer_1d(REF_CROSSOVER_RULES, (0.6, 1.0), (0.1, 0.3), d)),
@@ -94,11 +99,12 @@ def test_controllers_match_bruteforce_mamdani_oracle():
             abs(rates.r_c - ref_infer_2d(REF_CONSTANT_RULES, (500.0, 1000.0), (0.6, 1.0),
                                          (0.0, 0.5), gen, d)),
         )
-    elapsed = time.perf_counter() - t0
-    ok = worst <= ORACLE_TOL and elapsed < 10.0
+        oracle_s += clock() - t1
+    ok = worst <= ORACLE_TOL and package_s < 10.0
     assert _verdict(ok, "A02 fuzzy oracle",
                     f"1000 inputs/controller, worst |diff|={worst:.2e} "
-                    f"(tol {ORACLE_TOL:g}) in {elapsed:.2f}s (budget 10s)")
+                    f"(tol {ORACLE_TOL:g}); adapt_rates {package_s:.2f}s (budget 10s), "
+                    f"oracle {oracle_s:.2f}s")
 
 
 def _lines(surface):

@@ -170,14 +170,13 @@ def test_random_chromosome_deterministic():
 
 
 def test_position_uniformity():
-    """Chi-square on every slot of the flat chromosome at the 99.9% level."""
+    """Chi-square on every slot of the chromosome at the 99.9% level."""
     alphabets = position_alphabets(1)
     rng = random.Random(42)
     n = 20000
     counts = [dict.fromkeys(alpha, 0) for alpha in alphabets]
     for _ in range(n):
-        flat = flatten(random_chromosome(alphabets, rng))
-        for pos, sym_at in enumerate(flat):
+        for pos, sym_at in enumerate(random_chromosome(alphabets, rng)):
             counts[pos][sym_at] += 1
     for pos, alpha in enumerate(alphabets):
         expected = n / len(alpha)
@@ -249,8 +248,14 @@ def test_flatten_rebuild_roundtrip():
     rng = random.Random(3)
     for _ in range(50):
         c = random_chromosome(alphabets, rng)
-        assert flatten(c) == list(c)
-        assert rebuild(flatten(c)) == c
+        flat = flatten(c)
+        assert type(flat) is bytearray and flat == c.encode("ascii")
+        back = rebuild(flat)
+        assert type(back) is str and back == c
+    # one byte per slot holds only while every symbol is ASCII; any other
+    # symbol raises rather than write a wrong byte
+    with pytest.raises(UnicodeEncodeError):
+        flatten("a+\u00b5")
 
 
 def test_gene_slices_tile_the_chromosome():
