@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 from . import bench, evolve
@@ -226,25 +226,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: str, lines):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
 def _csv_line(values) -> str:
-    return ",".join(map(_fmt, values))
+    return ",".join(map(_fmt, values)) + "\n"
+
+
+def _write_csv(path: str, header: str, chunks):
+    """Write the header, then each chunk as it comes, flushed so a killed process keeps it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        print(header, file=fh, flush=True)
+        for chunk in chunks:
+            print(chunk, end="", file=fh, flush=True)
 
 
 def write_trace(path: str, traces):
-    lines = [TRACE_HEADER]
-    for run_idx, rows in enumerate(traces):
-        lines += [f"{run_idx},{_csv_line(_trace_values(row))}" for row in rows]
-    _write_lines(path, lines)
+    _write_csv(path, TRACE_HEADER, (
+        "".join(f"{run_idx},{_csv_line(_trace_values(row))}" for row in rows)
+        for run_idx, rows in enumerate(traces)))
 
 
 def write_summary(path: str, summaries):
-    _write_lines(path, [SUMMARY_HEADER, *(_csv_line(_summary_values(s)) for s in summaries)])
+    _write_csv(path, SUMMARY_HEADER, (_csv_line(_summary_values(s)) for s in summaries))
 
 
 # a run succeeds when its best is within --tolerance of the known optimum
@@ -269,18 +270,26 @@ def summarize(problem: bench.Problem, cfg: ExperimentConfig, results) -> Summary
 
 
 def run_experiment(cfg: ExperimentConfig) -> Summary:
-    """Execute cfg.runs seeded runs and write the trace file; no summary I/O."""
+    """Execute cfg.runs seeded runs, writing each run's trace rows as it ends."""
     problem = bench.builtin(cfg.problem, cfg.dim)
     engine_cfg = cfg.engine_config()
-    results = [evolve.run(problem, engine_cfg, seed=cfg.seed + i) for i in range(cfg.runs)]
-    write_trace(cfg.trace_path, [r.trace for r in results])
-    return summarize(problem, cfg, results)
+    results = []
+
+    def traces():
+        for i in range(cfg.runs):
+            result = evolve.run(problem, engine_cfg, seed=cfg.seed + i)
+            results.append(replace(result, trace=[]))  # summarize reads no trace
+            yield result.trace
+
+    write_trace(cfg.trace_path, traces())
+    return _report(summarize(problem, cfg, results))
 
 
-def _oneline(s: Summary) -> str:
-    return (f"{s.problem} dim={s.dim} mode={s.mode} runs={s.runs} "
-            f"best={s.best:.6g} mean={s.mean_best:.6g} "
-            f"success={s.success_rate:.0%} mean_gens={s.mean_gens_to_best:.6g}")
+def _report(s: Summary) -> Summary:
+    print(f"{s.problem} dim={s.dim} mode={s.mode} runs={s.runs} "
+          f"best={s.best:.6g} mean={s.mean_best:.6g} "
+          f"success={s.success_rate:.0%} mean_gens={s.mean_gens_to_best:.6g}", flush=True)
+    return s
 
 
 def main(argv=None) -> int:
@@ -291,18 +300,19 @@ def main(argv=None) -> int:
         else:
             experiments = bench_experiments(args, args.out_dir)
             os.makedirs(args.out_dir, exist_ok=True)
-        # bench gives every problem the same summary file
-        summary_path = experiments[0].summary_path
-        _check_outputs([cfg.trace_path for cfg in experiments] + [summary_path])
-        summaries = []
-        for cfg in experiments:
-            summaries.append(run_experiment(cfg))
-            print(_oneline(summaries[-1]), flush=True)
-        write_summary(summary_path, summaries)
+        summary_path = experiments[0].summary_path  # bench gives every problem the same one
+        paths = [cfg.trace_path for cfg in experiments] + [summary_path]
+        _check_outputs(paths)
+        for path in paths:  # so no file of an earlier invocation outlives an interrupt
+            open(path, "wb").close()
+        write_summary(summary_path, (run_experiment(cfg) for cfg in experiments))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
     return 0

@@ -580,6 +580,74 @@ def test_bench_checks_outputs_before_any_run(tmp_path, capsys, monkeypatch, bloc
     assert blocked in capsys.readouterr().err
 
 
+def _small_bench(out_dir):
+    return ["bench", "--out-dir", str(out_dir), "--runs", "2", "--generations", "5",
+            "--pop-size", "10", "--seed", "0"]
+
+
+@pytest.fixture(scope="module")
+def whole_bench(tmp_path_factory):
+    """The output directory of an uninterrupted `_small_bench`."""
+    out_dir = tmp_path_factory.mktemp("whole")
+    assert cli.main(_small_bench(out_dir)) == 0
+    return out_dir
+
+
+def _bench_interrupted_in_f3(monkeypatch, out_dir) -> int:
+    """Run `_small_bench`, raising KeyboardInterrupt, as Ctrl-C would, when
+    f3's second run starts; main's exit code."""
+    inner = cli.evolve.run
+    started = []
+
+    def run(problem, cfg=None, seed=0):
+        if problem.name == "f3":
+            started.append(seed)
+            if len(started) == 2:
+                raise KeyboardInterrupt
+        return inner(problem, cfg, seed)
+
+    monkeypatch.setattr(cli.evolve, "run", run)
+    try:
+        return cli.main(_small_bench(out_dir))
+    except KeyboardInterrupt:  # would stop pytest itself
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+
+
+def _byte_lines(path):
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def test_interrupted_bench_keeps_every_finished_row(tmp_path, capsys, monkeypatch, whole_bench):
+    """Rows reach disk as each run and problem ends: after Ctrl-C on f3's
+    second run, f1 and f2 are written in full, f3's trace holds run 0, and
+    main exits 130 without a traceback."""
+    out_dir = tmp_path / "results"
+    assert _bench_interrupted_in_f3(monkeypatch, out_dir) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert len(captured.out.splitlines()) == 2
+    assert _byte_lines(out_dir / "summary.csv") == _byte_lines(whole_bench / "summary.csv")[:3]
+    for name in ("f1", "f2"):
+        trace = f"{name}_trace.csv"
+        assert (out_dir / trace).read_bytes() == (whole_bench / trace).read_bytes()
+    f3 = _byte_lines(whole_bench / "f3_trace.csv")
+    assert _byte_lines(out_dir / "f3_trace.csv") == [
+        line for line in f3 if line.startswith((b"run,", b"0,"))]
+
+
+def test_interrupted_bench_leaves_no_stale_file(tmp_path, capsys, monkeypatch):
+    """Every output file of the invocation is emptied before the first run,
+    so no file of an earlier invocation sits next to this one's summary."""
+    out_dir = tmp_path / "results"
+    out_dir.mkdir()
+    outputs = [out_dir / f"{name}_trace.csv" for name in bench.problem_names()]
+    outputs.append(out_dir / "summary.csv")
+    for path in outputs:
+        path.write_text("stale\n")
+    assert _bench_interrupted_in_f3(monkeypatch, out_dir) == 130
+    assert [path.name for path in outputs if "stale" in path.read_text()] == []
+
+
 def test_bench_takes_shared_keys_from_config(tmp_path):
     conf = tmp_path / "sweep.conf"
     conf.write_text("runs = 2\nseed = 4\npop_size = 12\ntermination_tolerance = none\n")
