@@ -48,12 +48,6 @@ BASELINE_RATES = (0.3, 0.2, 0.01)
 # distinct slots each mutant rewrites
 MUTATIONS_PER_INDIVIDUAL = 2
 
-# rng.sample(range(n), k) keeps a pool list exactly when n <= 21 for every k
-# drawn here: mutate picks 2 of at least 49 slots, so it always takes the set
-# path; select's tournaments pick 2 whenever n <= 21, and CPython's larger bound
-# for k > 5 stays far below the temps (n >= 550) that give such a k.
-SAMPLE_POOL_MAX = 21
-
 DIVERSITY_UNIVERSE = Universe(FUZZY_DIVERSITY_FLOOR, 1.0)
 CROSSOVER_UNIVERSE = Universe(0.1, 0.3)
 MUTATION_UNIVERSE = Universe(0.05, 0.25)
@@ -133,6 +127,7 @@ class RunResult:
     first_best_gen: int
     generations: int
     trace: list[TraceRow]
+    best_constants: tuple[float, ...]  # the pool best was evaluated under
 
 
 def plain_sum(values) -> float:
@@ -219,8 +214,8 @@ def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
     flat = flatten(chromosome)
     slots = len(flat)
     getrandbits = rng.getrandbits
-    # The sites are rng.sample(range(slots), MUTATIONS_PER_INDIVIDUAL)'s set path, as
-    # slots > SAMPLE_POOL_MAX: getrandbits(slots.bit_length()) until below slots and new.
+    # Each site is rng.randrange(slots) drawn until it is new, the set path of
+    # rng.sample: getrandbits(slots.bit_length()) until below slots and new.
     bits = slots.bit_length()
     sites = {}  # keeps draw order; a repeat adds nothing, so another is drawn
     while len(sites) < MUTATIONS_PER_INDIVIDUAL:
@@ -251,31 +246,24 @@ def select(temp, cfg: EngineConfig, rng: random.Random):
     tournament spanning all of temp returns the global best; across
     tournaments every member of temp stays available.
     """
-    if len(temp) < cfg.pop_size:
+    n = len(temp)
+    if n < cfg.pop_size:
         raise ValueError("temp population smaller than pop_size")
     elite = cfg.elite_count
-    size = cfg.tournament_size(len(temp))
+    size = cfg.tournament_size(n)
     # nsmallest equals sorted(temp, key=...)[:elite], a stable sort, so the
     # elites come first in the order sorted gives them
     chosen = heapq.nsmallest(elite, temp, key=_by_rank)
-    n = len(temp)
-    tournaments = range(cfg.pop_size - elite)
-    # rng.sample(range(n), size) keeps a pool list only when n <= SAMPLE_POOL_MAX,
-    # and otherwise draws by rejection; as 2 <= size <= n, it never raises.
-    if n <= SAMPLE_POOL_MAX:
-        # min keeps the first of equal ranks in draw order, as a strict < scan does
-        chosen += [min([temp[i] for i in rng.sample(range(n), size)], key=_by_rank)
-                   for _ in tournaments]
-        return chosen
-    # rng.sample's rejection draws, getrandbits(n.bit_length()) until the
-    # value is below n and new: the first contender, then size - 1 rivals,
-    # keeping the best so far; the strict < keeps the first of equal ranks,
-    # as min over the picks does. A list of picks would scan in O(size) per
-    # draw, which loses at large temps.
+    # Each contender is rng.randrange(n) drawn until it is new, the set path
+    # of rng.sample: getrandbits(n.bit_length()) until the value is below n
+    # and new. As 2 <= size <= n, a tournament always fills. The first
+    # contender is the best so far, then size - 1 rivals; the strict < keeps
+    # the first of equal ranks in draw order. A list of picks would scan in
+    # O(size) per draw, which loses at large temps.
     getrandbits = rng.getrandbits
     bits = n.bit_length()
     rivals = range(size - 1)
-    for _ in tournaments:
+    for _ in range(cfg.pop_size - elite):
         j = getrandbits(bits)
         while j >= n:
             j = getrandbits(bits)
@@ -447,6 +435,7 @@ class Engine:
             for _ in range(cfg.pop_size)
         ]
         best = min(population, key=_by_rank)
+        best_constants = self.constants
         first_best_gen = 0
         generations = 0
         reading = diversity(population, direction)
@@ -463,7 +452,7 @@ class Engine:
             # select puts the best of temp first
             candidate = population[0]
             if candidate.rank < best.rank:
-                best, first_best_gen = candidate, gen
+                best, best_constants, first_best_gen = candidate, self.constants, gen
             generations = gen
             # the rates were read from the parents; the next generation reads
             # the selected population, whose mean fitness this row reports
@@ -471,7 +460,7 @@ class Engine:
             trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d,
                                   rates.p_c, rates.p_m, rates.r_c, reset))
             reading = selected
-        return RunResult(self.seed, best, first_best_gen, generations, trace)
+        return RunResult(self.seed, best, first_best_gen, generations, trace, best_constants)
 
 
 def run(problem: Problem, cfg: EngineConfig | None = None, seed: int = 0) -> RunResult:

@@ -267,16 +267,27 @@ def _ref_sort_key(direction):
     return key
 
 
+def ref_distinct(n, k, rng):
+    """k distinct values below n in draw order, each rng.randrange(n) drawn
+    until it is new: the rule the package inlines, and the set path of
+    random.sample in CPython 3.10 to 3.13."""
+    picks = []
+    while len(picks) < k:
+        j = rng.randrange(n)
+        if j not in picks:
+            picks.append(j)
+    return picks
+
+
 def ref_select(temp, pop_size, elite, size, direction, rng):
     """Elites by a stable sort, then pop_size - elite tournaments of `size`
-    contenders drawn by rng.sample; the first best contender in draw order wins."""
+    contenders drawn by ref_distinct; the first best contender in draw order wins."""
     key = _ref_sort_key(direction)
     chosen = list(sorted(temp, key=key)[:elite])
-    indices = range(len(temp))
     for _ in range(pop_size - elite):
         best = None
         best_key = None
-        for idx in rng.sample(indices, size):
+        for idx in ref_distinct(len(temp), size, rng):
             contender = temp[idx]
             ck = key(contender)
             if best is None or ck < best_key:
@@ -287,12 +298,12 @@ def ref_select(temp, pop_size, elite, size, direction, rng):
 
 
 def ref_mutate(chromosome, p_m, k, alphabets, rng):
-    """With probability p_m, k distinct positions drawn by rng.sample, each
+    """With probability p_m, k distinct positions drawn by ref_distinct, each
     rewritten to a uniformly drawn other symbol of its slot's alphabet."""
     if rng.random() >= p_m:
         return chromosome
     flat = list(chromosome)
-    for pos in rng.sample(range(len(flat)), min(k, len(flat))):
+    for pos in ref_distinct(len(flat), min(k, len(flat)), rng):
         others = [s for s in alphabets[pos] if s != flat[pos]]
         if others:
             flat[pos] = others[rng.randrange(len(others))]
@@ -319,7 +330,8 @@ REF_MUTATED_SLOTS = 2  # distinct slots each mutant rewrites
 def ref_run(problem, cfg, seed):
     """`evolve.Engine.run` without its speed code: every draw is the stdlib
     call it stands for (`rng.choices` per slot, `rng.shuffle`, `rng.randrange`
-    for the cut, `ref_mutate` with its coin inside, `ref_select`), and every
+    for the cut and for each distinct pick, `ref_mutate` with its coin inside,
+    `ref_select`), and every
     individual is decoded by `eval_chromosome`, with no memo and no
     offspring cache. The rate controllers, `diversity`, the constant draw,
     the alphabets, the objective and the stopping rule `reached_optimum` are
@@ -357,6 +369,7 @@ def ref_run(problem, cfg, seed):
                            constants)
                   for _ in range(cfg.pop_size)]
     best = min(population, key=key)
+    best_constants = constants
     first_best_gen = generations = 0
     reading = diversity(population, problem.direction)
     rates = adapt_rates(reading.d, 0, cfg)
@@ -379,13 +392,13 @@ def ref_run(problem, cfg, seed):
                                 cfg.tournament_size(len(temp)), problem.direction, rng)
         candidate = min(population, key=key)
         if key(candidate) < key(best):
-            best, first_best_gen = candidate, gen
+            best, best_constants, first_best_gen = candidate, constants, gen
         generations = gen
         selected = diversity(population, problem.direction)
         trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d, rates.p_c,
                               rates.p_m, rates.r_c, reset))
         reading = selected
-    return RunResult(seed, best, first_best_gen, generations, trace)
+    return RunResult(seed, best, first_best_gen, generations, trace, best_constants)
 
 
 # --- K-expressions, from the definition ---

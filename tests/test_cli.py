@@ -271,7 +271,7 @@ def test_summary_best_is_the_best_ranked_fitness(name):
     sets = [list(c) for k in (1, 2, 3) for c in itertools.permutations(values, k)]
     sets += [[math.nan, math.inf, -math.inf], [math.nan], [-math.inf, -math.inf], [-0.0, 0.0, 0.0]]
     for bests in sets:
-        results = [RunResult(i, Individual("", (), b, oracles.ref_rank(b, problem.direction)), 0, 1, [])
+        results = [RunResult(i, Individual("", (), b, oracles.ref_rank(b, problem.direction)), 0, 1, [], ())
                    for i, b in enumerate(bests)]
         got = cli.summarize(problem, cfg, results).best
         want = _old_summary_best(problem.direction, bests)

@@ -42,15 +42,11 @@ class ScriptedRng:
     """Returns pre-baked values; fails loudly when the script runs dry or
     a draw it has no script for is made."""
 
-    def __init__(self, randranges=(), samples=()):
+    def __init__(self, randranges=()):
         self.randranges = list(randranges)
-        self.samples = list(samples)
 
     def randrange(self, n):
         return self.randranges.pop(0)
-
-    def sample(self, population, k):
-        return self.samples.pop(0)
 
 
 # --- diversity ---
@@ -98,7 +94,7 @@ def test_means_add_left_to_right():
     values = [1e16, 1.0, -1e16]
     mean = oracles.ref_sum(values) / len(values)
     assert diversity([stub(v) for v in values], "minimize").f_ave == mean == 0.0
-    results = [RunResult(i, stub(v), 0, 1, []) for i, v in enumerate(values)]
+    results = [RunResult(i, stub(v), 0, 1, [], ()) for i, v in enumerate(values)]
     summary = cli.summarize(builtin("f1"), cli.ExperimentConfig("f1"), results)
     assert summary.mean_best == mean
     assert summary.variance == oracles.ref_sum((v - mean) ** 2 for v in values) / len(values)
@@ -284,8 +280,7 @@ def test_select_degenerate_tournament_returns_global_best():
 def test_select_finite_beats_non_finite():
     cfg = EngineConfig(pop_size=2)
     temp = [stub(float("nan")), stub(5.0)]
-    scripted = ScriptedRng(samples=[[0, 1]])
-    out = select(temp, cfg, scripted)
+    out = select(temp, cfg, random.Random(10))
     assert out[0].fitness == 5.0   # elite
     assert out[1].fitness == 5.0   # tournament: finite wins over nan
 
@@ -311,7 +306,7 @@ def test_select_puts_the_best_of_temp_first(direction):
             assert select(temp, cfg, rng)[0] is min(temp, key=key)
 
 
-# --- draws inlined from random.sample, random.shuffle and random.randrange ---
+# --- draws inlined from random.shuffle and random.randrange ---
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 99, 100, 101, 500])
 def test_shuffle_matches_random_shuffle(n):
@@ -326,41 +321,20 @@ def test_shuffle_matches_random_shuffle(n):
     assert ours.getstate() == twin.getstate()
 
 
-def _sample_setsize(k):
-    """The set size of random.sample in CPython 3.10 to 3.13: with
-    n <= setsize it picks from a pool list, otherwise from a set of picks."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return setsize
-
-
-class _SampleCountingRandom(random.Random):
-    """Draws as random.Random does, and counts calls of rng.sample."""
-    samples = 0
-
-    def sample(self, population, k):
-        self.samples += 1
-        return super().sample(population, k)
-
-
-@pytest.mark.parametrize("temp_size", [20, 21, 22, 25, 30, 500, 1000])
+@pytest.mark.parametrize("temp_size", [10, 15, 20, 21, 22, 25, 30, 500, 1000])
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
 @pytest.mark.parametrize("tournament_size", [None, 6, 20])
 def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
-    """The same members, by identity, as the rng.sample version picks; ties,
-    signed zeros and non-finite fitnesses keep their draw-order tie-break.
+    """The same members, by identity, as the rng.randrange version picks;
+    ties, signed zeros and non-finite fitnesses keep their draw-order
+    tie-break.
 
-    The pop size is temp_size // 5. Temps of 20 and 21 take rng.sample's
-    pool path, where select calls rng.sample; 22 is the smallest temp on its
-    set path, where select draws the contenders itself, and at 22, 25 and 30
-    repeats are frequent. Temps of 21 and 22 are a pop size of 4, as 20 is,
-    and calling rng.sample on the set path would draw the same, so the test
-    also checks which path select takes. A temp of 1000
-    is a pop size of 200, the smallest with two elites, whose order is
-    that of the reference's stable sort. A tournament size of 6 or 20 is
-    what a temp of 600 or 2000 members gives, so those cases use such a
-    temp.
+    The pop size is temp_size // 5. Temps of 10 to 30 are the pop sizes 2
+    to 6, where repeats are frequent; at 10 a tournament of 2 is a fifth of
+    temp. A temp of 1000 is a pop size of 200, the smallest with two elites,
+    whose order is that of the reference's stable sort. A tournament size
+    of 6 or 20 is what a temp of 600 or 2000 members gives, so those cases
+    use such a temp.
     """
     cfg = EngineConfig(pop_size=temp_size // 5)
     if tournament_size is not None:
@@ -372,26 +346,12 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
     values += [-0.0, float("nan"), float("inf"), float("-inf")]
     temp = [stub(rng.choice(values), direction) for _ in range(temp_size)]
     for seed in range(10):
-        ours, twin = _SampleCountingRandom(seed), random.Random(seed)
+        ours, twin = random.Random(seed), random.Random(seed)
         got = select(temp, cfg, ours)
         want = oracles.ref_select(temp, cfg.pop_size, cfg.elite_count, size, direction, twin)
         assert len(got) == len(want)
         assert all(a is b for a, b in zip(got, want))
         assert ours.getstate() == twin.getstate()
-        # select calls rng.sample on its pool path only, the path rng.sample itself takes
-        assert (ours.samples > 0) == (temp_size <= _sample_setsize(size))
-
-
-def test_sample_pool_max_is_random_samples_choice():
-    """SAMPLE_POOL_MAX decides rng.sample's path as its own set size does:
-    for every temp select draws tournaments from, and for mutate's picks
-    from the shortest chromosome."""
-    cfg = EngineConfig()
-    pool_max = evolve.SAMPLE_POOL_MAX
-    for n in range(2, 100_001):
-        assert (n <= _sample_setsize(cfg.tournament_size(n))) == (n <= pool_max), n
-    slots = len(position_alphabets(1))
-    assert slots == 49 and slots > _sample_setsize(MUTATIONS_PER_INDIVIDUAL) == pool_max
 
 
 @pytest.mark.parametrize("n_homeotic, operators", [
@@ -405,7 +365,7 @@ def test_sample_pool_max_is_random_samples_choice():
 def test_mutate_matches_stdlib_reference(n_homeotic, operators):
     """The p_m coin that build_temp_population draws, then mutate, consume
     and return what the reference's coin and mutation do: sites by
-    rng.sample, each new symbol by rng.randrange(n) over the n others. Every
+    oracles.ref_distinct, each new symbol by rng.randrange(n) over the n others. Every
     n = len(alphabet) - 1 a slot has is drawn, and so each bit count of
     mutate's inlined symbol draw."""
     alphabets = position_alphabets(n_homeotic, operators)
@@ -796,10 +756,10 @@ def test_first_best_gen_matches_trace():
 
 
 def _ref_run_cases():
-    """Every problem in both modes, at pops 2 and 4, where select takes
-    rng.sample's pool path, and at one pop from 20 to 30, where it draws
-    the set path itself; early stopping is on in half of the runs of each
-    pop and each mode. The scalable problems run at D5, which keeps the
+    """Every problem in both modes, at pops 2 and 4, where a tournament
+    spans a fifth of a temp of 10 or 20 and repeated draws are frequent, and
+    at one pop from 20 to 30; early stopping is on in half of the runs of
+    each pop and each mode. The scalable problems run at D5, which keeps the
     unmemoized reference to a few seconds over the grid."""
     for i, (name, mode) in enumerate((name, mode) for name in problem_names()
                                      for mode in ("adaptive", "baseline")):
@@ -822,5 +782,27 @@ def test_run_matches_the_reference_engine(name, mode, pop, stop, seed):
     want = oracles.ref_run(problem, cfg, seed)
     assert repr(got.trace) == repr(want.trace)
     assert repr(got.best) == repr(want.best)
+    assert repr(got.best_constants) == repr(want.best_constants)
     assert got.first_best_gen == want.first_best_gen
     assert got.generations == want.generations
+
+
+def test_best_decodes_again_under_its_constants():
+    """The reported best's chromosome decodes to its point, bit for bit,
+    under best_constants, and the objective gives its fitness, even in runs
+    whose constants were reset after the best appeared."""
+    stale = 0
+    for name, dim in (("f6", None), ("f7", None), ("f9", 10), ("f12", 10)):
+        problem = builtin(name, dim)
+        pack = struct.Struct(f"<{problem.dim}d").pack
+        for seed in range(3):
+            engine = Engine(problem, EngineConfig(pop_size=20, max_gen=100), seed)
+            res = engine.run()
+            best = res.best
+            point = oracles.eval_chromosome(best.chromosome, problem.dim, res.best_constants)
+            assert pack(*point) == pack(*best.point), (name, seed)
+            assert struct.pack("<d", problem.evaluate(point)) == struct.pack("<d", best.fitness)
+            final = oracles.eval_chromosome(best.chromosome, problem.dim, engine.constants)
+            stale += pack(*final) != pack(*best.point)
+    # runs where the final constants would decode the best elsewhere
+    assert stale > 0
