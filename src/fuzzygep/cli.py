@@ -168,6 +168,10 @@ def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
         raise ConfigError("no problem selected; pass --problem or set it in the config file")
     cfg = ExperimentConfig(**values)
     validate_experiment(cfg)
+    if args.config is not None:  # emptying an output file must not erase the config
+        for path in (cfg.trace_path, cfg.summary_path):
+            if os.path.realpath(path) == os.path.realpath(args.config):
+                raise ConfigError(f"an output file is the config file: {path}")
     return cfg
 
 
@@ -286,9 +290,18 @@ def run_experiment(cfg: ExperimentConfig) -> Summary:
 
 
 def _report(s: Summary) -> Summary:
-    print(f"{s.problem} dim={s.dim} mode={s.mode} runs={s.runs} "
-          f"best={s.best:.6g} mean={s.mean_best:.6g} "
-          f"success={s.success_rate:.0%} mean_gens={s.mean_gens_to_best:.6g}", flush=True)
+    """Print the problem's one-line result. The lines are progress and the
+    CSV files the product, so a closed stdout does not stop the runs."""
+    try:
+        print(f"{s.problem} dim={s.dim} mode={s.mode} runs={s.runs} "
+              f"best={s.best:.6g} mean={s.mean_best:.6g} "
+              f"success={s.success_rate:.0%} mean_gens={s.mean_gens_to_best:.6g}", flush=True)
+    except BrokenPipeError:
+        # stdout's reader has gone: point stdout at os.devnull, so that the
+        # later lines and the interpreter's final flush raise nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return s
 
 

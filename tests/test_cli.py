@@ -32,11 +32,14 @@ def _run_args(tmp_path, *extra):
     ]
 
 
+# a fresh interpreter started with this environment imports the package from this source tree
+FRESH_ENV = {**os.environ,
+             "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(fuzzygep.__file__)))}
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter that imports the package from this source tree."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzygep.__file__)))
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=FRESH_ENV, capture_output=True, text=True)
 
 
 def test_package_imports_without_numpy():
@@ -525,6 +528,21 @@ def test_run_rejects_one_file_for_trace_and_summary(tmp_path, capsys, monkeypatc
     assert (tmp_path / "same.csv").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--summary"])
+def test_run_rejects_the_config_file_as_output(tmp_path, capsys, monkeypatch, flag):
+    """Emptying the output would erase the config, so the run never starts."""
+    calls = _refuse_runs(monkeypatch)
+    conf = tmp_path / "my.conf"
+    conf.write_text("problem = f1\nruns = 1\n")
+    monkeypatch.chdir(tmp_path)
+    argv = _run_args(tmp_path, "--config", "my.conf", flag, str(tmp_path / "sub" / ".." / "my.conf"))
+    (tmp_path / "sub").mkdir()
+    assert cli.main(argv) == 1
+    assert "config file" in capsys.readouterr().err
+    assert calls == []
+    assert conf.read_text() == "problem = f1\nruns = 1\n"
+
+
 # --- bench sweep -----------------------------------------------------------
 
 
@@ -646,6 +664,33 @@ def test_interrupted_bench_leaves_no_stale_file(tmp_path, capsys, monkeypatch):
         path.write_text("stale\n")
     assert _bench_interrupted_in_f3(monkeypatch, out_dir) == 130
     assert [path.name for path in outputs if "stale" in path.read_text()] == []
+
+
+def test_bench_rejects_the_config_file_as_output(tmp_path, capsys, monkeypatch):
+    """A config file kept as <out-dir>/summary.csv is never emptied."""
+    calls = _refuse_runs(monkeypatch)
+    conf = tmp_path / "summary.csv"
+    conf.write_text("runs = 1\n")
+    assert cli.main(["bench", "--config", str(conf), "--out-dir", str(tmp_path)]) == 1
+    assert "config file" in capsys.readouterr().err
+    assert calls == []
+    assert conf.read_text() == "runs = 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["summary.csv"]
+
+
+def test_closed_stdout_does_not_stop_a_bench(tmp_path):
+    """The one-line results are progress and the CSV files the product: a
+    bench whose stdout reader has gone finishes every problem, says
+    nothing and exits 0."""
+    argv = [sys.executable, "-m", "fuzzygep", "bench", "--out-dir", str(tmp_path),
+            "--runs", "1", "--generations", "2", "--pop-size", "10"]
+    with subprocess.Popen(argv, env=FRESH_ENV, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        child.stdout.close()  # before the child prints its first line
+        err = child.stderr.read()
+    assert child.returncode == 0, err
+    assert err == b""
+    assert len(_lines(tmp_path / "summary.csv")) == 1 + len(bench.problem_names())
 
 
 def test_bench_takes_shared_keys_from_config(tmp_path):
