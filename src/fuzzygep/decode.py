@@ -12,6 +12,9 @@ states, or terminals and gene references, which it does not list.
 A homeotic gene's tail holds only references, so its head alone fixes which
 positions are expressed and the arity of each: the gene's shape.  Every
 shape gets one generated function, and every head the function of its shape.
+The function applies each operator to the operands the walk would, so both
+give the same bits.  An ordinary gene is still walked: its '?' terminals read
+Dc letters in expression order, so its shape alone does not fix its value.
 """
 
 from __future__ import annotations

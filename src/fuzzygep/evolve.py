@@ -378,7 +378,8 @@ class Engine:
 
         The pipelines draw each operator's coin, a pair crossing with
         probability p_c and a genome mutating with probability p_m, and
-        call the operator only when it fires.
+        call the operator only when it fires. They call crossover and mutate
+        through this module's globals, where perfbench/tracer.py wraps them.
         """
         rng = self.rng
         rand = rng.random

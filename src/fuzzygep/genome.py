@@ -103,7 +103,8 @@ def random_chromosome(alphabets, rng: random.Random) -> str:
 
 
 def flatten(chromosome: str) -> bytearray:
-    """The chromosome's slots as ASCII bytes (every symbol is one), to edit in place."""
+    """The chromosome's slots as ASCII bytes (every symbol is one), to edit in
+    place; a non-ASCII symbol raises UnicodeEncodeError, never a wrong byte."""
     return bytearray(chromosome, "ascii")
 
 

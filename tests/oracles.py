@@ -330,12 +330,12 @@ REF_MUTATED_SLOTS = 2  # distinct slots each mutant rewrites
 def ref_run(problem, cfg, seed):
     """`evolve.Engine.run` without its speed code: every draw is the stdlib
     call it stands for (`rng.choices` per slot, `rng.shuffle`, `rng.randrange`
-    for the cut and for each distinct pick, `ref_mutate` with its coin inside,
-    `ref_select`), and every
-    individual is decoded by `eval_chromosome`, with no memo and no
-    offspring cache. The rate controllers, `diversity`, the constant draw,
-    the alphabets, the objective and the stopping rule `reached_optimum` are
-    the package's, with checks of their own."""
+    for the cut and for each distinct pick, `ref_mutate` with its coin
+    inside, `ref_select`), and every individual is decoded by
+    `eval_chromosome`, with no memo and no offspring cache. The rate
+    controllers, `diversity`, the constant draw, the alphabets, the
+    objective and the stopping rule `reached_optimum` are the package's,
+    with checks of their own."""
     rng = random.Random(seed)
     alphabets = position_alphabets(problem.dim, problem.extra_operators)
     key = _ref_sort_key(problem.direction)

@@ -535,8 +535,8 @@ def test_run_rejects_the_config_file_as_output(tmp_path, capsys, monkeypatch, fl
     conf = tmp_path / "my.conf"
     conf.write_text("problem = f1\nruns = 1\n")
     monkeypatch.chdir(tmp_path)
-    argv = _run_args(tmp_path, "--config", "my.conf", flag, str(tmp_path / "sub" / ".." / "my.conf"))
     (tmp_path / "sub").mkdir()
+    argv = _run_args(tmp_path, "--config", "my.conf", flag, str(tmp_path / "sub" / ".." / "my.conf"))
     assert cli.main(argv) == 1
     assert "config file" in capsys.readouterr().err
     assert calls == []

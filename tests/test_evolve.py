@@ -365,9 +365,9 @@ def test_select_matches_stdlib_reference(temp_size, direction, tournament_size):
 def test_mutate_matches_stdlib_reference(n_homeotic, operators):
     """The p_m coin that build_temp_population draws, then mutate, consume
     and return what the reference's coin and mutation do: sites by
-    oracles.ref_distinct, each new symbol by rng.randrange(n) over the n others. Every
-    n = len(alphabet) - 1 a slot has is drawn, and so each bit count of
-    mutate's inlined symbol draw."""
+    oracles.ref_distinct, each new symbol by rng.randrange(n) over the n
+    others. Every n = len(alphabet) - 1 a slot has is drawn, and so each bit
+    count of mutate's inlined symbol draw."""
     alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(2)
     ours, twin = random.Random(2), random.Random(2)
@@ -772,7 +772,8 @@ def _ref_run_cases():
 @pytest.mark.parametrize("name, mode, pop, stop, seed", _ref_run_cases())
 def test_run_matches_the_reference_engine(name, mode, pop, stop, seed):
     """200 generations, so that the second half draws constant resets; the
-    trace rows and the best agree to the last bit of their reprs."""
+    trace rows, the best and its constants agree to the last bit of their
+    reprs."""
     problem = builtin(name)
     if problem.dim > 5:
         problem = builtin(name, 5)
