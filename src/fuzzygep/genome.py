@@ -8,12 +8,21 @@ and a tail, whose terminals are reference characters naming ordinary genes.
 The gene sizes and the terminal, Dc and reference alphabets are module
 constants; only the operator set varies by problem, and position_alphabets
 is the one place that takes it.
+
+A random chromosome is drawn in one rng.getrandbits call, and each slot
+takes the symbol that rng.random() would have picked for it from the same
+two 32-bit words.  Most slots are settled by the top byte of the first word
+alone, through one bytes.translate table per alphabet; the few whose top
+byte straddles a symbol boundary are computed from both words in full.
+random_chromosome's docstring gives the word layout and the argument.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import string
+import struct
 
 FUNCTION_ARITIES = {
     "+": 2,
@@ -71,10 +80,15 @@ def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple
     return tuple(rng.uniform(lower, upper) for _ in range(N_CONSTANTS))
 
 
+@functools.cache
 def position_alphabets(n_homeotic: int, extra_operators=()) -> tuple[tuple[str, ...], ...]:
     """Legal symbols for every slot of a chromosome with n_homeotic homeotic
     genes, in order; the functions are the four arithmetic operators and
-    extra_operators."""
+    extra_operators.
+
+    Memoized, so every engine of one problem gets the same tuple and
+    random_chromosome plans its draw for that tuple once.
+    """
     if n_homeotic < 1:
         raise ValueError("n_homeotic must be positive")
     functions = BASE_OPERATORS + tuple(extra_operators)
@@ -90,16 +104,91 @@ def position_alphabets(n_homeotic: int, extra_operators=()) -> tuple[tuple[str, 
     return tuple(ordinary * len(refs) + homeotic * n_homeotic)
 
 
+# the two 32-bit words of one slot's draw, in the order the generator gave them
+_SLOT_WORDS = struct.Struct("<II")
+
+# the alphabets random_chromosome last drew from, and its plan for them; every
+# engine of one problem gets the same alphabets object from position_alphabets
+_last_plan: tuple = (None, ())
+
+
+@functools.cache
+def _top_byte_table(alpha: tuple[str, ...]) -> bytes:
+    """bytes.translate table from the top byte of a slot's first word to the
+    symbol of alpha that every draw with that top byte picks, or to 0 where
+    draws with that top byte pick different symbols."""
+    n = len(alpha)
+    symbols = "".join(alpha).encode("ascii")
+    if len(symbols) != n:
+        raise ValueError(f"alphabet {alpha!r} is not one ASCII character per symbol")
+    table = bytearray(256)
+    for t in range(256):
+        # the draws with top byte t span [t/256, (t+1)/256 - 2**-53], and
+        # int(r * n) is monotone in r, so its ends decide the whole interval
+        first = int(t / 256 * n)
+        if first == int(((t + 1) / 256 - 2.0 ** -53) * n):
+            table[t] = symbols[first]
+    return bytes(table)
+
+
+def _plan(alphabets) -> tuple[tuple[slice, bytes], ...]:
+    """One (slots, table) pair per run of slots that position_alphabets gives
+    one alphabet: each ordinary gene's head, tail and Dc region, and each
+    offset inside the homeotic genes.  Raises ValueError unless every slot's
+    alphabet is its run's."""
+    slots = len(alphabets)
+    n_homeotic, rest = divmod(slots - ORDINARY_END, HOMEOTIC_GENE_LEN)
+    if n_homeotic < 1 or rest:
+        raise ValueError(f"{slots} slots do not make a chromosome")
+    runs = [slice(g * ORDINARY_GENE_LEN + start, g * ORDINARY_GENE_LEN + stop)
+            for g in range(len(GENE_REFERENCES))
+            for start, stop in ((0, ORDINARY_HEAD_LEN), (ORDINARY_HEAD_LEN, DC_START),
+                                (DC_START, ORDINARY_GENE_LEN))]
+    runs += [slice(ORDINARY_END + j, slots, HOMEOTIC_GENE_LEN) for j in range(HOMEOTIC_GENE_LEN)]
+    plan = []
+    for run in runs:
+        alpha = alphabets[run.start]
+        if any(a != alpha for a in alphabets[run]):
+            raise ValueError(f"the slots of {run} do not share one alphabet")
+        plan.append((run, _top_byte_table(alpha)))
+    return tuple(plan)
+
+
 def random_chromosome(alphabets, rng: random.Random) -> str:
     """Uniform draw per slot from that slot's legal alphabet, given per slot
-    as position_alphabets lists them.
+    as position_alphabets lists them; raises ValueError for alphabets that
+    do not follow its layout.
 
-    Each slot takes alpha[floor(rng.random() * len(alpha))], which is the
-    draw rng.choices makes, so the string equals a region-by-region
-    rng.choices draw from an identically seeded generator.
+    Slot i takes alpha[int(r * len(alpha))] for the r that the i-th
+    rng.random() call would return, which is the draw rng.choices makes, so
+    the string and the generator's state afterwards equal those of a
+    region-by-region rng.choices draw from an identically seeded generator.
+    CPython's random() reads two 32-bit words a and b and returns
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53; one getrandbits(64 * slots) call
+    reads the same words in the same order, the first in the lowest bits, so
+    slot i's words are bytes 8i..8i+3 and 8i+4..8i+7 of the little-endian
+    result, and byte 8i+3 is the top byte of a.  That byte fixes r to within
+    1/256, which fixes the symbol unless a symbol boundary k/len(alpha) falls
+    inside that interval; such top bytes translate to 0, and every slot that
+    holds 0 is computed from both words in full.
     """
-    rand = rng.random
-    return "".join([alpha[int(rand() * len(alpha))] for alpha in alphabets])
+    global _last_plan
+    if _last_plan[0] is not alphabets:
+        _last_plan = (alphabets, _plan(alphabets))
+    slots = len(alphabets)
+    raw = rng.getrandbits(64 * slots).to_bytes(8 * slots, "little")
+    top = raw[3::8]
+    out = bytearray(slots)
+    for run, table in _last_plan[1]:
+        out[run] = top[run].translate(table)
+    i = out.find(0)
+    while i >= 0:
+        a, b = _SLOT_WORDS.unpack_from(raw, 8 * i)
+        alpha = alphabets[i]
+        r = ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+        out[i] = ord(alpha[int(r * len(alpha))])
+        i = out.find(0, i + 1)
+    return out.decode("ascii")
 
 
 def flatten(chromosome: str) -> bytearray:

@@ -8,6 +8,7 @@ from oracles import expressed_length, ref_allowed_sets, validate
 from fuzzygep import bench
 from fuzzygep.evolve import Engine
 from fuzzygep.genome import (
+    BASE_OPERATORS,
     DC_ALPHABET,
     DC_LEN,
     DC_START,
@@ -123,31 +124,112 @@ def test_gene_references_are_distinct_single_characters_outside_other_alphabets(
     assert not set(GENE_REFERENCES) & (set(FUNCTION_ARITIES) | set(TERMINALS) | set(DC_ALPHABET))
 
 
-@pytest.mark.parametrize("n_homeotic", [
+@pytest.mark.parametrize("dim", [
     pytest.param(1, id="layout0"),
     pytest.param(30, id="layout1"),
     pytest.param(50, id="layout2"),
+    pytest.param(2, id="layout3"),
 ])
-def test_random_chromosome_equals_region_by_region_choices(n_homeotic):
-    """The single-pass draw is the rng.choices draw, slot for slot."""
-    functions = ("+", "-", "*", "/", "S", "Q")
+def test_random_chromosome_equals_region_by_region_choices(dim):
+    """The one-call draw is the rng.choices draw, slot for slot, for every
+    registry operator set at every dim its problem allows, and it leaves the
+    generator in the same state."""
     refs = GENE_REFERENCES
-    ordinary_head = functions + TERMINALS
-    homeotic_head = functions + refs
-    alphabets = position_alphabets(n_homeotic, ("S", "Q"))
-    for seed in range(20):
-        twin = random.Random(seed)
-        parts = []
-        for _ in range(len(GENE_REFERENCES)):
-            parts += twin.choices(ordinary_head, k=ORDINARY_HEAD_LEN)
-            parts += twin.choices(TERMINALS, k=ORDINARY_TAIL_LEN)
-            parts += twin.choices(DC_ALPHABET, k=DC_LEN)
-        for _ in range(n_homeotic):
-            parts += twin.choices(homeotic_head, k=HOMEOTIC_HEAD_LEN)
-            parts += twin.choices(refs, k=HOMEOTIC_TAIL_LEN)
-        rng = random.Random(seed)
-        assert random_chromosome(alphabets, rng) == "".join(parts)
-        assert rng.random() == twin.random()  # same number of draws
+    for name in bench.problem_names():
+        try:
+            problem = bench.builtin(name, dim)
+        except ValueError:  # fixed at another dim
+            continue
+        functions = BASE_OPERATORS + problem.extra_operators
+        alphabets = position_alphabets(dim, problem.extra_operators)
+        for seed in range(20):
+            twin = random.Random(seed)
+            parts = []
+            for _ in range(len(GENE_REFERENCES)):
+                parts += twin.choices(functions + TERMINALS, k=ORDINARY_HEAD_LEN)
+                parts += twin.choices(TERMINALS, k=ORDINARY_TAIL_LEN)
+                parts += twin.choices(DC_ALPHABET, k=DC_LEN)
+            for _ in range(dim):
+                parts += twin.choices(functions + refs, k=HOMEOTIC_HEAD_LEN)
+                parts += twin.choices(refs, k=HOMEOTIC_TAIL_LEN)
+            rng = random.Random(seed)
+            assert random_chromosome(alphabets, rng) == "".join(parts), (name, seed)
+            assert rng.getstate() == twin.getstate(), (name, seed)
+
+
+class _CraftedRandom(random.Random):
+    """Generator whose getrandbits hands out words crafted from a queue of
+    53-bit draws, each as random() would assemble it from two 32-bit words;
+    the low bits that random() drops are filled with noise."""
+
+    def __init__(self, draws, noise):
+        super().__init__(0)
+        self.draws = draws  # one list of 53-bit integers per call
+        self.noise = noise
+
+    def getrandbits(self, k):
+        draws = self.draws.pop(0)
+        assert k == 64 * len(draws)
+        out = 0
+        for i, x in enumerate(draws):
+            a = (x >> 26) << 5 | self.noise.getrandbits(5)
+            b = (x & (1 << 26) - 1) << 6 | self.noise.getrandbits(6)
+            out |= (a | b << 32) << (64 * i)
+        return out
+
+
+def _edge_draws(n):
+    """53-bit draws at both ends of every top-byte interval, and at each
+    boundary k/n of an n-symbol alphabet with one unit either side."""
+    draws = set()
+    for t in range(256):
+        draws |= {t << 45, ((t + 1) << 45) - 1}
+    for k in range(1, n):
+        x = (k << 53) // n
+        draws |= {x - 1, x, x + 1}
+    return sorted(draws)
+
+
+def test_random_chromosome_top_byte_boundaries_match_the_full_draw():
+    """A slot that the top byte of its first word settles takes the symbol
+    the full 53-bit draw picks, at the edges of every top-byte interval and
+    around every symbol boundary, for every alphabet size in the registry."""
+    layouts = {bench.builtin(name).extra_operators for name in bench.problem_names()}
+    for extra in sorted(layouts):
+        alphabets = position_alphabets(2, extra)
+        edges = [_edge_draws(len(alpha)) for alpha in alphabets]
+        calls = max(map(len, edges))
+        # call c gives slot i its alphabet's edge draw c, from a shifted start
+        draws = [[e[(c + i) % len(e)] for i, e in enumerate(edges)] for c in range(calls)]
+        rng = _CraftedRandom(list(draws), random.Random(len(extra)))
+        for c in range(calls):
+            # random()'s formula on the two words' kept bits
+            want = "".join(alpha[int(((x >> 26) * 67108864.0 + (x & (1 << 26) - 1))
+                                     * (1.0 / 9007199254740992.0) * len(alpha))]
+                           for alpha, x in zip(alphabets, draws[c]))
+            assert random_chromosome(alphabets, rng) == want, (extra, c)
+
+
+def test_random_chromosome_rejects_alphabets_off_the_layout():
+    """Alphabets whose slots do not share their region's alphabet, or whose
+    symbols are not one ASCII character each, raise before any draw, so no
+    slot is drawn from another's table."""
+    alphabets = position_alphabets(3, ("S",))
+    homeotic_tail = ORDINARY_END + 2 * HOMEOTIC_GENE_LEN + HOMEOTIC_HEAD_LEN
+    cases = []
+    for i, j in ((3, DC_START), (ORDINARY_GENE_LEN + 2, ORDINARY_HEAD_LEN), (homeotic_tail, 0)):
+        swapped = list(alphabets)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        cases.append(tuple(swapped))
+    cases += [alphabets[:-1], alphabets[:ORDINARY_END]]
+    # every Dc slot alike, but one symbol is two characters
+    cases.append(tuple(("AB", "C") if a == DC_ALPHABET else a for a in alphabets))
+    for bad in cases:
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            random_chromosome(bad, rng)
+        assert rng.getstate() == state
 
 
 def test_random_chromosome_is_valid():
