@@ -12,20 +12,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import bench, evolve
 
-
-def _columns(row_type):
-    """A dataclass's fields as a CSV header, and a getter of their values."""
-    names = [f.name for f in fields(row_type)]
-    return ",".join(names), attrgetter(*names)
-
-
-_TRACE_COLUMNS, _trace_values = _columns(evolve.TraceRow)
-TRACE_HEADER = "run," + _TRACE_COLUMNS
+TRACE_HEADER = ",".join(("run",) + evolve.TraceRow._fields)
 
 
 class ConfigError(Exception):
@@ -52,8 +45,8 @@ class ExperimentConfig:
                                    mode=self.mode, termination_tol=self.termination_tolerance)
 
 
-@dataclass
-class Summary:
+# one summary CSV row, its values in column order
+class Summary(NamedTuple):
     problem: str
     dim: int
     mode: str
@@ -65,7 +58,7 @@ class Summary:
     mean_gens_to_best: float
 
 
-SUMMARY_HEADER, _summary_values = _columns(Summary)
+SUMMARY_HEADER = ",".join(Summary._fields)
 
 
 def _parse_termination(value: str):
@@ -244,12 +237,12 @@ def _write_csv(path: str, header: str, chunks):
 
 def write_trace(path: str, traces):
     _write_csv(path, TRACE_HEADER, (
-        "".join(f"{run_idx},{_csv_line(_trace_values(row))}" for row in rows)
+        "".join(f"{run_idx},{_csv_line(row)}" for row in rows)
         for run_idx, rows in enumerate(traces)))
 
 
 def write_summary(path: str, summaries):
-    _write_csv(path, SUMMARY_HEADER, (_csv_line(_summary_values(s)) for s in summaries))
+    _write_csv(path, SUMMARY_HEADER, (_csv_line(s) for s in summaries))
 
 
 # a run succeeds when its best is within --tolerance of the known optimum

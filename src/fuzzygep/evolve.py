@@ -9,13 +9,13 @@ offspring.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import operator
 import random
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bench import Problem, reached_optimum
 from .decode import eval_homeotic, eval_ordinary
@@ -70,15 +70,13 @@ class Individual:
     rank: float
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(NamedTuple):
     p_c: float
     p_m: float
     r_c: float
 
 
-@dataclass(frozen=True)
-class DiversityReading:
+class DiversityReading(NamedTuple):
     d: float
     f_ave: float
 
@@ -108,8 +106,8 @@ class EngineConfig:
         return max(2, round(0.01 * temp_size))
 
 
-@dataclass(frozen=True)
-class TraceRow:
+# one trace CSV row after the run index, its values in column order
+class TraceRow(NamedTuple):
     generation: int
     best_fitness: float
     avg_fitness: float
@@ -171,16 +169,9 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
         r_c = 0.0
     else:
         # fuzzify clamps a diversity below the fuzzy band up to its floor
-        r_c = infer_2d(CONSTANT_MUTATION_RULES, _iteration_universe(cfg.max_gen),
+        r_c = infer_2d(CONSTANT_MUTATION_RULES, Universe(cfg.max_gen / 2.0, float(cfg.max_gen)),
                        DIVERSITY_UNIVERSE, CONSTANT_UNIVERSE, float(gen), d)
     return Rates(p_c, p_m, r_c)
-
-
-@functools.lru_cache(maxsize=1)
-def _iteration_universe(max_gen: int) -> Universe:
-    """The constant rate's iteration universe, the second half of the run;
-    held while max_gen stays the same, so its breakpoints are computed once."""
-    return Universe(max_gen / 2.0, float(max_gen))
 
 
 def crossover(a: str, b: str, rng: random.Random) -> tuple[str, str]:

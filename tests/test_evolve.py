@@ -537,6 +537,28 @@ def test_evaluate_penalizes_objective_blowups():
     assert len(eng._fitnesses) == 1
 
 
+def test_evaluate_scores_non_finite_coordinates_nan():
+    """A point with an infinite or NaN coordinate scores NaN and ranks inf,
+    whatever the objective would return for it."""
+    problem = dataclasses.replace(builtin("f1"), extra_operators=("E",), func=lambda x: 0.0)
+    eng = Engine(problem)
+    eng.constants = (1.0,) * 10
+    # the first ordinary gene is exp(exp(9)), clamped to exp(700); the second is 0
+    ordinary = "EEj" + "a" * 10 + "A" * 7 + "a" * 13 + "A" * 7
+    finite = "1" + "0" * 8  # the second gene: 0.0
+    inf = "*00" + "0" * 6  # exp(700) * exp(700)
+    nan = "-**0" + "0" * 5  # inf - inf
+    ind = eng.evaluate(ordinary + finite + finite)
+    assert ind.point == (0.0, 0.0) and ind.fitness == 0.0
+    for genes, point in (((inf, finite), (math.inf, 0.0)),
+                         ((finite, nan), (0.0, math.nan)),
+                         ((inf, nan), (math.inf, math.nan))):
+        ind = eng.evaluate(ordinary + "".join(genes))
+        assert repr(ind.point) == repr(point)
+        assert math.isnan(ind.fitness)
+        assert ind.rank == math.inf
+
+
 def test_sphere_zero_chromosome_has_zero_fitness():
     eng = make_engine("f1", max_gen=10)
     rng = random.Random(13)
