@@ -148,45 +148,37 @@ def build_parser() -> argparse.ArgumentParser:
 _FIELD_OF_KEY = {"trace": "trace_path", "summary": "summary_path"}
 
 
-def _experiment(args, data: dict, **fixed) -> ExperimentConfig:
-    """The one place an ExperimentConfig is built and checked.
+def experiments(args) -> list[ExperimentConfig]:
+    """The one place every run's config is built and checked: one experiment
+    for `run`, one per problem for `bench`, which chooses each problem's
+    dimension and files, so its config file may not name them.
 
     For each config key, a flag wins over the config file, which wins over
-    the ExperimentConfig default; `fixed` fields win over all three.
+    the ExperimentConfig default.
     """
+    data = parse_config_file(args.config) if args.config else {}
     flags = {key: value for key, value in vars(args).items() if key in _CONFIG_COERCERS}
     values = {_FIELD_OF_KEY.get(key, key): value for key, value in {**data, **flags}.items()}
-    values.update(fixed)
-    if values.get("problem") is None:
-        raise ConfigError("no problem selected; pass --problem or set it in the config file")
-    cfg = ExperimentConfig(**values)
-    validate_experiment(cfg)
-    if args.config is not None:  # emptying an output file must not erase the config
-        for path in (cfg.trace_path, cfg.summary_path):
-            if os.path.realpath(path) == os.path.realpath(args.config):
-                raise ConfigError(f"an output file is the config file: {path}")
-    return cfg
-
-
-def experiment_from_args(args) -> ExperimentConfig:
-    """The experiment of `fuzzygep run`."""
-    return _experiment(args, parse_config_file(args.config) if args.config else {})
-
-
-def bench_experiments(args, out_dir: str) -> list[ExperimentConfig]:
-    """One experiment per problem for `fuzzygep bench`; a config file may
-    not name a problem, a dimension or output files, which bench chooses."""
-    data = parse_config_file(args.config) if args.config else {}
-    for key in _RUN_ONLY_KEYS:
-        if key in data:
-            raise ConfigError(f"{args.config}:{key}: bench runs every problem at its default "
-                              f"dimension into --out-dir; remove this key")
-    return [
-        _experiment(args, data, problem=name,
-                    trace_path=os.path.join(out_dir, f"{name}_trace.csv"),
-                    summary_path=os.path.join(out_dir, "summary.csv"))
-        for name in bench.problem_names()
-    ]
+    if args.command == "run":
+        if values.get("problem") is None:
+            raise ConfigError("no problem selected; pass --problem or set it in the config file")
+        configs = [ExperimentConfig(**values)]
+    else:
+        for key in _RUN_ONLY_KEYS:
+            if key in data:
+                raise ConfigError(f"{args.config}:{key}: bench runs every problem at its default "
+                                  f"dimension into --out-dir; remove this key")
+        summary_path = os.path.join(args.out_dir, "summary.csv")
+        configs = [ExperimentConfig(**values, problem=name, summary_path=summary_path,
+                                    trace_path=os.path.join(args.out_dir, f"{name}_trace.csv"))
+                   for name in bench.problem_names()]
+    for cfg in configs:
+        validate_experiment(cfg)
+        if args.config is not None:  # emptying an output file must not erase the config
+            for path in (cfg.trace_path, cfg.summary_path):
+                if os.path.realpath(path) == os.path.realpath(args.config):
+                    raise ConfigError(f"an output file is the config file: {path}")
+    return configs
 
 
 def validate_experiment(cfg: ExperimentConfig):
@@ -301,17 +293,15 @@ def _report(s: Summary) -> Summary:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "run":
-            experiments = [experiment_from_args(args)]
-        else:
-            experiments = bench_experiments(args, args.out_dir)
+        configs = experiments(args)
+        if args.command == "bench":
             os.makedirs(args.out_dir, exist_ok=True)
-        summary_path = experiments[0].summary_path  # bench gives every problem the same one
-        paths = [cfg.trace_path for cfg in experiments] + [summary_path]
+        summary_path = configs[0].summary_path  # bench gives every problem the same one
+        paths = [cfg.trace_path for cfg in configs] + [summary_path]
         _check_outputs(paths)
         for path in paths:  # so no file of an earlier invocation outlives an interrupt
             open(path, "wb").close()
-        write_summary(summary_path, (run_experiment(cfg) for cfg in experiments))
+        write_summary(summary_path, (run_experiment(cfg) for cfg in configs))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ Dc letters in expression order, so its shape alone does not fix its value.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable
@@ -116,11 +117,10 @@ def eval_ordinary(gene: str, constants: tuple[float, ...]) -> float:
 
 
 # Generated homeotic evaluators, built on first use and kept for the process:
-# shape -> function, and head -> its shape's function. A shape is the tuple of
-# arities of the expressed positions, breadth first. There is at most one
-# entry per head over functions and references, 10**4 with all eight
-# operators, and far fewer shapes.
-_by_shape: dict[tuple[int, ...], Callable] = {}
+# _compile memoizes one function per shape, the tuple of arities of the
+# expressed positions, breadth first, and _by_head maps each head to its
+# shape's function. There is at most one entry per head over functions and
+# references, 10**4 with all eight operators, and far fewer shapes.
 _by_head: dict[str, Callable] = {}
 
 
@@ -132,6 +132,7 @@ def _shape(head: str) -> tuple[int, ...]:
     return tuple(FUNCTION_ARITIES.get(symbol, 0) for symbol in gene[:n])
 
 
+@functools.cache
 def _compile(shape: tuple[int, ...]) -> Callable:
     """`lambda g, v: ...` that evaluates a homeotic gene string g of this
     shape against the reference values v, as dataclasses builds its methods:
@@ -158,9 +159,5 @@ def eval_homeotic(gene: str, ordinary_values) -> float:
     head = gene[:HOMEOTIC_HEAD_LEN]
     fn = _by_head.get(head)
     if fn is None:
-        shape = _shape(head)
-        fn = _by_shape.get(shape)
-        if fn is None:
-            fn = _by_shape[shape] = _compile(shape)
-        _by_head[head] = fn
+        fn = _by_head[head] = _compile(_shape(head))
     return fn(gene, ordinary_values)

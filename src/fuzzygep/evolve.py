@@ -429,7 +429,6 @@ class Engine:
         best = min(population, key=_by_rank)
         best_constants = self.constants
         first_best_gen = 0
-        generations = 0
         reading = diversity(population, direction)
         rates = adapt_rates(reading.d, 0, cfg)
         trace = [TraceRow(0, best.fitness, reading.f_ave, reading.d,
@@ -445,14 +444,13 @@ class Engine:
             candidate = population[0]
             if candidate.rank < best.rank:
                 best, best_constants, first_best_gen = candidate, self.constants, gen
-            generations = gen
             # the rates were read from the parents; the next generation reads
             # the selected population, whose mean fitness this row reports
             selected = diversity(population, direction)
             trace.append(TraceRow(gen, best.fitness, selected.f_ave, reading.d,
                                   rates.p_c, rates.p_m, rates.r_c, reset))
             reading = selected
-        return RunResult(self.seed, best, first_best_gen, generations, trace, best_constants)
+        return RunResult(self.seed, best, first_best_gen, len(trace) - 1, trace, best_constants)
 
 
 def run(problem: Problem, cfg: EngineConfig | None = None, seed: int = 0) -> RunResult:

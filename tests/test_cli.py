@@ -82,7 +82,7 @@ def test_run_flags_reach_config(tmp_path):
         tmp_path, "--problem", "f1", "--dim", "5", "--pop-size", "30",
         "--generations", "12", "--runs", "3", "--seed", "9",
         "--mode", "baseline", "--tolerance", "0.5"))
-    cfg = cli.experiment_from_args(args)
+    cfg = cli.experiments(args)[0]
     assert cfg.problem == "f1"
     assert cfg.dim == 5
     assert cfg.pop_size == 30
@@ -97,7 +97,7 @@ def test_run_flags_reach_config(tmp_path):
 
 def test_defaults_when_only_problem_given(tmp_path):
     args = cli.build_parser().parse_args(_run_args(tmp_path, "--problem", "f2"))
-    cfg = cli.experiment_from_args(args)
+    cfg = cli.experiments(args)[0]
     assert (cfg.pop_size, cfg.generations, cfg.runs, cfg.seed) == (100, 1000, 50, 0)
     assert cfg.mode == "adaptive"
     assert cfg.tolerance == 1e-6
@@ -117,7 +117,7 @@ def test_config_file_supplies_values(tmp_path):
         "trace = {0}\n"
         "summary = {1}\n".format(tmp_path / "t.csv", tmp_path / "s.csv"))
     args = cli.build_parser().parse_args(["run", "--config", str(conf)])
-    cfg = cli.experiment_from_args(args)
+    cfg = cli.experiments(args)[0]
     assert cfg.problem == "f1"
     assert cfg.pop_size == 24
     assert cfg.runs == 2
@@ -131,7 +131,7 @@ def test_flags_override_config_file(tmp_path):
     conf.write_text("problem = f1\npop_size = 30\nseed = 7\n")
     args = cli.build_parser().parse_args(_run_args(
         tmp_path, "--config", str(conf), "--pop-size", "12"))
-    cfg = cli.experiment_from_args(args)
+    cfg = cli.experiments(args)[0]
     assert cfg.pop_size == 12   # flag wins
     assert cfg.seed == 7        # file fills the gap
 
@@ -153,14 +153,14 @@ def test_every_config_key_is_a_flag(tmp_path, key):
     field = cli._FIELD_OF_KEY.get(key, key)
     assert getattr(cli.ExperimentConfig("f1"), field) != value
     problem = [] if key == "problem" else ["--problem", "f9"]
-    cfg = cli.experiment_from_args(cli.build_parser().parse_args(["run", *problem, flag, text]))
+    cfg = cli.experiments(cli.build_parser().parse_args(["run", *problem, flag, text]))[0]
     assert getattr(cfg, field) == value
     if key in cli._RUN_ONLY_KEYS:
         with pytest.raises(cli.ConfigError, match="unrecognized arguments"):
             cli.build_parser().parse_args(["bench", flag, text])
     else:
-        args = cli.build_parser().parse_args(["bench", flag, text])
-        assert all(getattr(e, field) == value for e in cli.bench_experiments(args, str(tmp_path)))
+        args = cli.build_parser().parse_args(["bench", "--out-dir", str(tmp_path), flag, text])
+        assert all(getattr(e, field) == value for e in cli.experiments(args))
 
 
 @pytest.mark.parametrize("value, expected", [("1e-3", 1e-3), ("none", None)])
@@ -171,8 +171,8 @@ def test_termination_tolerance_flag_overrides_config(tmp_path, value, expected):
         args = cli.build_parser().parse_args(
             command + ["--config", str(conf), "--termination-tolerance", value])
         assert args.termination_tolerance == expected
-    cfg = cli.experiment_from_args(cli.build_parser().parse_args(_run_args(
-        tmp_path, "--config", str(conf), "--termination-tolerance", value)))
+    cfg = cli.experiments(cli.build_parser().parse_args(_run_args(
+        tmp_path, "--config", str(conf), "--termination-tolerance", value)))[0]
     assert cfg.termination_tolerance == expected
 
 
@@ -327,6 +327,36 @@ def test_negative_seed_exits_1_before_any_run(tmp_path, capsys):
     assert cli.main(["bench", "--out-dir", str(out_dir), "--runs", "1", "--seed", "-1"]) == 1
     assert "error: seed must be non-negative" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# a value each check shared by run and bench refuses, in flag or file syntax
+SHARED_CHECKS = [("pop_size", "1"), ("mode", "turbo"), ("termination_tolerance", "-1"),
+                 ("runs", "0"), ("generations", "0"), ("tolerance", "nan")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, text", SHARED_CHECKS, ids=[key for key, _ in SHARED_CHECKS])
+def test_bench_stops_on_every_shared_check_before_anything_happens(tmp_path, capsys, monkeypatch,
+                                                                   key, text, source):
+    """bench checks its configs where run does: each bad value, given as a
+    flag or in the config file, prints run's error line and exits 1 before
+    --out-dir is made or any run starts."""
+    calls = _refuse_runs(monkeypatch)
+    if source == "flag":
+        given = ["--" + key.replace("_", "-"), text]
+    else:
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"{key} = {text}\n")
+        given = ["--config", str(conf)]
+    assert cli.main(_run_args(tmp_path, "--problem", "f1", *given)) == 1
+    run_err = capsys.readouterr().err
+    name = {"termination_tolerance": "termination_tol"}.get(key, key)  # EngineConfig's field
+    assert run_err.startswith(f"error: {name} ") and run_err.count("\n") == 1
+    out_dir = tmp_path / "results"
+    assert cli.main(["bench", "--out-dir", str(out_dir), *given]) == 1
+    assert capsys.readouterr().err == run_err
+    assert not out_dir.exists()
+    assert calls == []
 
 
 def test_missing_problem_exits_1(tmp_path, capsys):
@@ -697,8 +727,9 @@ def test_bench_takes_shared_keys_from_config(tmp_path):
     conf = tmp_path / "sweep.conf"
     conf.write_text("runs = 2\nseed = 4\npop_size = 12\ntermination_tolerance = none\n")
     args = cli.build_parser().parse_args(
-        ["bench", "--config", str(conf), "--seed", "9", "--generations", "3"])
-    experiments = cli.bench_experiments(args, str(tmp_path))
+        ["bench", "--out-dir", str(tmp_path), "--config", str(conf), "--seed", "9",
+         "--generations", "3"])
+    experiments = cli.experiments(args)
     assert [e.problem for e in experiments] == list(bench.problem_names())
     for e in experiments:
         assert (e.runs, e.seed, e.pop_size, e.generations) == (2, 9, 12, 3)

@@ -248,7 +248,7 @@ def test_every_head_matches_the_reference_and_the_caches_stay_bounded(extra, mon
     values, decodes to the reference's bits, NaN for NaN; the generated
     evaluators number at most one per head and one per shape."""
     monkeypatch.setattr(decode, "_by_head", {})
-    monkeypatch.setattr(decode, "_by_shape", {})
+    decode._compile.cache_clear()
     symbols = BASE_OPERATORS + extra + GENE_REFERENCES
     for k, head in enumerate(itertools.product(symbols, repeat=4)):
         head = "".join(head)
@@ -261,4 +261,5 @@ def test_every_head_matches_the_reference_and_the_caches_stay_bounded(extra, mon
                 assert _same_float(eval_homeotic(coding, values), want), (coding, pair)
     assert len(decode._by_head) <= len(symbols) ** 4
     # the shapes seen: 7 with binary operators only, 42 with S, C, Q and E
-    assert len(decode._by_shape) <= (7 if all(FUNCTION_ARITIES[op] == 2 for op in extra) else 42)
+    shapes = decode._compile.cache_info().currsize
+    assert shapes <= (7 if all(FUNCTION_ARITIES[op] == 2 for op in extra) else 42)
