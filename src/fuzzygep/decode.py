@@ -9,12 +9,15 @@ holds its Dc region after head and tail, at DC_START.  Arities come from
 FUNCTION_ARITIES: a coding slot holds only operators, whose arities it
 states, or terminals and gene references, which it does not list.
 
-A homeotic gene's tail holds only references, so its head alone fixes which
-positions are expressed and the arity of each: the gene's shape.  Every
-shape gets one generated function, and every head the function of its shape.
-The function applies each operator to the operands the walk would, so both
-give the same bits.  An ordinary gene is still walked: its '?' terminals read
-Dc letters in expression order, so its shape alone does not fix its value.
+A tail holds only terminals, so a gene's head alone fixes which positions are
+expressed and the arity of each: the gene's shape.  Both kinds of gene are
+evaluated by one generated function per shape, which applies each operator
+to the operands the K-expression gives it.  The kinds differ only in the
+source of a terminal: a homeotic reference reads the value of the gene it
+names; an ordinary '?' reads the Dc letter after those of the '?'s expressed
+before it, and a digit reads its value.  A homeotic gene finds its function
+by its head, an ordinary gene by its head's arity digits, which bound the
+functions it can need by 3**6 however many heads a long sweep meets.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .genome import (
     GENE_REFERENCES,
     HOMEOTIC_HEAD_LEN,
     HOMEOTIC_TAIL_LEN,
+    ORDINARY_HEAD_LEN,
     RNC_TERMINAL,
+    TERMINALS,
 )
 
 MIN_DENOMINATOR = 1e-12
@@ -73,16 +78,56 @@ OPERATORS = {
 }
 
 
-def _child_starts(seq, arity) -> list[int]:
-    """First-child index for every expressed position; length = expressed size."""
-    starts: list[int] = []
-    total = 1
-    i = 0
-    while i < total:
-        starts.append(total)
-        total += arity.get(seq[i], 0)
-        i += 1
-    return starts
+# Generated evaluators, built on first use and kept for the process. _compile
+# memoizes one function per shape and terminal template, and each gene kind
+# keys its functions by what fixes its shape. A homeotic head is its own key,
+# read with no translation: it takes at most 10**4 values, eight operators and
+# two references in four slots. An ordinary head takes any of 19**6, and long
+# sweeps keep meeting new ones, so it is keyed by its arity digits instead, at
+# most 3**6 keys, for one bytes.translate per call.
+_by_head: dict[str, Callable] = {}
+_by_arity: dict[bytes, Callable] = {}
+# each head symbol to its arity as an ASCII digit, 0 for a terminal
+_ARITY_DIGITS = bytes.maketrans(
+    "".join(TERMINALS + tuple(FUNCTION_ARITIES)).encode(),
+    ("0" * len(TERMINALS) + "".join(map(str, FUNCTION_ARITIES.values()))).encode())
+
+# Source of the terminal at expressed position {i}. A homeotic terminal names
+# an ordinary gene's value. An ordinary terminal is a digit, or a '?' that
+# reads the Dc slot after those of the '?'s before it, all of them expressed.
+_HOMEOTIC_TERMINAL = "v[g[{i}]]"
+_ORDINARY_TERMINAL = (f"(v[X[g[{DC_START} + g.count({RNC_TERMINAL!r}, 0, {{i}})]]]"
+                      f" if g[{{i}}] == {RNC_TERMINAL!r} else D[g[{{i}}]])")
+
+
+def _shape(coding: str) -> tuple[int, ...]:
+    """Arities of the expressed positions of a coding region, breadth first."""
+    shape: list[int] = []
+    open_slots = 1
+    while open_slots:
+        arity = FUNCTION_ARITIES.get(coding[len(shape)], 0)
+        shape.append(arity)
+        open_slots += arity - 1
+    return tuple(shape)
+
+
+@functools.cache
+def _compile(shape: tuple[int, ...], terminal: str) -> Callable:
+    """`lambda g, v: ...` that evaluates a gene string g of this shape, with
+    terminal the source of the terminal at position {i}, as dataclasses
+    builds its methods: the source holds only positions and the names of the
+    operator, Dc and digit tables, A, X and D."""
+    first = [1]
+    for ar in shape:
+        first.append(first[-1] + ar)
+
+    def node(i: int) -> str:
+        if shape[i] == 0:
+            return terminal.format(i=i)
+        children = ", ".join(node(j) for j in range(first[i], first[i] + shape[i]))
+        return f"A[g[{i}]]({children})"
+
+    return eval(f"lambda g, v: {node(0)}", {"A": OPERATORS, "X": DC_INDEX, "D": DIGIT_VALUES})
 
 
 def eval_ordinary(gene: str, constants: tuple[float, ...]) -> float:
@@ -94,60 +139,11 @@ def eval_ordinary(gene: str, constants: tuple[float, ...]) -> float:
         return constants[DC_INDEX[gene[DC_START]]]
     if root in DIGIT_VALUES:
         return DIGIT_VALUES[root]
-    arity = FUNCTION_ARITIES
-    starts = _child_starts(gene, arity)
-    n = len(starts)
-    values = [0.0] * n
-    # the reverse pass meets the expressed '?' terminals last to first; dc
-    # is one past the Dc slot of the next one it meets
-    dc = DC_START + gene.count(RNC_TERMINAL, 0, n)
-    for i in range(n - 1, -1, -1):
-        sym = gene[i]
-        ar = arity.get(sym, 0)
-        if ar == 0:
-            if sym == RNC_TERMINAL:
-                dc -= 1
-                values[i] = constants[DC_INDEX[gene[dc]]]
-            else:
-                values[i] = DIGIT_VALUES[sym]
-        else:
-            first = starts[i]
-            values[i] = OPERATORS[sym](*values[first:first + ar])
-    return values[0]
-
-
-# Generated homeotic evaluators, built on first use and kept for the process:
-# _compile memoizes one function per shape, the tuple of arities of the
-# expressed positions, breadth first, and _by_head maps each head to its
-# shape's function. There is at most one entry per head over functions and
-# references, 10**4 with all eight operators, and far fewer shapes.
-_by_head: dict[str, Callable] = {}
-
-
-def _shape(head: str) -> tuple[int, ...]:
-    """Shape of every homeotic gene with this head; any tail of references
-    gives the same one."""
-    gene = head + GENE_REFERENCES[0] * HOMEOTIC_TAIL_LEN
-    n = len(_child_starts(gene, FUNCTION_ARITIES))
-    return tuple(FUNCTION_ARITIES.get(symbol, 0) for symbol in gene[:n])
-
-
-@functools.cache
-def _compile(shape: tuple[int, ...]) -> Callable:
-    """`lambda g, v: ...` that evaluates a homeotic gene string g of this
-    shape against the reference values v, as dataclasses builds its methods:
-    the source holds only positions and the operator table's name, A."""
-    first = [1]
-    for ar in shape:
-        first.append(first[-1] + ar)
-
-    def node(i: int) -> str:
-        if shape[i] == 0:
-            return f"v[g[{i}]]"
-        children = ", ".join(node(j) for j in range(first[i], first[i] + shape[i]))
-        return f"A[g[{i}]]({children})"
-
-    return eval(f"lambda g, v: {node(0)}", {"A": OPERATORS})
+    key = gene[:ORDINARY_HEAD_LEN].encode().translate(_ARITY_DIGITS)
+    fn = _by_arity.get(key)
+    if fn is None:  # the tail holds only terminals, so the head fixes the shape
+        fn = _by_arity[key] = _compile(_shape(gene[:DC_START]), _ORDINARY_TERMINAL)
+    return fn(gene, constants)
 
 
 def eval_homeotic(gene: str, ordinary_values) -> float:
@@ -158,6 +154,7 @@ def eval_homeotic(gene: str, ordinary_values) -> float:
         return ordinary_values[root]
     head = gene[:HOMEOTIC_HEAD_LEN]
     fn = _by_head.get(head)
-    if fn is None:
-        fn = _by_head[head] = _compile(_shape(head))
+    if fn is None:  # any tail of references gives the same shape
+        fn = _by_head[head] = _compile(_shape(head + GENE_REFERENCES[0] * HOMEOTIC_TAIL_LEN),
+                                       _HOMEOTIC_TERMINAL)
     return fn(gene, ordinary_values)

@@ -17,6 +17,9 @@ from fuzzygep.genome import (
     GENE_REFERENCES,
     N_CONSTANTS,
     ORDINARY_GENE_LEN,
+    ORDINARY_HEAD_LEN,
+    ORDINARY_TAIL_LEN,
+    RNC_TERMINAL,
     gene_slices,
     position_alphabets,
     random_chromosome,
@@ -70,10 +73,11 @@ def test_expressed_length_worst_case_heads():
         layout_tail = h + 1
         coding = "+" * h + "a" * layout_tail
         assert expressed_length(coding) == 2 * h + 1
-        # no '?' is expressed, so no Dc letter is read, and a coding string
-        # longer than DC_START (h > 6) still decodes
-        gene = coding.ljust(DC_START, "a").ljust(ORDINARY_GENE_LEN, "A")
-        assert ordinary(gene) == 0.0
+        # no '?' is expressed, so no Dc letter is read; only heads of the
+        # layout decode, as a longer one puts functions in the tail
+        if h <= ORDINARY_HEAD_LEN:
+            gene = coding.ljust(DC_START, "a").ljust(ORDINARY_GENE_LEN, "A")
+            assert ordinary(gene) == 0.0
 
 
 def test_protected_division():
@@ -263,3 +267,27 @@ def test_every_head_matches_the_reference_and_the_caches_stay_bounded(extra, mon
     # the shapes seen: 7 with binary operators only, 42 with S, C, Q and E
     shapes = decode._compile.cache_info().currsize
     assert shapes <= (7 if all(FUNCTION_ARITIES[op] == 2 for op in extra) else 42)
+
+
+@pytest.mark.parametrize("extra", REGISTRY_OPERATOR_SETS, ids=lambda extra: "".join(extra) or "arithmetic")
+def test_every_ordinary_arity_pattern_matches_the_reference_and_the_cache_stays_bounded(extra, monkeypatch):
+    """Every pattern of arities the operators can put in an ordinary head,
+    filled with many '?' terminals and read against special constants,
+    decodes to the reference's bits, NaN for NaN; the generated evaluators
+    number at most one per pattern of arity digits."""
+    monkeypatch.setattr(decode, "_by_arity", {})
+    decode._compile.cache_clear()
+    functions = BASE_OPERATORS + extra
+    by_arity = {0: (RNC_TERMINAL,) * len(DIGIT_TERMINALS) + DIGIT_TERMINALS}  # '?' half the time
+    for arity in (1, 2):
+        by_arity[arity] = tuple(f for f in functions if FUNCTION_ARITIES[f] == arity)
+    rng = random.Random(53)
+    for pattern in itertools.product([a for a in by_arity if by_arity[a]], repeat=ORDINARY_HEAD_LEN):
+        for _ in range(3):
+            head = "".join(rng.choice(by_arity[a]) for a in pattern)
+            coding = head + "".join(rng.choice(by_arity[0]) for _ in range(ORDINARY_TAIL_LEN))
+            dc = "".join(rng.choice(DC_ALPHABET) for _ in range(ORDINARY_GENE_LEN - DC_START))
+            consts = tuple(rng.choice(SPECIAL_VALUES) for _ in range(N_CONSTANTS))
+            want = ref_eval_ordinary(coding, dc, consts)
+            assert _same_float(eval_ordinary(coding + dc, consts), want), (coding + dc, consts)
+    assert len(decode._by_arity) <= 3 ** ORDINARY_HEAD_LEN
