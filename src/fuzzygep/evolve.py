@@ -9,6 +9,7 @@ offspring.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -29,6 +30,8 @@ from .fuzzy import (
 )
 from .genome import (
     GENE_REFERENCES,
+    HOMEOTIC_GENE_LEN,
+    ORDINARY_END,
     flatten,
     gene_slices,
     position_alphabets,
@@ -199,9 +202,29 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
+# the alphabets mutate last drew for, and one _slot_plan entry per slot
+_last_mutate_plan: tuple = (None, ())
+
+
+@functools.cache
+def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
+    """(n, bits, others): n = len(alphabet) - 1, its bit length, and others[c],
+    the bytes of the other symbols than the one with ASCII code c, or None."""
+    n = len(alphabet) - 1
+    others = [None] * 128
+    for s in alphabet:
+        others[ord(s)] = "".join(o for o in alphabet if o != s).encode("ascii")
+    return n, n.bit_length(), tuple(others)
+
+
+def mutate(chromosome: str, alphabets, rng: random.Random, homeotic_mutants=None) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
-    symbols; the caller draws the p_m coin."""
+    symbols; the caller draws the p_m coin. A given dict homeotic_mutants maps
+    the child to (chromosome, sites) when every site is at or after ORDINARY_END."""
+    global _last_mutate_plan
+    if _last_mutate_plan[0] is not alphabets:
+        _last_mutate_plan = (alphabets, tuple(map(_slot_plan, alphabets)))
+    plan = _last_mutate_plan[1]
     flat = flatten(chromosome)
     slots = len(flat)
     getrandbits = rng.getrandbits
@@ -214,17 +237,23 @@ def mutate(chromosome: str, alphabets, rng: random.Random) -> str:
         if j < slots:
             sites[j] = None
     for pos in sites:
-        # every slot's alphabet holds at least two symbols; a draw over the
-        # others skips the old symbol's index, as indexing a list of the
-        # others would. The draw is rng.randrange(n)'s, as _shuffle inlines it.
-        alphabet = alphabets[pos]
-        n = len(alphabet) - 1
-        bits = n.bit_length()
+        # every slot's alphabet holds at least two symbols; r indexes the
+        # n others of the old symbol, in alphabet order. The draw is
+        # rng.randrange(n)'s, as _shuffle inlines it.
+        n, bits, others = plan[pos]
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        flat[pos] = ord(alphabet[r + (r >= alphabet.index(chr(flat[pos])))])
-    return rebuild(flat)
+        try:
+            flat[pos] = others[flat[pos]][r]
+        except TypeError:  # others holds None for a symbol outside the alphabet
+            raise ValueError(f"{chr(flat[pos])!r} is not a symbol of slot {pos}") from None
+        if pos < ORDINARY_END:
+            homeotic_mutants = None  # an ordinary site: nothing to report
+    child = rebuild(flat)
+    if homeotic_mutants is not None:
+        homeotic_mutants[child] = (chromosome, sites)
+    return child
 
 
 _by_rank = operator.attrgetter("rank")
@@ -315,7 +344,12 @@ class Engine:
         self._fitnesses_limit = evaluations
         self._sign = 1.0 if problem.direction == "minimize" else -1.0
 
-    def evaluate(self, chromosome: str) -> Individual:
+    def evaluate(self, chromosome: str, parent: Individual | None = None, sites=()) -> Individual:
+        """Decode and score the chromosome through the memos. Given a parent,
+        only the homeotic genes holding sites are decoded, and the other
+        coordinates are parent.point's: this engine evaluated parent under
+        the current constants, and its chromosome differs from this one only
+        at sites, all at or after ORDINARY_END."""
         if (self.constants is not self._genes_constants
                 or len(self._genes) >= self._genes_limit):
             self._genes = {}
@@ -338,14 +372,25 @@ class Engine:
         if entry is None:
             entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
-        point = []
-        for where in self.homeotic_slices:
-            gene = chromosome[where]
-            x = coordinates.get(gene)
-            if x is None:
-                x = coordinates[gene] = eval_homeotic(gene, ordinary)
-                self._coordinates_stored += 1
-            point.append(x)
+        if parent is None:
+            point = []
+            for where in self.homeotic_slices:
+                gene = chromosome[where]
+                x = coordinates.get(gene)
+                if x is None:
+                    x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                    self._coordinates_stored += 1
+                point.append(x)
+        else:
+            point = list(parent.point)
+            for site in sites:  # a second site in one gene finds it stored
+                g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
+                gene = chromosome[self.homeotic_slices[g]]
+                x = coordinates.get(gene)
+                if x is None:
+                    x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                    self._coordinates_stored += 1
+                point[g] = x
         point = tuple(point)
         key = self._pack_point(*point)
         fitness = self._fitnesses.get(key)
@@ -371,23 +416,33 @@ class Engine:
         probability p_c and a genome mutating with probability p_m, and
         call the operator only when it fires. They call crossover and mutate
         through this module's globals, where perfbench/tracer.py wraps them.
+        Each distinct offspring no parent holds is evaluated once. The parents
+        are this engine's evaluations under the current constants, so a
+        homeotic-only mutant of one is evaluated first, from its point.
         """
         rng = self.rng
         rand = rng.random
         p_c, p_m = rates.p_c, rates.p_m
         alphabets = self.alphabets
+        homeotic_mutants = {}  # child -> (input, sites), filled by mutate
 
         def crossed(genomes):
             pool = list(genomes)
             _shuffle(rng, pool)
             out = []
             for a, b in zip(pool[0::2], pool[1::2]):
-                out += crossover(a, b, rng) if rand() < p_c else (a, b)
+                if rand() < p_c:
+                    # a crossed mutant leaves no copy of itself in temp
+                    homeotic_mutants.pop(a, None)
+                    homeotic_mutants.pop(b, None)
+                    out += crossover(a, b, rng)
+                else:
+                    out += (a, b)
             # an odd count leaves the last genome unpaired
             return out + pool[len(out):]
 
         def mutated(genomes):
-            return [g if rand() >= p_m else mutate(g, alphabets, rng)
+            return [g if rand() >= p_m else mutate(g, alphabets, rng, homeotic_mutants)
                     for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]
@@ -397,6 +452,10 @@ class Engine:
         offspring += mutated(crossed(genomes))
         offspring += crossed(mutated(genomes))
         cache = {ind.chromosome: ind for ind in parents}
+        for child, (source, sites) in homeotic_mutants.items():
+            parent = cache.get(source)
+            if parent is not None and child not in cache:
+                cache[child] = self.evaluate(child, parent, sites)
         temp = list(parents)
         for chromosome in offspring:
             ind = cache.get(chromosome)

@@ -25,6 +25,7 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
+    HOMEOTIC_GENE_LEN,
     ORDINARY_END,
     position_alphabets,
     random_chromosome,
@@ -381,6 +382,59 @@ def test_mutate_matches_stdlib_reference(n_homeotic, operators):
     assert drawn == {len(alphabet) - 1 for alphabet in alphabets}
 
 
+def test_mutate_plan_follows_the_alphabets_it_is_given():
+    """mutate keeps one plan, for the last alphabets object it met; two
+    layouts taken in turn, call by call, each get their own symbols and
+    draws, so both match the reference after every call."""
+    layouts = [position_alphabets(N_HOMEOTIC), position_alphabets(3, ("S", "C", "Q", "E"))]
+    genomes = random.Random(12)
+    ours, twin = random.Random(12), random.Random(12)
+    for i in range(400):
+        alphabets = layouts[i % 2]
+        c = random_chromosome(alphabets, genomes)
+        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours)
+        assert m == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin)
+        assert ours.getstate() == twin.getstate()
+
+
+def test_mutate_rejects_symbols_outside_the_alphabets():
+    """A slot that holds a symbol its alphabet lacks raises ValueError, and
+    a symbol that is not one ASCII character raises UnicodeEncodeError."""
+    outside = "~" * len(ALPHABETS)  # in no alphabet, so whichever slot is drawn
+    with pytest.raises(ValueError):
+        mutate(outside, ALPHABETS, random.Random(1))
+    c = random_chromosome(ALPHABETS, random.Random(2))
+    with pytest.raises(UnicodeEncodeError):
+        mutate("\u00e9" + c[1:], ALPHABETS, random.Random(1))
+
+
+@pytest.mark.parametrize("n_homeotic, operators", [
+    (1, ()), (N_HOMEOTIC, ()), (30, ()), (3, ("S", "C", "Q", "E"))])
+def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators):
+    """Given a dict, mutate returns the string it returns without one, from
+    the same draws, and records the mutant, with its input and its changed
+    slots, exactly when every changed slot is at or after ORDINARY_END."""
+    alphabets = position_alphabets(n_homeotic, operators)
+    genomes = random.Random(4)
+    ours, twin = random.Random(4), random.Random(4)
+    record = {}
+    kinds = Counter()
+    for _ in range(400):
+        c = random_chromosome(alphabets, genomes)
+        m = mutate(c, alphabets, ours, record)
+        assert m == mutate(c, alphabets, twin)
+        changed = {pos for pos, (a, b) in enumerate(zip(c, m)) if a != b}
+        homeotic = min(changed) >= ORDINARY_END
+        kinds[homeotic] += 1
+        if homeotic:
+            source, sites = record.pop(m)
+            assert source == c
+            assert len(sites) == len(changed) and set(sites) == changed
+        assert m not in record
+    assert record == {}
+    assert kinds[True] and kinds[False]
+
+
 # --- engine pieces ---
 
 def make_engine(name="f1", **cfg_kwargs):
@@ -440,6 +494,61 @@ def test_temp_population_zero_rates_gives_clones(monkeypatch):
     by_chromosome = {ind.chromosome: ind.fitness for ind in parents}
     for ind in temp:
         assert ind.fitness == by_chromosome[ind.chromosome]
+
+
+@pytest.mark.parametrize("p_c, p_m", [(1.0, 1.0), (0.5, 0.5), (0.0, 1.0)])
+def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatch):
+    """Inside build_temp_population, Engine.evaluate runs once for each
+    distinct member of the returned temp that no parent holds, and for
+    nothing else: not for a homeotic-only mutant that a crossing left out
+    of temp. Some of them are evaluated from their parent's point."""
+    monkeypatch.setattr(evolve, "adapt_rates", lambda d, gen, cfg: Rates(p_c, p_m, 0.0))
+    real_evaluate, real_build = Engine.evaluate, Engine.build_temp_population
+    evaluated = []
+    calls = Counter()
+
+    def evaluate(self, chromosome, parent=None, sites=()):
+        evaluated.append(chromosome)
+        calls["from a parent" if parent is not None else "whole"] += 1
+        return real_evaluate(self, chromosome, parent, sites)
+
+    def build(self, parents, rates):
+        evaluated.clear()
+        temp = real_build(self, parents, rates)
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == {ind.chromosome for ind in temp} - {ind.chromosome for ind in parents}
+        calls["generations"] += 1
+        return temp
+
+    monkeypatch.setattr(Engine, "evaluate", evaluate)
+    monkeypatch.setattr(Engine, "build_temp_population", build)
+    cfg = EngineConfig(pop_size=20, max_gen=8, termination_tol=None)
+    Engine(builtin("f9", 10), cfg, seed=7).run()
+    assert calls["generations"] == cfg.max_gen
+    assert calls["from a parent"] > 0
+
+
+def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
+    """A homeotic-only mutant that equals another parent is that parent in
+    temp: it is not evaluated again."""
+    eng = make_engine("f9", max_gen=10)
+    parents = seeded_population(eng, 4)
+    rng = random.Random(3)
+    sites = (ORDINARY_END, ORDINARY_END + 1)
+    twin = eng.evaluate(_rewritten(parents[0].chromosome, eng.alphabets, sites, rng))
+    parents.append(twin)
+
+    def to_twin(chromosome, alphabets, rng, homeotic_mutants=None):
+        homeotic_mutants[twin.chromosome] = (chromosome, sites)
+        return twin.chromosome
+
+    monkeypatch.setattr(evolve, "mutate", to_twin)
+    monkeypatch.setattr(Engine, "evaluate", None)
+    temp = eng.build_temp_population(parents, Rates(0.0, 1.0, 0.0))
+    # the twin as a parent, its copy in the crossing batch, and every mutant
+    held = [ind for ind in temp if ind.chromosome == twin.chromosome]
+    assert len(held) == 2 + 3 * len(parents)
+    assert all(ind is twin for ind in held)
 
 
 def test_constant_mutation_first_half_noop():
@@ -600,6 +709,92 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
             assert pack(*ind.point) == pack(*want)
             assert struct.pack("<d", ind.fitness) == struct.pack("<d", eng.problem.evaluate(want))
     assert calls["eval_homeotic"] < 2 * len(chromosomes) * dim
+
+
+def _rewritten(chromosome, alphabets, sites, rng):
+    """chromosome with each slot of sites holding another legal symbol"""
+    flat = list(chromosome)
+    for pos in sites:
+        flat[pos] = rng.choice([s for s in alphabets[pos] if s != flat[pos]])
+    return "".join(flat)
+
+
+def _homeotic_sites(chromosome, dim, rng):
+    """Labelled site tuples for one parent: two slots of one homeotic gene,
+    slots in two genes, and a slot in a gene's unexpressed tail with one
+    elsewhere."""
+    def gene_start(g):
+        return ORDINARY_END + g * HOMEOTIC_GENE_LEN
+
+    g = rng.randrange(dim)
+    cases = [("one gene", tuple(rng.sample(range(gene_start(g), gene_start(g + 1)), 2)))]
+    if dim > 1:
+        h = (g + 1 + rng.randrange(dim - 1)) % dim
+        cases.append(("two genes", (gene_start(g) + rng.randrange(HOMEOTIC_GENE_LEN),
+                                    gene_start(h) + rng.randrange(HOMEOTIC_GENE_LEN))))
+    for g in range(dim):
+        expressed = oracles.expressed_length(chromosome[gene_start(g):gene_start(g + 1)])
+        if expressed < HOMEOTIC_GENE_LEN:
+            unexpressed = gene_start(g) + rng.randrange(expressed, HOMEOTIC_GENE_LEN)
+            other = rng.choice([pos for pos in range(ORDINARY_END, len(chromosome))
+                                if pos != unexpressed])
+            cases.append(("unexpressed", (unexpressed, other)))
+            break
+    return cases
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("f9", 1),
+    ("f8", 2),
+    ("f9", 30),
+    ("f12", 3),  # S, C, Q and E
+])
+def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
+    """evaluate(child, parent, sites) gives the point bits, fitness bits and
+    rank that a fresh engine's evaluate(child) and the uncached decode give,
+    for homeotic-only children of parents evaluated under the current
+    constants, before and after a constant reset redraws the pool."""
+    problem = builtin(name, dim)
+    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
+    rng = random.Random(41)
+    eng.constants = _fresh_constants(eng, rng)
+    parents = [eng.evaluate(random_chromosome(eng.alphabets, rng)) for _ in range(30)]
+    real = evolve.eval_homeotic
+    decoded = []
+
+    def counted(gene, ordinary):
+        decoded.append(gene)
+        return real(gene, ordinary)
+
+    monkeypatch.setattr(evolve, "eval_homeotic", counted)
+    pack = struct.Struct(f"<{dim}d").pack
+    bits = struct.Struct("<d").pack
+    checked = Counter()
+    for _ in range(2):
+        for parent in parents:
+            for label, sites in _homeotic_sites(parent.chromosome, dim, rng):
+                child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
+                decoded.clear()
+                ind = eng.evaluate(child, parent, sites)
+                genes = {(site - ORDINARY_END) // HOMEOTIC_GENE_LEN for site in sites}
+                # only genes that hold a site are decoded, each on a memo miss
+                assert len(decoded) <= len(genes)
+                checked["memo misses"] += len(decoded)
+                fresh = Engine(problem, eng.cfg, seed=5)
+                fresh.constants = eng.constants
+                full = fresh.evaluate(child)
+                want = oracles.eval_chromosome(child, dim, eng.constants)
+                assert ind.chromosome == child
+                assert pack(*ind.point) == pack(*full.point) == pack(*want)
+                assert bits(ind.fitness) == bits(full.fitness)
+                assert bits(ind.rank) == bits(full.rank)
+                assert bits(ind.rank) == bits(oracles.ref_rank(full.fitness, problem.direction))
+                checked[label] += 1
+        # the constant reset redraws the pool and evaluates the parents again
+        parents, reset = eng.maybe_mutate_constants(eng.cfg.max_gen, 1.0, parents)
+        assert reset
+    assert checked["memo misses"] and checked["one gene"] and checked["unexpressed"]
+    assert bool(checked["two genes"]) == (dim > 1)
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
