@@ -182,7 +182,8 @@ def experiments(args) -> list[ExperimentConfig]:
 
 
 def validate_experiment(cfg: ExperimentConfig):
-    """Checks of what EngineConfig does not name (generations is its max_gen), then its own."""
+    """Checks of what EngineConfig does not name (generations is its max_gen,
+    termination_tolerance its termination_tol), then its own."""
     if cfg.runs < 1:
         raise ConfigError("runs must be at least 1")
     if cfg.generations < 1:
@@ -191,6 +192,8 @@ def validate_experiment(cfg: ExperimentConfig):
         raise ConfigError("seed must be non-negative")
     if not cfg.tolerance >= 0.0:  # NaN fails too
         raise ConfigError("tolerance must be non-negative")
+    if cfg.termination_tolerance is not None and not cfg.termination_tolerance >= 0.0:
+        raise ConfigError("termination_tolerance must be non-negative")
     if os.path.realpath(cfg.trace_path) == os.path.realpath(cfg.summary_path):
         raise ConfigError(f"--trace and --summary name the same file: {cfg.summary_path}")
     try:

@@ -15,7 +15,7 @@ import math
 import operator
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bench import Problem, reached_optimum
@@ -71,6 +71,9 @@ class Individual:
     # ascending, best first: sign * fitness, with sign -1.0 for a maximized
     # problem; NaN and infinities rank inf, after every finite value
     rank: float
+    # the packed ordinary-gene values the point was decoded under; b"" for
+    # one built by hand, which matches no chromosome
+    key: bytes = field(default=b"", compare=False, repr=False)
 
 
 class Rates(NamedTuple):
@@ -177,11 +180,18 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
     return Rates(p_c, p_m, r_c)
 
 
-def crossover(a: str, b: str, rng: random.Random) -> tuple[str, str]:
+def crossover(a: str, b: str, rng: random.Random, made=None) -> tuple[str, str]:
     """One-point crossover of two chromosome strings; the caller draws the
-    p_c coin."""
+    p_c coin. A given dict made maps each child whose cut is at or after
+    ORDINARY_END to (head input, tail input, index of the homeotic gene the
+    cut falls in), the head input being the one whose slots come first."""
     cut = rng.randrange(len(a))
-    return a[:cut] + b[cut:], b[:cut] + a[cut:]
+    children = a[:cut] + b[cut:], b[:cut] + a[cut:]
+    if made is not None and cut >= ORDINARY_END:
+        gene = (cut - ORDINARY_END) // HOMEOTIC_GENE_LEN
+        made[children[0]] = (a, b, gene)
+        made[children[1]] = (b, a, gene)
+    return children
 
 
 def _shuffle(rng: random.Random, x: list) -> None:
@@ -217,10 +227,11 @@ def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
     return n, n.bit_length(), tuple(others)
 
 
-def mutate(chromosome: str, alphabets, rng: random.Random, homeotic_mutants=None) -> str:
+def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
-    symbols; the caller draws the p_m coin. A given dict homeotic_mutants maps
-    the child to (chromosome, sites) when every site is at or after ORDINARY_END."""
+    symbols; the caller draws the p_m coin. A given dict made maps the child
+    to (chromosome, None, sites), sites being the rewritten positions in draw
+    order; the None stands where crossover records a tail input."""
     global _last_mutate_plan
     if _last_mutate_plan[0] is not alphabets:
         _last_mutate_plan = (alphabets, tuple(map(_slot_plan, alphabets)))
@@ -231,11 +242,13 @@ def mutate(chromosome: str, alphabets, rng: random.Random, homeotic_mutants=None
     # Each site is rng.randrange(slots) drawn until it is new, the set path of
     # rng.sample: getrandbits(slots.bit_length()) until below slots and new.
     bits = slots.bit_length()
-    sites = {}  # keeps draw order; a repeat adds nothing, so another is drawn
+    # in draw order; a repeat adds nothing, so another is drawn. A tuple, as
+    # made keeps it: small tuples come from a free list, a dict would not.
+    sites = ()
     while len(sites) < MUTATIONS_PER_INDIVIDUAL:
         j = getrandbits(bits)
-        if j < slots:
-            sites[j] = None
+        if j < slots and j not in sites:
+            sites += (j,)
     for pos in sites:
         # every slot's alphabet holds at least two symbols; r indexes the
         # n others of the old symbol, in alphabet order. The draw is
@@ -248,11 +261,9 @@ def mutate(chromosome: str, alphabets, rng: random.Random, homeotic_mutants=None
             flat[pos] = others[flat[pos]][r]
         except TypeError:  # others holds None for a symbol outside the alphabet
             raise ValueError(f"{chr(flat[pos])!r} is not a symbol of slot {pos}") from None
-        if pos < ORDINARY_END:
-            homeotic_mutants = None  # an ordinary site: nothing to report
     child = rebuild(flat)
-    if homeotic_mutants is not None:
-        homeotic_mutants[child] = (chromosome, sites)
+    if made is not None:
+        made[child] = (chromosome, None, sites)
     return child
 
 
@@ -344,21 +355,26 @@ class Engine:
         self._fitnesses_limit = evaluations
         self._sign = 1.0 if problem.direction == "minimize" else -1.0
 
-    def evaluate(self, chromosome: str, parent: Individual | None = None, sites=()) -> Individual:
-        """Decode and score the chromosome through the memos. Given a parent,
-        only the homeotic genes holding sites are decoded, and the other
-        coordinates are parent.point's: this engine evaluated parent under
-        the current constants, and its chromosome differs from this one only
-        at sites, all at or after ORDINARY_END."""
+    def evaluate(self, chromosome: str, parent: Individual | None = None, sites=(),
+                 tail: Individual | None = None, cut_gene: int = 0) -> Individual:
+        """Decode and score the chromosome through the memos.
+
+        A coordinate depends only on its homeotic gene's string and the
+        ordinary-gene values. So an input the chromosome was built from,
+        whose key equals the chromosome's, lends it the coordinates of the
+        genes they share; any other call, or a key that differs, looks up
+        every gene. A parent alone is a mutant's input, and sites are the
+        slots mutate rewrote: only the genes that hold a homeotic site are
+        looked up, and with none the parent's point, fitness and rank are the
+        child's. A parent and a tail are a crossover child's head and tail
+        inputs, and cut_gene is the homeotic gene its cut falls in: the genes
+        before it are the parent's, the cut gene is looked up, and the genes
+        after it are the tail's if the tail's key matches too, else they are
+        looked up as well."""
         if (self.constants is not self._genes_constants
                 or len(self._genes) >= self._genes_limit):
             self._genes = {}
             self._genes_constants = self.constants
-        if self._coordinates_stored >= self._coordinates_limit:
-            self._coordinates = {}
-            self._coordinates_stored = 0
-        if len(self._fitnesses) >= self._fitnesses_limit:
-            self._fitnesses = {}
         genes = self._genes
         values = []
         for where in self.ordinary_slices:
@@ -368,22 +384,39 @@ class Engine:
                 value = genes[gene] = eval_ordinary(gene, self.constants)
             values.append(value)
         key = self._pack_ordinary(*values)
+        # the point: point's coordinates, taken from an input, with the genes
+        # that hold a homeotic site of changed looked up again; then one
+        # looked up per gene of slices; then rest, the tail's
+        slices = self.homeotic_slices
+        changed = rest = ()
+        if parent is None or parent.key != key:
+            point = []
+        elif tail is not None:
+            point = list(parent.point[:cut_gene])
+            if tail.key == key:
+                slices, rest = slices[cut_gene:cut_gene + 1], tail.point[cut_gene + 1:]
+            else:
+                slices = slices[cut_gene:]
+        else:
+            for site in sites:
+                if site >= ORDINARY_END:
+                    break
+            else:  # every site is ordinary and changed no value
+                return Individual(chromosome, parent.point, parent.fitness, parent.rank, key)
+            point = list(parent.point)
+            changed, slices = sites, ()
+        # the shortcut above stores nothing, so these memos are checked after it
+        if self._coordinates_stored >= self._coordinates_limit:
+            self._coordinates = {}
+            self._coordinates_stored = 0
+        if len(self._fitnesses) >= self._fitnesses_limit:
+            self._fitnesses = {}
         entry = self._coordinates.get(key)
         if entry is None:
             entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
-        if parent is None:
-            point = []
-            for where in self.homeotic_slices:
-                gene = chromosome[where]
-                x = coordinates.get(gene)
-                if x is None:
-                    x = coordinates[gene] = eval_homeotic(gene, ordinary)
-                    self._coordinates_stored += 1
-                point.append(x)
-        else:
-            point = list(parent.point)
-            for site in sites:  # a second site in one gene finds it stored
+        for site in changed:  # a second site in one gene finds it stored
+            if site >= ORDINARY_END:
                 g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
                 gene = chromosome[self.homeotic_slices[g]]
                 x = coordinates.get(gene)
@@ -391,13 +424,20 @@ class Engine:
                     x = coordinates[gene] = eval_homeotic(gene, ordinary)
                     self._coordinates_stored += 1
                 point[g] = x
-        point = tuple(point)
-        key = self._pack_point(*point)
-        fitness = self._fitnesses.get(key)
+        for where in slices:
+            gene = chromosome[where]
+            x = coordinates.get(gene)
+            if x is None:
+                x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                self._coordinates_stored += 1
+            point.append(x)
+        point = tuple(point) + rest
+        fitness_key = self._pack_point(*point)
+        fitness = self._fitnesses.get(fitness_key)
         if fitness is None:
-            fitness = self._fitnesses[key] = self._fitness(point)
+            fitness = self._fitnesses[fitness_key] = self._fitness(point)
         rank = self._sign * fitness if math.isfinite(fitness) else math.inf
-        return Individual(chromosome, point, fitness, rank)
+        return Individual(chromosome, point, fitness, rank, key)
 
     def _fitness(self, point) -> float:
         for v in point:
@@ -416,33 +456,28 @@ class Engine:
         probability p_c and a genome mutating with probability p_m, and
         call the operator only when it fires. They call crossover and mutate
         through this module's globals, where perfbench/tracer.py wraps them.
-        Each distinct offspring no parent holds is evaluated once. The parents
-        are this engine's evaluations under the current constants, so a
-        homeotic-only mutant of one is evaluated first, from its point.
+        Each distinct offspring no parent holds is evaluated once, in temp
+        order. The operators record how they built each child, and one whose
+        inputs are in the offspring cache by then is evaluated from their
+        Individuals (see evaluate).
         """
         rng = self.rng
         rand = rng.random
         p_c, p_m = rates.p_c, rates.p_m
         alphabets = self.alphabets
-        homeotic_mutants = {}  # child -> (input, sites), filled by mutate
+        made = {}  # child -> its inputs, filled by mutate and crossover
 
         def crossed(genomes):
             pool = list(genomes)
             _shuffle(rng, pool)
-            out = []
-            for a, b in zip(pool[0::2], pool[1::2]):
+            # pairs 0-1, 2-3, ...; an odd count leaves the last genome unpaired
+            for i in range(1, len(pool), 2):
                 if rand() < p_c:
-                    # a crossed mutant leaves no copy of itself in temp
-                    homeotic_mutants.pop(a, None)
-                    homeotic_mutants.pop(b, None)
-                    out += crossover(a, b, rng)
-                else:
-                    out += (a, b)
-            # an odd count leaves the last genome unpaired
-            return out + pool[len(out):]
+                    pool[i - 1], pool[i] = crossover(pool[i - 1], pool[i], rng, made)
+            return pool
 
         def mutated(genomes):
-            return [g if rand() >= p_m else mutate(g, alphabets, rng, homeotic_mutants)
+            return [g if rand() >= p_m else mutate(g, alphabets, rng, made)
                     for g in genomes]
 
         genomes = [ind.chromosome for ind in parents]
@@ -452,15 +487,23 @@ class Engine:
         offspring += mutated(crossed(genomes))
         offspring += crossed(mutated(genomes))
         cache = {ind.chromosome: ind for ind in parents}
-        for child, (source, sites) in homeotic_mutants.items():
-            parent = cache.get(source)
-            if parent is not None and child not in cache:
-                cache[child] = self.evaluate(child, parent, sites)
         temp = list(parents)
         for chromosome in offspring:
             ind = cache.get(chromosome)
             if ind is None:
-                ind = cache[chromosome] = self.evaluate(chromosome)
+                inputs = made.get(chromosome)
+                if inputs is None:
+                    ind = self.evaluate(chromosome)
+                else:
+                    head, tail, where = inputs
+                    head = cache.get(head)
+                    if tail is None:  # a mutant and its sites
+                        ind = self.evaluate(chromosome, head, where)
+                    elif (tail := cache.get(tail)) is not None:  # a crossover child, its cut gene
+                        ind = self.evaluate(chromosome, head, (), tail, where)
+                    else:
+                        ind = self.evaluate(chromosome)
+                cache[chromosome] = ind
             temp.append(ind)
         return temp
 

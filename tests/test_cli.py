@@ -305,14 +305,13 @@ def test_validate_rejects(kwargs, fragment):
 def test_nan_tolerance_exits_1_from_flag_or_config(tmp_path, capsys, key):
     # a NaN tolerance would report no success and a NaN termination
     # tolerance would turn early stopping off, both without a word
-    name = {"termination_tolerance": "termination_tol"}.get(key, key)  # EngineConfig's field
     conf = tmp_path / "exp.conf"
     conf.write_text(f"{key} = nan\n")
     base = _run_args(tmp_path, "--problem", "f1", "--runs", "1", "--generations", "3",
                      "--pop-size", "10")
     for extra in (["--" + key.replace("_", "-"), "nan"], ["--config", str(conf)]):
         assert cli.main(base + extra) == 1
-        assert f"error: {name} must be non-negative" in capsys.readouterr().err
+        assert f"error: {key} must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -350,8 +349,7 @@ def test_bench_stops_on_every_shared_check_before_anything_happens(tmp_path, cap
         given = ["--config", str(conf)]
     assert cli.main(_run_args(tmp_path, "--problem", "f1", *given)) == 1
     run_err = capsys.readouterr().err
-    name = {"termination_tolerance": "termination_tol"}.get(key, key)  # EngineConfig's field
-    assert run_err.startswith(f"error: {name} ") and run_err.count("\n") == 1
+    assert run_err.startswith(f"error: {key} ") and run_err.count("\n") == 1
     out_dir = tmp_path / "results"
     assert cli.main(["bench", "--out-dir", str(out_dir), *given]) == 1
     assert capsys.readouterr().err == run_err
@@ -531,11 +529,14 @@ def test_run_checks_outputs_before_any_run(tmp_path, capsys, monkeypatch, flag):
 @pytest.mark.parametrize("flag, value, message", [
     ("--pop-size", "1", "pop_size must be at least 2"),
     ("--mode", "turbo", "mode must be adaptive or baseline, not 'turbo'"),
-    ("--termination-tolerance", "-1", "termination_tol must be non-negative"),
+    ("--termination-tolerance", "-1", "termination_tolerance must be non-negative"),
 ], ids=["pop_size", "mode", "termination_tol"])
 def test_engine_settings_are_checked_by_the_engine(tmp_path, capsys, monkeypatch,
                                                     flag, value, message):
-    """EngineConfig's message reaches the user as a configuration error."""
+    """A bad engine setting reaches the user as a configuration error, under
+    the key the user typed: EngineConfig's message for pop_size and mode, the
+    CLI's own for termination_tolerance, which EngineConfig calls
+    termination_tol."""
     calls = _refuse_runs(monkeypatch)
     assert cli.main(_run_args(tmp_path, "--problem", "f1", flag, value)) == 1
     assert f"error: {message}\n" == capsys.readouterr().err

@@ -25,8 +25,10 @@ from fuzzygep.evolve import (
     select,
 )
 from fuzzygep.genome import (
+    DC_START,
     HOMEOTIC_GENE_LEN,
     ORDINARY_END,
+    ORDINARY_GENE_LEN,
     position_alphabets,
     random_chromosome,
 )
@@ -412,8 +414,9 @@ def test_mutate_rejects_symbols_outside_the_alphabets():
     (1, ()), (N_HOMEOTIC, ()), (30, ()), (3, ("S", "C", "Q", "E"))])
 def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators):
     """Given a dict, mutate returns the string it returns without one, from
-    the same draws, and records the mutant, with its input and its changed
-    slots, exactly when every changed slot is at or after ORDINARY_END."""
+    the same draws, and records every mutant with its input and its changed
+    slots, so the record tells the homeotic-only mutants exactly: those whose
+    sites all lie at or after ORDINARY_END."""
     alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(4)
     ours, twin = random.Random(4), random.Random(4)
@@ -426,10 +429,10 @@ def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators)
         changed = {pos for pos, (a, b) in enumerate(zip(c, m)) if a != b}
         homeotic = min(changed) >= ORDINARY_END
         kinds[homeotic] += 1
-        if homeotic:
-            source, sites = record.pop(m)
-            assert source == c
-            assert len(sites) == len(changed) and set(sites) == changed
+        source, tail, sites = record.pop(m)
+        assert source == c and tail is None
+        assert len(sites) == len(changed) and set(sites) == changed
+        assert (min(sites) >= ORDINARY_END) == homeotic
         assert m not in record
     assert record == {}
     assert kinds[True] and kinds[False]
@@ -500,17 +503,23 @@ def test_temp_population_zero_rates_gives_clones(monkeypatch):
 def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatch):
     """Inside build_temp_population, Engine.evaluate runs once for each
     distinct member of the returned temp that no parent holds, and for
-    nothing else: not for a homeotic-only mutant that a crossing left out
-    of temp. Some of them are evaluated from their parent's point."""
+    nothing else: not for a mutant or crossover child that a later operator
+    left out of temp. Some mutants are evaluated from their parent and, once
+    pairs cross, some crossover children from their two inputs."""
     monkeypatch.setattr(evolve, "adapt_rates", lambda d, gen, cfg: Rates(p_c, p_m, 0.0))
     real_evaluate, real_build = Engine.evaluate, Engine.build_temp_population
     evaluated = []
     calls = Counter()
 
-    def evaluate(self, chromosome, parent=None, sites=()):
+    def evaluate(self, chromosome, parent=None, sites=(), tail=None, cut_gene=0):
         evaluated.append(chromosome)
-        calls["from a parent" if parent is not None else "whole"] += 1
-        return real_evaluate(self, chromosome, parent, sites)
+        ind = real_evaluate(self, chromosome, parent, sites, tail, cut_gene)
+        # an input lends its coordinates only under the child's ordinary values
+        if parent is None or parent.key != ind.key:
+            calls["whole"] += 1
+        else:
+            calls["from a parent" if tail is None else "from two inputs"] += 1
+        return ind
 
     def build(self, parents, rates):
         evaluated.clear()
@@ -526,6 +535,8 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     Engine(builtin("f9", 10), cfg, seed=7).run()
     assert calls["generations"] == cfg.max_gen
     assert calls["from a parent"] > 0
+    assert calls["whole"] > 0
+    assert (calls["from two inputs"] > 0) == (p_c > 0.0)
 
 
 def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
@@ -538,8 +549,8 @@ def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
     twin = eng.evaluate(_rewritten(parents[0].chromosome, eng.alphabets, sites, rng))
     parents.append(twin)
 
-    def to_twin(chromosome, alphabets, rng, homeotic_mutants=None):
-        homeotic_mutants[twin.chromosome] = (chromosome, sites)
+    def to_twin(chromosome, alphabets, rng, made=None):
+        made[twin.chromosome] = (chromosome, None, sites)
         return twin.chromosome
 
     monkeypatch.setattr(evolve, "mutate", to_twin)
@@ -795,6 +806,154 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
         assert reset
     assert checked["memo misses"] and checked["one gene"] and checked["unexpressed"]
     assert bool(checked["two genes"]) == (dim > 1)
+
+
+def _same(x, y):
+    """Bit for bit, with any NaN equal to any NaN."""
+    return struct.pack("<d", x) == struct.pack("<d", y) or math.isnan(x) and math.isnan(y)
+
+
+def _assert_full_decode(eng, ind, child):
+    """ind is what a fresh engine's evaluate and the uncached decode give child."""
+    fresh = Engine(eng.problem, eng.cfg, seed=5)
+    fresh.constants = eng.constants
+    full = fresh.evaluate(child)
+    want = oracles.eval_chromosome(child, eng.problem.dim, eng.constants)
+    assert ind.chromosome == child
+    assert len(ind.point) == len(full.point) == len(want)
+    assert all(_same(x, y) and _same(x, z) for x, y, z in zip(ind.point, full.point, want))
+    assert _same(ind.fitness, full.fitness) and _same(ind.rank, full.rank)
+    assert ind.key == full.key
+
+
+def _between(eng, stage, rng):
+    """What happens between an input's evaluation and its child's: nothing,
+    a coordinate-memo reset, or a constant reset."""
+    if stage == "memo reset":
+        eng._coordinates_stored = eng._coordinates_limit  # the next lookup starts over
+    elif stage == "constant reset":
+        eng.constants = _fresh_constants(eng, rng)
+
+
+STAGES = ("as evaluated", "memo reset", "constant reset")
+
+
+@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
+def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch):
+    """A crossover child evaluated from its head and tail inputs, as its
+    record gives them, has the bits of the full decode. The cuts fall at
+    ORDINARY_END, at every homeotic gene boundary and mid-gene; a cut inside
+    the ordinary genes makes no record. The tail's ordinary values equal the
+    head's or differ, and a coordinate-memo or constant reset may come
+    between the inputs' evaluation and the child's."""
+    problem = builtin(name, dim)
+    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
+    rng = random.Random(43)
+    real = evolve.eval_homeotic
+    decoded = []
+
+    def counted(gene, ordinary):
+        decoded.append(gene)
+        return real(gene, ordinary)
+
+    monkeypatch.setattr(evolve, "eval_homeotic", counted)
+    cuts = [ORDINARY_END // 2, ORDINARY_END - 1]
+    for g in range(dim):
+        start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
+        cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
+    checked = Counter()
+    for stage in STAGES:
+        for i in range(3):
+            eng.constants = _fresh_constants(eng, rng)
+            a, b = (random_chromosome(eng.alphabets, rng) for _ in range(2))
+            if i == 0:  # a root '?' reads a constant, so a constant reset changes the values
+                a = "?" + a[1:]
+            elif i == 1:  # digit roots: values no constant reset changes
+                a = "b" + a[1:20] + "c" + a[21:]
+            for other in (b, a[:ORDINARY_END] + b[ORDINARY_END:]):  # unequal, then equal values
+                for cut in cuts:
+                    made = {}
+                    children = crossover(a, other, ScriptedRng([cut]), made)
+                    assert children == (a[:cut] + other[cut:], other[:cut] + a[cut:])
+                    if cut < ORDINARY_END:
+                        assert made == {}
+                        continue
+                    gene = (cut - ORDINARY_END) // HOMEOTIC_GENE_LEN
+                    assert made == {children[0]: (a, other, gene), children[1]: (other, a, gene)}
+                    for child in children:
+                        head_string, tail_string, cut_gene = made[child]
+                        head, tail = eng.evaluate(head_string), eng.evaluate(tail_string)
+                        _between(eng, stage, rng)
+                        decoded.clear()
+                        ind = eng.evaluate(child, head, (), tail, cut_gene)
+                        n_decoded = len(decoded)
+                        _assert_full_decode(eng, ind, child)
+                        if head.key != ind.key:
+                            checked[stage, "keys differ"] += 1
+                        elif tail.key == ind.key:
+                            checked[stage, "both keys equal"] += 1
+                            if stage == "memo reset":  # the cut gene alone is decoded
+                                assert n_decoded == 1
+                        else:
+                            checked[stage, "head key equal"] += 1
+                            if stage == "memo reset":  # the genes from the cut on
+                                assert n_decoded <= dim - cut_gene
+    for stage in STAGES:
+        assert checked[stage, "both keys equal"] and checked[stage, "head key equal"], checked
+    assert checked["constant reset", "keys differ"], checked
+
+
+def _ordinary_sites(chromosome):
+    """Two lists of slots in the ordinary genes: those the decode never reads
+    (past the expressed prefix, or a Dc letter no expressed '?' reaches), and
+    the root of each gene, which it always reads."""
+    unread, roots = [], range(0, ORDINARY_END, ORDINARY_GENE_LEN)
+    for start in roots:
+        coding = chromosome[start:start + DC_START]
+        length = oracles.expressed_length(coding)
+        unread += range(start + length, start + DC_START)
+        unread += range(start + DC_START + coding[:length].count("?"), start + ORDINARY_GENE_LEN)
+    return unread, list(roots)
+
+
+@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
+def test_evaluate_from_a_mutants_input_matches_the_full_decode(name, dim):
+    """A mutant evaluated from its input has the bits of the full decode,
+    whether its sites are ordinary and neutral (the input's point, fitness
+    and rank are then taken outright), ordinary and changing, homeotic or
+    mixed, and whether a coordinate-memo or constant reset comes between the
+    input's evaluation and the child's."""
+    problem = builtin(name, dim)
+    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
+    rng = random.Random(47)
+    homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
+    checked = Counter()
+    for stage in STAGES:
+        for _ in range(20):
+            eng.constants = _fresh_constants(eng, rng)
+            parent = eng.evaluate(random_chromosome(eng.alphabets, rng))
+            unread, roots = _ordinary_sites(parent.chromosome)
+            cases = [("homeotic", tuple(rng.sample(homeotic, 2))),
+                     ("changing", (rng.choice(roots),)),
+                     ("mixed", (rng.choice(roots), rng.choice(homeotic)))]
+            if unread:
+                cases += [("neutral", tuple(rng.sample(unread, min(2, len(unread))))),
+                          ("mixed", (rng.choice(unread), rng.choice(homeotic)))]
+            for label, sites in cases:
+                child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
+                _between(eng, stage, rng)
+                ind = eng.evaluate(child, parent, sites)
+                _assert_full_decode(eng, ind, child)
+                shortcut = ind.point is parent.point
+                # the input's point is taken outright exactly for an ordinary,
+                # value-neutral mutant
+                assert shortcut == (ind.key == parent.key and max(sites) < ORDINARY_END)
+                checked[stage, label, ind.key == parent.key] += 1
+                parent = eng.evaluate(parent.chromosome)
+    for stage in STAGES:
+        assert checked[stage, "neutral", True] and checked[stage, "homeotic", True]
+        assert checked[stage, "changing", False] and checked[stage, "mixed", True]
+    assert checked["constant reset", "neutral", False]
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
