@@ -870,7 +870,8 @@ def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch
                 a = "?" + a[1:]
             elif i == 1:  # digit roots: values no constant reset changes
                 a = "b" + a[1:20] + "c" + a[21:]
-            for other in (b, a[:ORDINARY_END] + b[ORDINARY_END:]):  # unequal, then equal values
+            # a random tail input, then one with the head input's ordinary genes
+            for other in (b, a[:ORDINARY_END] + b[ORDINARY_END:]):
                 for cut in cuts:
                     made = {}
                     children = crossover(a, other, ScriptedRng([cut]), made)
