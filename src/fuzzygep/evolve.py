@@ -183,14 +183,13 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
 def crossover(a: str, b: str, rng: random.Random, made=None) -> tuple[str, str]:
     """One-point crossover of two chromosome strings; the caller draws the
     p_c coin. A given dict made maps each child whose cut is at or after
-    ORDINARY_END to (head input, tail input, index of the homeotic gene the
-    cut falls in), the head input being the one whose slots come first."""
+    ORDINARY_END to its record (head input, tail input, cut, ()): the child
+    is the head's slots before the cut and the tail's from it on."""
     cut = rng.randrange(len(a))
     children = a[:cut] + b[cut:], b[:cut] + a[cut:]
     if made is not None and cut >= ORDINARY_END:
-        gene = (cut - ORDINARY_END) // HOMEOTIC_GENE_LEN
-        made[children[0]] = (a, b, gene)
-        made[children[1]] = (b, a, gene)
+        made[children[0]] = (a, b, cut, ())
+        made[children[1]] = (b, a, cut, ())
     return children
 
 
@@ -230,8 +229,8 @@ def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
 def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
     symbols; the caller draws the p_m coin. A given dict made maps the child
-    to (chromosome, None, sites), sites being the rewritten positions in draw
-    order; the None stands where crossover records a tail input."""
+    to its record (chromosome, chromosome, 0, sites), as crossover writes
+    one, sites being the rewritten positions in draw order."""
     global _last_mutate_plan
     if _last_mutate_plan[0] is not alphabets:
         _last_mutate_plan = (alphabets, tuple(map(_slot_plan, alphabets)))
@@ -263,11 +262,14 @@ def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
             raise ValueError(f"{chr(flat[pos])!r} is not a symbol of slot {pos}") from None
     child = rebuild(flat)
     if made is not None:
-        made[child] = (chromosome, None, sites)
+        made[child] = (chromosome, chromosome, 0, sites)
     return child
 
 
 _by_rank = operator.attrgetter("rank")
+
+# what build_temp_population reads for a child no operator recorded
+_NO_RECORD = (None, None, 0, ())
 
 
 def select(temp, cfg: EngineConfig, rng: random.Random):
@@ -355,22 +357,19 @@ class Engine:
         self._fitnesses_limit = evaluations
         self._sign = 1.0 if problem.direction == "minimize" else -1.0
 
-    def evaluate(self, chromosome: str, parent: Individual | None = None, sites=(),
-                 tail: Individual | None = None, cut_gene: int = 0) -> Individual:
+    def evaluate(self, chromosome: str, head: Individual | None = None,
+                 tail: Individual | None = None, cut: int = 0, sites=()) -> Individual:
         """Decode and score the chromosome through the memos.
 
-        A coordinate depends only on its homeotic gene's string and the
-        ordinary-gene values. So an input the chromosome was built from,
-        whose key equals the chromosome's, lends it the coordinates of the
-        genes they share; any other call, or a key that differs, looks up
-        every gene. A parent alone is a mutant's input, and sites are the
-        slots mutate rewrote: only the genes that hold a homeotic site are
-        looked up, and with none the parent's point, fitness and rank are the
-        child's. A parent and a tail are a crossover child's head and tail
-        inputs, and cut_gene is the homeotic gene its cut falls in: the genes
-        before it are the parent's, the cut gene is looked up, and the genes
-        after it are the tail's if the tail's key matches too, else they are
-        looked up as well."""
+        A record (head, tail, cut, sites), as mutate and crossover write one,
+        says the chromosome is head's slots before cut and tail's from cut
+        on, with the slots in sites rewritten; head and tail here are those
+        inputs' Individuals, None for one not at hand. A coordinate depends
+        only on its homeotic gene's string and the ordinary-gene values. So
+        a homeotic gene the chromosome shares with an input whose key equals
+        its own takes that input's coordinate, and every other gene is looked
+        up; a chromosome whose homeotic genes are all the tail's takes the
+        tail's point, fitness and rank."""
         if (self.constants is not self._genes_constants
                 or len(self._genes) >= self._genes_limit):
             self._genes = {}
@@ -384,27 +383,32 @@ class Engine:
                 value = genes[gene] = eval_ordinary(gene, self.constants)
             values.append(value)
         key = self._pack_ordinary(*values)
-        # the point: point's coordinates, taken from an input, with the genes
-        # that hold a homeotic site of changed looked up again; then one
-        # looked up per gene of slices; then rest, the tail's
+        # the point: head's first h coordinates, one looked up per gene of
+        # slices, then rest, tail's from gene t on; the genes that hold a
+        # homeotic site are looked up again
         slices = self.homeotic_slices
-        changed = rest = ()
-        if parent is None or parent.key != key:
-            point = []
-        elif tail is not None:
-            point = list(parent.point[:cut_gene])
-            if tail.key == key:
-                slices, rest = slices[cut_gene:cut_gene + 1], tail.point[cut_gene + 1:]
+        point = []
+        rest = ()
+        if head is not None or tail is not None:
+            h = t = 0
+            if cut > ORDINARY_END:  # a cut inside a gene leaves it to neither input
+                h, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
+                t = h + 1 if inside else h
+            if tail is None or tail.key != key:
+                t = len(slices)
             else:
-                slices = slices[cut_gene:]
-        else:
-            for site in sites:
-                if site >= ORDINARY_END:
-                    break
-            else:  # every site is ordinary and changed no value
-                return Individual(chromosome, parent.point, parent.fitness, parent.rank, key)
-            point = list(parent.point)
-            changed, slices = sites, ()
+                if not t:
+                    for site in sites:
+                        if site >= ORDINARY_END:
+                            break
+                    else:  # every homeotic gene is the tail's
+                        return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
+                rest = tail.point[t:]
+            if h and head is not None and head.key == key:
+                point += head.point[:h]
+            else:
+                h = 0
+            slices = slices[h:t]
         # the shortcut above stores nothing, so these memos are checked after it
         if self._coordinates_stored >= self._coordinates_limit:
             self._coordinates = {}
@@ -415,7 +419,15 @@ class Engine:
         if entry is None:
             entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
-        for site in changed:  # a second site in one gene finds it stored
+        for where in slices:
+            gene = chromosome[where]
+            x = coordinates.get(gene)
+            if x is None:
+                x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                self._coordinates_stored += 1
+            point.append(x)
+        point += rest
+        for site in sites:  # a second site in one gene finds it stored
             if site >= ORDINARY_END:
                 g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
                 gene = chromosome[self.homeotic_slices[g]]
@@ -424,14 +436,7 @@ class Engine:
                     x = coordinates[gene] = eval_homeotic(gene, ordinary)
                     self._coordinates_stored += 1
                 point[g] = x
-        for where in slices:
-            gene = chromosome[where]
-            x = coordinates.get(gene)
-            if x is None:
-                x = coordinates[gene] = eval_homeotic(gene, ordinary)
-                self._coordinates_stored += 1
-            point.append(x)
-        point = tuple(point) + rest
+        point = tuple(point)
         fitness_key = self._pack_point(*point)
         fitness = self._fitnesses.get(fitness_key)
         if fitness is None:
@@ -457,9 +462,9 @@ class Engine:
         call the operator only when it fires. They call crossover and mutate
         through this module's globals, where perfbench/tracer.py wraps them.
         Each distinct offspring no parent holds is evaluated once, in temp
-        order. The operators record how they built each child, and one whose
-        inputs are in the offspring cache by then is evaluated from their
-        Individuals (see evaluate).
+        order. The operators record how they built each child, and it is
+        evaluated from the inputs of its record that the offspring cache
+        holds by then (see evaluate).
         """
         rng = self.rng
         rand = rng.random
@@ -491,33 +496,24 @@ class Engine:
         for chromosome in offspring:
             ind = cache.get(chromosome)
             if ind is None:
-                inputs = made.get(chromosome)
-                if inputs is None:
-                    ind = self.evaluate(chromosome)
-                else:
-                    head, tail, where = inputs
-                    head = cache.get(head)
-                    if tail is None:  # a mutant and its sites
-                        ind = self.evaluate(chromosome, head, where)
-                    elif (tail := cache.get(tail)) is not None:  # a crossover child, its cut gene
-                        ind = self.evaluate(chromosome, head, (), tail, where)
-                    else:
-                        ind = self.evaluate(chromosome)
-                cache[chromosome] = ind
+                head, tail, cut, sites = made.get(chromosome, _NO_RECORD)
+                ind = cache[chromosome] = self.evaluate(
+                    chromosome, cache.get(head), cache.get(tail), cut, sites)
             temp.append(ind)
         return temp
 
     def maybe_mutate_constants(self, gen: int, r_c: float, population):
         """Second-half coin flip; on success the whole constant pool is
         redrawn, and each distinct chromosome of the population is evaluated
-        once, in first-seen order, for every member that holds it."""
+        once, in first-seen order, from a member that holds it as its own
+        input, for every member that holds it."""
         if gen <= self.cfg.max_gen / 2.0:
             return population, False
         if self.rng.random() >= r_c:
             return population, False
         self.constants = random_constant_set(self.problem.lower, self.problem.upper, self.rng)
-        evaluated = {c: self.evaluate(c)
-                     for c in dict.fromkeys(ind.chromosome for ind in population)}
+        evaluated = {c: self.evaluate(c, ind, ind)
+                     for c, ind in {ind.chromosome: ind for ind in population}.items()}
         return [evaluated[ind.chromosome] for ind in population], True
 
     def run(self) -> RunResult:

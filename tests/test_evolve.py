@@ -414,9 +414,9 @@ def test_mutate_rejects_symbols_outside_the_alphabets():
     (1, ()), (N_HOMEOTIC, ()), (30, ()), (3, ("S", "C", "Q", "E"))])
 def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators):
     """Given a dict, mutate returns the string it returns without one, from
-    the same draws, and records every mutant with its input and its changed
-    slots, so the record tells the homeotic-only mutants exactly: those whose
-    sites all lie at or after ORDINARY_END."""
+    the same draws, and records every mutant as (input, input, 0, sites),
+    sites being its changed slots, so the record tells the homeotic-only
+    mutants exactly: those whose sites all lie at or after ORDINARY_END."""
     alphabets = position_alphabets(n_homeotic, operators)
     genomes = random.Random(4)
     ours, twin = random.Random(4), random.Random(4)
@@ -429,8 +429,8 @@ def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators)
         changed = {pos for pos, (a, b) in enumerate(zip(c, m)) if a != b}
         homeotic = min(changed) >= ORDINARY_END
         kinds[homeotic] += 1
-        source, tail, sites = record.pop(m)
-        assert source == c and tail is None
+        head, tail, cut, sites = record.pop(m)
+        assert head == tail == c and cut == 0
         assert len(sites) == len(changed) and set(sites) == changed
         assert (min(sites) >= ORDINARY_END) == homeotic
         assert m not in record
@@ -505,20 +505,21 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     distinct member of the returned temp that no parent holds, and for
     nothing else: not for a mutant or crossover child that a later operator
     left out of temp. Some mutants are evaluated from their parent and, once
-    pairs cross, some crossover children from their two inputs."""
+    pairs cross, some crossover children from their two parents."""
     monkeypatch.setattr(evolve, "adapt_rates", lambda d, gen, cfg: Rates(p_c, p_m, 0.0))
     real_evaluate, real_build = Engine.evaluate, Engine.build_temp_population
     evaluated = []
     calls = Counter()
 
-    def evaluate(self, chromosome, parent=None, sites=(), tail=None, cut_gene=0):
+    def evaluate(self, chromosome, head=None, tail=None, cut=0, sites=()):
         evaluated.append(chromosome)
-        ind = real_evaluate(self, chromosome, parent, sites, tail, cut_gene)
-        # an input lends its coordinates only under the child's ordinary values
-        if parent is None or parent.key != ind.key:
+        ind = real_evaluate(self, chromosome, head, tail, cut, sites)
+        # a parent lends its coordinates only under the child's ordinary values
+        if all(parent is None or parent.key != ind.key for parent in (head, tail)):
             calls["whole"] += 1
-        else:
-            calls["from a parent" if tail is None else "from two inputs"] += 1
+        else:  # a mutant's record has cut 0 and its parent twice
+            assert cut or head is tail
+            calls["from two parents" if cut else "from a parent"] += 1
         return ind
 
     def build(self, parents, rates):
@@ -536,7 +537,7 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     assert calls["generations"] == cfg.max_gen
     assert calls["from a parent"] > 0
     assert calls["whole"] > 0
-    assert (calls["from two inputs"] > 0) == (p_c > 0.0)
+    assert (calls["from two parents"] > 0) == (p_c > 0.0)
 
 
 def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
@@ -550,7 +551,7 @@ def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
     parents.append(twin)
 
     def to_twin(chromosome, alphabets, rng, made=None):
-        made[twin.chromosome] = (chromosome, None, sites)
+        made[twin.chromosome] = (chromosome, chromosome, 0, sites)
         return twin.chromosome
 
     monkeypatch.setattr(evolve, "mutate", to_twin)
@@ -602,9 +603,12 @@ def test_constant_mutation_reset_reevaluates(monkeypatch):
     evaluated = []
     real = Engine.evaluate
 
-    def counted(self, chromosome):
+    def counted(self, chromosome, *record):
+        # each distinct chromosome is evaluated from a member that holds it
+        head, tail = record
+        assert head is tail and head.chromosome == chromosome
         evaluated.append(chromosome)
-        return real(self, chromosome)
+        return real(self, chromosome, *record)
 
     monkeypatch.setattr(Engine, "evaluate", counted)
     again, reset = eng.maybe_mutate_constants(8, 1.0, repeated)
@@ -616,6 +620,61 @@ def test_constant_mutation_reset_reevaluates(monkeypatch):
     for ind in again:
         assert repr(ind) == repr(eng.evaluate(ind.chromosome))
     assert again[0].point == (eng.constants[0], eng.constants[1])
+
+
+def _ordinary_bits(chromosome, constants):
+    """The two ordinary genes' values under constants, packed, by the uncached decode."""
+    starts = (0, ORDINARY_GENE_LEN)
+    return struct.pack("<2d", *(oracles.ref_eval_ordinary(chromosome[s:s + DC_START],
+                                                         chromosome[s + DC_START:s + ORDINARY_GENE_LEN],
+                                                         constants) for s in starts))
+
+
+@pytest.mark.parametrize("name, dim", [("f8", 2), ("f9", 30), ("f12", 10)])
+def test_constant_reset_keeps_the_point_of_a_member_that_reads_no_constant(name, dim, monkeypatch):
+    """After a constant reset, a member whose ordinary values are the same
+    under the new pool keeps its old point object, fitness and rank; every
+    other member has the bits of the uncached decode under the new pool;
+    and Engine.evaluate runs once per distinct chromosome."""
+    eng = Engine(builtin(name, dim), EngineConfig(pop_size=30, max_gen=10), seed=9)
+    rng = random.Random(61)
+    eng.constants = _fresh_constants(eng, rng)
+    chromosomes = []
+    for i in range(30):
+        c = random_chromosome(eng.alphabets, rng)
+        if i % 3 == 0:  # digit roots: values that read no constant
+            c = "b" + c[1:ORDINARY_GENE_LEN] + "c" + c[ORDINARY_GENE_LEN + 1:]
+        elif i % 3 == 1:  # a root '?' reads a constant
+            c = "?" + c[1:]
+        chromosomes.append(c)
+    population = [eng.evaluate(c) for c in chromosomes]
+    population += population[::4]  # members that share one Individual, as select picks them
+    old_constants = eng.constants
+    evaluated = Counter()
+    real = Engine.evaluate
+
+    def counted(self, chromosome, *record):
+        evaluated[chromosome] += 1
+        return real(self, chromosome, *record)
+
+    monkeypatch.setattr(Engine, "evaluate", counted)
+    out, reset = eng.maybe_mutate_constants(eng.cfg.max_gen, 1.0, population)
+    monkeypatch.undo()
+    assert reset and eng.constants is not old_constants
+    assert evaluated == Counter(chromosomes)
+    kept = Counter()
+    for i, (old, new) in enumerate(zip(population, out)):
+        c = old.chromosome
+        same = _ordinary_bits(c, old_constants) == _ordinary_bits(c, eng.constants)
+        if i < len(chromosomes) and i % 3 < 2:
+            assert same == (i % 3 == 0)
+        if same:
+            assert new.chromosome == c and new.point is old.point
+            assert _same(new.fitness, old.fitness) and _same(new.rank, old.rank)
+        else:
+            _assert_full_decode(eng, new, c)
+        kept[same] += 1
+    assert kept[True] and kept[False]
 
 
 @pytest.mark.parametrize("direction", ["minimize", "maximize"])
@@ -754,60 +813,6 @@ def _homeotic_sites(chromosome, dim, rng):
     return cases
 
 
-@pytest.mark.parametrize("name, dim", [
-    ("f9", 1),
-    ("f8", 2),
-    ("f9", 30),
-    ("f12", 3),  # S, C, Q and E
-])
-def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
-    """evaluate(child, parent, sites) gives the point bits, fitness bits and
-    rank that a fresh engine's evaluate(child) and the uncached decode give,
-    for homeotic-only children of parents evaluated under the current
-    constants, before and after a constant reset redraws the pool."""
-    problem = builtin(name, dim)
-    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
-    rng = random.Random(41)
-    eng.constants = _fresh_constants(eng, rng)
-    parents = [eng.evaluate(random_chromosome(eng.alphabets, rng)) for _ in range(30)]
-    real = evolve.eval_homeotic
-    decoded = []
-
-    def counted(gene, ordinary):
-        decoded.append(gene)
-        return real(gene, ordinary)
-
-    monkeypatch.setattr(evolve, "eval_homeotic", counted)
-    pack = struct.Struct(f"<{dim}d").pack
-    bits = struct.Struct("<d").pack
-    checked = Counter()
-    for _ in range(2):
-        for parent in parents:
-            for label, sites in _homeotic_sites(parent.chromosome, dim, rng):
-                child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
-                decoded.clear()
-                ind = eng.evaluate(child, parent, sites)
-                genes = {(site - ORDINARY_END) // HOMEOTIC_GENE_LEN for site in sites}
-                # only genes that hold a site are decoded, each on a memo miss
-                assert len(decoded) <= len(genes)
-                checked["memo misses"] += len(decoded)
-                fresh = Engine(problem, eng.cfg, seed=5)
-                fresh.constants = eng.constants
-                full = fresh.evaluate(child)
-                want = oracles.eval_chromosome(child, dim, eng.constants)
-                assert ind.chromosome == child
-                assert pack(*ind.point) == pack(*full.point) == pack(*want)
-                assert bits(ind.fitness) == bits(full.fitness)
-                assert bits(ind.rank) == bits(full.rank)
-                assert bits(ind.rank) == bits(oracles.ref_rank(full.fitness, problem.direction))
-                checked[label] += 1
-        # the constant reset redraws the pool and evaluates the parents again
-        parents, reset = eng.maybe_mutate_constants(eng.cfg.max_gen, 1.0, parents)
-        assert reset
-    assert checked["memo misses"] and checked["one gene"] and checked["unexpressed"]
-    assert bool(checked["two genes"]) == (dim > 1)
-
-
 def _same(x, y):
     """Bit for bit, with any NaN equal to any NaN."""
     return struct.pack("<d", x) == struct.pack("<d", y) or math.isnan(x) and math.isnan(y)
@@ -827,7 +832,7 @@ def _assert_full_decode(eng, ind, child):
 
 
 def _between(eng, stage, rng):
-    """What happens between an input's evaluation and its child's: nothing,
+    """What happens between a parent's evaluation and its child's: nothing,
     a coordinate-memo reset, or a constant reset."""
     if stage == "memo reset":
         eng._coordinates_stored = eng._coordinates_limit  # the next lookup starts over
@@ -836,72 +841,6 @@ def _between(eng, stage, rng):
 
 
 STAGES = ("as evaluated", "memo reset", "constant reset")
-
-
-@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
-def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch):
-    """A crossover child evaluated from its head and tail inputs, as its
-    record gives them, has the bits of the full decode. The cuts fall at
-    ORDINARY_END, at every homeotic gene boundary and mid-gene; a cut inside
-    the ordinary genes makes no record. The tail's ordinary values equal the
-    head's or differ, and a coordinate-memo or constant reset may come
-    between the inputs' evaluation and the child's."""
-    problem = builtin(name, dim)
-    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
-    rng = random.Random(43)
-    real = evolve.eval_homeotic
-    decoded = []
-
-    def counted(gene, ordinary):
-        decoded.append(gene)
-        return real(gene, ordinary)
-
-    monkeypatch.setattr(evolve, "eval_homeotic", counted)
-    cuts = [ORDINARY_END // 2, ORDINARY_END - 1]
-    for g in range(dim):
-        start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
-        cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
-    checked = Counter()
-    for stage in STAGES:
-        for i in range(3):
-            eng.constants = _fresh_constants(eng, rng)
-            a, b = (random_chromosome(eng.alphabets, rng) for _ in range(2))
-            if i == 0:  # a root '?' reads a constant, so a constant reset changes the values
-                a = "?" + a[1:]
-            elif i == 1:  # digit roots: values no constant reset changes
-                a = "b" + a[1:20] + "c" + a[21:]
-            # a random tail input, then one with the head input's ordinary genes
-            for other in (b, a[:ORDINARY_END] + b[ORDINARY_END:]):
-                for cut in cuts:
-                    made = {}
-                    children = crossover(a, other, ScriptedRng([cut]), made)
-                    assert children == (a[:cut] + other[cut:], other[:cut] + a[cut:])
-                    if cut < ORDINARY_END:
-                        assert made == {}
-                        continue
-                    gene = (cut - ORDINARY_END) // HOMEOTIC_GENE_LEN
-                    assert made == {children[0]: (a, other, gene), children[1]: (other, a, gene)}
-                    for child in children:
-                        head_string, tail_string, cut_gene = made[child]
-                        head, tail = eng.evaluate(head_string), eng.evaluate(tail_string)
-                        _between(eng, stage, rng)
-                        decoded.clear()
-                        ind = eng.evaluate(child, head, (), tail, cut_gene)
-                        n_decoded = len(decoded)
-                        _assert_full_decode(eng, ind, child)
-                        if head.key != ind.key:
-                            checked[stage, "keys differ"] += 1
-                        elif tail.key == ind.key:
-                            checked[stage, "both keys equal"] += 1
-                            if stage == "memo reset":  # the cut gene alone is decoded
-                                assert n_decoded == 1
-                        else:
-                            checked[stage, "head key equal"] += 1
-                            if stage == "memo reset":  # the genes from the cut on
-                                assert n_decoded <= dim - cut_gene
-    for stage in STAGES:
-        assert checked[stage, "both keys equal"] and checked[stage, "head key equal"], checked
-    assert checked["constant reset", "keys differ"], checked
 
 
 def _ordinary_sites(chromosome):
@@ -918,43 +857,136 @@ def _ordinary_sites(chromosome):
 
 
 @pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
-def test_evaluate_from_a_mutants_input_matches_the_full_decode(name, dim):
-    """A mutant evaluated from its input has the bits of the full decode,
-    whether its sites are ordinary and neutral (the input's point, fitness
-    and rank are then taken outright), ordinary and changing, homeotic or
-    mixed, and whether a coordinate-memo or constant reset comes between the
-    input's evaluation and the child's."""
+def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
+    """A child evaluated from the parents its record names has the bits of
+    the full decode, and looks up only the homeotic genes it shares with no
+    parent of its own key.
+
+    The records are the ones mutate and crossover write. A mutant's is
+    (c, c, 0, sites), its sites in one homeotic gene, in two, in a slot no
+    decode reads, in ordinary slots that leave the values as they were
+    (neutral) or change them, or mixed; with sites () it is the parent
+    itself, as a constant reset passes it. A crossover child's is (a, b,
+    cut, ()), cut at ORDINARY_END, one slot after it, at every homeotic gene
+    boundary or mid-gene, with a tail whose ordinary genes are the head's or
+    not; a cut inside the ordinary genes makes no record. A crossover child
+    rewritten at homeotic sites has a record with both a cut and sites.
+    Between the parents' evaluation and the child's comes each of STAGES,
+    and a parent may itself come out of a constant reset."""
     problem = builtin(name, dim)
     eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
-    rng = random.Random(47)
+    rng = random.Random(41)
+    real = evolve.eval_homeotic
+    decoded = []
+
+    def counted(gene, ordinary):
+        decoded.append(gene)
+        return real(gene, ordinary)
+
+    monkeypatch.setattr(evolve, "eval_homeotic", counted)
     homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
+    cuts = [ORDINARY_END // 2, ORDINARY_END - 1, ORDINARY_END + 1]
+    for g in range(dim):
+        start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
+        cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
     checked = Counter()
+
+    def evaluate(child, record, stage):
+        """The child's evaluation from record, checked; the number of genes decoded"""
+        _between(eng, stage, rng)
+        decoded.clear()
+        ind = eng.evaluate(child, *record)
+        n_decoded = len(decoded)
+        _assert_full_decode(eng, ind, child)
+        return ind, n_decoded
+
     for stage in STAGES:
-        for _ in range(20):
+        # mutants, from a parent as evaluated or as a constant reset leaves it
+        for i in range(20):
             eng.constants = _fresh_constants(eng, rng)
             parent = eng.evaluate(random_chromosome(eng.alphabets, rng))
+            if i % 2:
+                before = parent
+                [parent], reset = eng.maybe_mutate_constants(eng.cfg.max_gen, 1.0, [parent])
+                assert reset
+                checked["parent from a reset", parent.point is before.point] += 1
             unread, roots = _ordinary_sites(parent.chromosome)
-            cases = [("homeotic", tuple(rng.sample(homeotic, 2))),
-                     ("changing", (rng.choice(roots),)),
-                     ("mixed", (rng.choice(roots), rng.choice(homeotic)))]
+            cases = _homeotic_sites(parent.chromosome, dim, rng)
+            cases += [("homeotic", tuple(rng.sample(homeotic, 2))),
+                      ("changing", (rng.choice(roots),)),
+                      ("mixed", (rng.choice(roots), rng.choice(homeotic))),
+                      ("itself", ())]
             if unread:
                 cases += [("neutral", tuple(rng.sample(unread, min(2, len(unread))))),
                           ("mixed", (rng.choice(unread), rng.choice(homeotic)))]
             for label, sites in cases:
                 child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
-                _between(eng, stage, rng)
-                ind = eng.evaluate(child, parent, sites)
-                _assert_full_decode(eng, ind, child)
-                shortcut = ind.point is parent.point
-                # the input's point is taken outright exactly for an ordinary,
-                # value-neutral mutant
-                assert shortcut == (ind.key == parent.key and max(sites) < ORDINARY_END)
-                checked[stage, label, ind.key == parent.key] += 1
+                ind, n_decoded = evaluate(child, (parent, parent, 0, sites), stage)
+                equal = ind.key == parent.key
+                # the parent's point is taken outright exactly when its key
+                # is the child's and no site is homeotic
+                assert (ind.point is parent.point) == (equal and max(sites, default=0) < ORDINARY_END)
+                genes = {child[eng.homeotic_slices[(s - ORDINARY_END) // HOMEOTIC_GENE_LEN]]
+                         for s in sites if s >= ORDINARY_END}
+                if equal:  # only the genes that hold a site, each on a memo miss
+                    assert n_decoded <= len(genes)
+                    if stage == "memo reset":
+                        assert n_decoded == len(genes)
+                checked["memo misses"] += n_decoded
+                checked[stage, label, equal] += 1
                 parent = eng.evaluate(parent.chromosome)
+        # crossover children
+        for i in range(3):
+            eng.constants = _fresh_constants(eng, rng)
+            a, b = (random_chromosome(eng.alphabets, rng) for _ in range(2))
+            if i == 0:  # a root '?' reads a constant, so a constant reset changes the values
+                a = "?" + a[1:]
+            elif i == 1:  # digit roots: values no constant reset changes
+                a = "b" + a[1:20] + "c" + a[21:]
+            # a random tail parent, then one with the head parent's ordinary genes
+            for other in (b, a[:ORDINARY_END] + b[ORDINARY_END:]):
+                for cut in cuts:
+                    made = {}
+                    children = crossover(a, other, ScriptedRng([cut]), made)
+                    assert children == (a[:cut] + other[cut:], other[:cut] + a[cut:])
+                    if cut < ORDINARY_END:
+                        assert made == {}
+                        continue
+                    assert made == {children[0]: (a, other, cut, ()), children[1]: (other, a, cut, ())}
+                    # a gene the cut falls inside is neither parent's
+                    first, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
+                    sites = tuple(rng.sample(homeotic, 2))
+                    rewritten = _rewritten(children[0], eng.alphabets, sites, rng)
+                    for child, (head, tail, _, sites) in [*made.items(),
+                                                           (rewritten, (a, other, cut, sites))]:
+                        head, tail = eng.evaluate(head), eng.evaluate(tail)
+                        ind, n_decoded = evaluate(child, (head, tail, cut, sites), stage)
+                        if sites:
+                            checked[stage, "crossed and rewritten"] += 1
+                        elif head.key != ind.key:
+                            checked[stage, "keys differ"] += 1
+                        elif tail.key == ind.key:
+                            checked[stage, "both keys equal"] += 1
+                            if stage == "memo reset":  # the gene the cut falls inside alone
+                                assert n_decoded == (1 if inside else 0)
+                            if cut == ORDINARY_END:  # every homeotic gene is the tail's
+                                assert ind.point is tail.point
+                        else:
+                            checked[stage, "head key equal"] += 1
+                            if stage == "memo reset":  # the genes from the cut on
+                                assert n_decoded <= dim - first
+    assert checked["memo misses"]
+    assert checked["parent from a reset", True] and checked["parent from a reset", False]
     for stage in STAGES:
+        assert checked[stage, "one gene", True] and checked[stage, "unexpressed", True]
+        assert bool(checked[stage, "two genes", True]) == (dim > 1)
         assert checked[stage, "neutral", True] and checked[stage, "homeotic", True]
         assert checked[stage, "changing", False] and checked[stage, "mixed", True]
-    assert checked["constant reset", "neutral", False]
+        assert checked[stage, "itself", True]
+        assert checked[stage, "both keys equal"] and checked[stage, "head key equal"], checked
+        assert checked[stage, "crossed and rewritten"]
+    assert checked["constant reset", "neutral", False] and checked["constant reset", "itself", False]
+    assert checked["constant reset", "keys differ"], checked
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
