@@ -891,8 +891,8 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
         cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
     checked = Counter()
 
-    def evaluate(child, record, stage):
-        """The child's evaluation from record, checked; the number of genes decoded"""
+    def check(child, record, stage):
+        """The child's evaluation from record, checked, and the number of genes it decoded"""
         _between(eng, stage, rng)
         decoded.clear()
         ind = eng.evaluate(child, *record)
@@ -921,7 +921,7 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                           ("mixed", (rng.choice(unread), rng.choice(homeotic)))]
             for label, sites in cases:
                 child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
-                ind, n_decoded = evaluate(child, (parent, parent, 0, sites), stage)
+                ind, n_decoded = check(child, (parent, parent, 0, sites), stage)
                 equal = ind.key == parent.key
                 # the parent's point is taken outright exactly when its key
                 # is the child's and no site is homeotic
@@ -960,7 +960,7 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                     for child, (head, tail, _, sites) in [*made.items(),
                                                            (rewritten, (a, other, cut, sites))]:
                         head, tail = eng.evaluate(head), eng.evaluate(tail)
-                        ind, n_decoded = evaluate(child, (head, tail, cut, sites), stage)
+                        ind, n_decoded = check(child, (head, tail, cut, sites), stage)
                         if sites:
                             checked[stage, "crossed and rewritten"] += 1
                         elif head.key != ind.key:
