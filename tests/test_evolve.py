@@ -856,26 +856,10 @@ def _ordinary_sites(chromosome):
     return unread, list(roots)
 
 
-@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
-def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
-    """A child evaluated from the parents its record names has the bits of
-    the full decode, and looks up only the homeotic genes it shares with no
-    parent of its own key.
-
-    The records are the ones mutate and crossover write. A mutant's is
-    (c, c, 0, sites), its sites in one homeotic gene, in two, in a slot no
-    decode reads, in ordinary slots that leave the values as they were
-    (neutral) or change them, or mixed; with sites () it is the parent
-    itself, as a constant reset passes it. A crossover child's is (a, b,
-    cut, ()), cut at ORDINARY_END, one slot after it, at every homeotic gene
-    boundary or mid-gene, with a tail whose ordinary genes are the head's or
-    not; a cut inside the ordinary genes makes no record. A crossover child
-    rewritten at homeotic sites has a record with both a cut and sites.
-    Between the parents' evaluation and the child's comes each of STAGES,
-    and a parent may itself come out of a constant reset."""
-    problem = builtin(name, dim)
-    eng = Engine(problem, EngineConfig(pop_size=30, max_gen=10), seed=5)
-    rng = random.Random(41)
+def _counted_engine(name, dim, monkeypatch):
+    """An engine for the problem, and the list of homeotic genes its decode
+    runs on, which the caller clears."""
+    eng = Engine(builtin(name, dim), EngineConfig(pop_size=30, max_gen=10), seed=5)
     real = evolve.eval_homeotic
     decoded = []
 
@@ -884,24 +868,26 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
         return real(gene, ordinary)
 
     monkeypatch.setattr(evolve, "eval_homeotic", counted)
-    homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
-    cuts = [ORDINARY_END // 2, ORDINARY_END - 1, ORDINARY_END + 1]
-    for g in range(dim):
-        start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
-        cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
-    checked = Counter()
+    return eng, decoded
 
-    def check(child, record, stage):
-        """The child's evaluation from record, checked, and the number of genes it decoded"""
-        _between(eng, stage, rng)
-        decoded.clear()
-        ind = eng.evaluate(child, *record)
-        n_decoded = len(decoded)
-        _assert_full_decode(eng, ind, child)
-        return ind, n_decoded
 
+def _check_from_record(eng, decoded, child, record, stage, rng):
+    """The child evaluated from record after stage, checked against the full
+    decode, and the number of homeotic genes it decoded."""
+    _between(eng, stage, rng)
+    decoded.clear()
+    ind = eng.evaluate(child, *record)
+    n_decoded = len(decoded)
+    _assert_full_decode(eng, ind, child)
+    return ind, n_decoded
+
+
+def _check_mutants(eng, decoded, rng, cases, checked):
+    """Mutants of 20 random parents a stage, evaluated from the record mutate
+    writes, (parent, parent, 0, sites), with the labelled sites that
+    cases(parent chromosome) gives; every other parent comes out of a
+    constant reset. Counts each (stage, label, keys equal) in checked."""
     for stage in STAGES:
-        # mutants, from a parent as evaluated or as a constant reset leaves it
         for i in range(20):
             eng.constants = _fresh_constants(eng, rng)
             parent = eng.evaluate(random_chromosome(eng.alphabets, rng))
@@ -910,18 +896,10 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                 [parent], reset = eng.maybe_mutate_constants(eng.cfg.max_gen, 1.0, [parent])
                 assert reset
                 checked["parent from a reset", parent.point is before.point] += 1
-            unread, roots = _ordinary_sites(parent.chromosome)
-            cases = _homeotic_sites(parent.chromosome, dim, rng)
-            cases += [("homeotic", tuple(rng.sample(homeotic, 2))),
-                      ("changing", (rng.choice(roots),)),
-                      ("mixed", (rng.choice(roots), rng.choice(homeotic))),
-                      ("itself", ())]
-            if unread:
-                cases += [("neutral", tuple(rng.sample(unread, min(2, len(unread))))),
-                          ("mixed", (rng.choice(unread), rng.choice(homeotic)))]
-            for label, sites in cases:
+            for label, sites in cases(parent.chromosome):
                 child = _rewritten(parent.chromosome, eng.alphabets, sites, rng)
-                ind, n_decoded = check(child, (parent, parent, 0, sites), stage)
+                record = (parent, parent, 0, sites)
+                ind, n_decoded = _check_from_record(eng, decoded, child, record, stage, rng)
                 equal = ind.key == parent.key
                 # the parent's point is taken outright exactly when its key
                 # is the child's and no site is homeotic
@@ -935,7 +913,53 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                 checked["memo misses"] += n_decoded
                 checked[stage, label, equal] += 1
                 parent = eng.evaluate(parent.chromosome)
-        # crossover children
+    assert checked["parent from a reset", True] and checked["parent from a reset", False]
+
+
+@pytest.mark.parametrize("name, dim", [
+    ("f9", 1),
+    ("f8", 2),
+    ("f9", 30),
+    ("f12", 3),  # S, C, Q and E
+])
+def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
+    """A homeotic-only mutant evaluated from its record has the bits of the
+    full decode and looks up only the genes that hold a site: sites in one
+    homeotic gene, in two, or in a slot no decode reads. With sites () the
+    record is the parent itself, as a constant reset passes it. Between the
+    parent's evaluation and the child's comes each of STAGES, and a parent
+    may itself come out of a constant reset."""
+    eng, decoded = _counted_engine(name, dim, monkeypatch)
+    rng = random.Random(41)
+    checked = Counter()
+    _check_mutants(eng, decoded, rng,
+                   lambda c: _homeotic_sites(c, dim, rng) + [("itself", ())], checked)
+    assert checked["memo misses"]
+    for stage in STAGES:
+        assert checked[stage, "one gene", True] and checked[stage, "unexpressed", True]
+        assert bool(checked[stage, "two genes", True]) == (dim > 1)
+        assert checked[stage, "itself", True]
+    assert checked["constant reset", "itself", False]
+
+
+@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
+def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch):
+    """A crossover child evaluated from its record, (head, tail, cut, ()),
+    has the bits of the full decode. The cuts fall at ORDINARY_END, one slot
+    after it, at every homeotic gene boundary and mid-gene; a cut inside the
+    ordinary genes makes no record. The tail's ordinary genes are the head's
+    or not. A child rewritten at homeotic sites after the cut has a record
+    with both a cut and sites. Between the parents' evaluation and the
+    child's comes each of STAGES."""
+    eng, decoded = _counted_engine(name, dim, monkeypatch)
+    rng = random.Random(43)
+    homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
+    cuts = [ORDINARY_END // 2, ORDINARY_END - 1, ORDINARY_END + 1]
+    for g in range(dim):
+        start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
+        cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
+    checked = Counter()
+    for stage in STAGES:
         for i in range(3):
             eng.constants = _fresh_constants(eng, rng)
             a, b = (random_chromosome(eng.alphabets, rng) for _ in range(2))
@@ -960,7 +984,8 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                     for child, (head, tail, _, sites) in [*made.items(),
                                                            (rewritten, (a, other, cut, sites))]:
                         head, tail = eng.evaluate(head), eng.evaluate(tail)
-                        ind, n_decoded = check(child, (head, tail, cut, sites), stage)
+                        record = (head, tail, cut, sites)
+                        ind, n_decoded = _check_from_record(eng, decoded, child, record, stage, rng)
                         if sites:
                             checked[stage, "crossed and rewritten"] += 1
                         elif head.key != ind.key:
@@ -975,18 +1000,39 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
                             checked[stage, "head key equal"] += 1
                             if stage == "memo reset":  # the genes from the cut on
                                 assert n_decoded <= dim - first
-    assert checked["memo misses"]
-    assert checked["parent from a reset", True] and checked["parent from a reset", False]
     for stage in STAGES:
-        assert checked[stage, "one gene", True] and checked[stage, "unexpressed", True]
-        assert bool(checked[stage, "two genes", True]) == (dim > 1)
-        assert checked[stage, "neutral", True] and checked[stage, "homeotic", True]
-        assert checked[stage, "changing", False] and checked[stage, "mixed", True]
-        assert checked[stage, "itself", True]
         assert checked[stage, "both keys equal"] and checked[stage, "head key equal"], checked
         assert checked[stage, "crossed and rewritten"]
-    assert checked["constant reset", "neutral", False] and checked["constant reset", "itself", False]
     assert checked["constant reset", "keys differ"], checked
+
+
+@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
+def test_evaluate_from_a_mutants_input_matches_the_full_decode(name, dim, monkeypatch):
+    """A mutant evaluated from its record has the bits of the full decode,
+    whether its sites are ordinary and neutral (the parent's point, fitness
+    and rank are then taken outright), ordinary and changing, homeotic or
+    mixed. Between the parent's evaluation and the child's comes each of
+    STAGES, and a parent may itself come out of a constant reset."""
+    eng, decoded = _counted_engine(name, dim, monkeypatch)
+    rng = random.Random(47)
+    homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
+
+    def cases(chromosome):
+        unread, roots = _ordinary_sites(chromosome)
+        out = [("homeotic", tuple(rng.sample(homeotic, 2))),
+               ("changing", (rng.choice(roots),)),
+               ("mixed", (rng.choice(roots), rng.choice(homeotic)))]
+        if unread:
+            out += [("neutral", tuple(rng.sample(unread, min(2, len(unread))))),
+                    ("mixed", (rng.choice(unread), rng.choice(homeotic)))]
+        return out
+
+    checked = Counter()
+    _check_mutants(eng, decoded, rng, cases, checked)
+    for stage in STAGES:
+        assert checked[stage, "neutral", True] and checked[stage, "homeotic", True]
+        assert checked[stage, "changing", False] and checked[stage, "mixed", True]
+    assert checked["constant reset", "neutral", False]
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
