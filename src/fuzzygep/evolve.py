@@ -384,31 +384,32 @@ class Engine:
             values.append(value)
         key = self._pack_ordinary(*values)
         # the point: head's first h coordinates, one looked up per gene of
-        # slices, then rest, tail's from gene t on; the genes that hold a
-        # homeotic site are looked up again
+        # slices, then rest, the tail's from gene t on; sites' genes again
         slices = self.homeotic_slices
-        point = []
-        rest = ()
+        point, rest = [], ()
         if head is not None or tail is not None:
             h = t = 0
             if cut > ORDINARY_END:  # a cut inside a gene leaves it to neither input
                 h, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
                 t = h + 1 if inside else h
-            if tail is None or tail.key != key:
-                t = len(slices)
-            else:
-                if not t:
+                if head is not None and head.key == key:
+                    point += head.point[:h]
+                else:
+                    h = 0
+            if tail is not None and tail.key == key:
+                if t:
+                    rest, slices = tail.point[t:], slices[h:t]
+                else:
                     for site in sites:
                         if site >= ORDINARY_END:
                             break
                     else:  # every homeotic gene is the tail's
                         return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
-                rest = tail.point[t:]
-            if h and head is not None and head.key == key:
-                point += head.point[:h]
-            else:
-                h = 0
-            slices = slices[h:t]
+                    rest, slices = tail.point, ()
+            elif h:
+                slices = slices[h:]
+            else:  # nothing is lent, so every site's gene is looked up below
+                sites = ()
         # the shortcut above stores nothing, so these memos are checked after it
         if self._coordinates_stored >= self._coordinates_limit:
             self._coordinates = {}
@@ -426,17 +427,19 @@ class Engine:
                 x = coordinates[gene] = eval_homeotic(gene, ordinary)
                 self._coordinates_stored += 1
             point.append(x)
-        point += rest
-        for site in sites:  # a second site in one gene finds it stored
-            if site >= ORDINARY_END:
-                g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
-                gene = chromosome[self.homeotic_slices[g]]
-                x = coordinates.get(gene)
-                if x is None:
-                    x = coordinates[gene] = eval_homeotic(gene, ordinary)
-                    self._coordinates_stored += 1
-                point[g] = x
-        point = tuple(point)
+        if sites:
+            point += rest
+            rest = ()
+            for site in sites:  # a second site in one gene finds it stored
+                if site >= ORDINARY_END:
+                    g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
+                    gene = chromosome[self.homeotic_slices[g]]
+                    x = coordinates.get(gene)
+                    if x is None:
+                        x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                        self._coordinates_stored += 1
+                    point[g] = x
+        point = tuple(point) + rest
         fitness_key = self._pack_point(*point)
         fitness = self._fitnesses.get(fitness_key)
         if fitness is None:

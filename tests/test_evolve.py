@@ -670,7 +670,7 @@ def test_constant_reset_keeps_the_point_of_a_member_that_reads_no_constant(name,
             assert same == (i % 3 == 0)
         if same:
             assert new.chromosome == c and new.point is old.point
-            assert _same(new.fitness, old.fitness) and _same(new.rank, old.rank)
+            assert struct.pack("<2d", new.fitness, new.rank) == struct.pack("<2d", old.fitness, old.rank)
         else:
             _assert_full_decode(eng, new, c)
         kept[same] += 1
@@ -813,21 +813,20 @@ def _homeotic_sites(chromosome, dim, rng):
     return cases
 
 
-def _same(x, y):
-    """Bit for bit, with any NaN equal to any NaN."""
-    return struct.pack("<d", x) == struct.pack("<d", y) or math.isnan(x) and math.isnan(y)
-
-
 def _assert_full_decode(eng, ind, child):
-    """ind is what a fresh engine's evaluate and the uncached decode give child."""
+    """ind has the point bits, fitness bits and rank that a fresh engine's
+    evaluate and the uncached decode give child."""
     fresh = Engine(eng.problem, eng.cfg, seed=5)
     fresh.constants = eng.constants
     full = fresh.evaluate(child)
     want = oracles.eval_chromosome(child, eng.problem.dim, eng.constants)
+    pack = struct.Struct(f"<{eng.problem.dim}d").pack
+    bits = struct.Struct("<d").pack
     assert ind.chromosome == child
-    assert len(ind.point) == len(full.point) == len(want)
-    assert all(_same(x, y) and _same(x, z) for x, y, z in zip(ind.point, full.point, want))
-    assert _same(ind.fitness, full.fitness) and _same(ind.rank, full.rank)
+    assert pack(*ind.point) == pack(*full.point) == pack(*want)
+    assert bits(ind.fitness) == bits(full.fitness)
+    assert bits(ind.rank) == bits(full.rank)
+    assert bits(ind.rank) == bits(oracles.ref_rank(full.fitness, eng.problem.direction))
     assert ind.key == full.key
 
 
