@@ -182,12 +182,12 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
 
 def crossover(a: str, b: str, rng: random.Random, made=None) -> tuple[str, str]:
     """One-point crossover of two chromosome strings; the caller draws the
-    p_c coin. A given dict made maps each child whose cut is at or after
-    ORDINARY_END to its record (head input, tail input, cut, ()): the child
-    is the head's slots before the cut and the tail's from it on."""
+    p_c coin. A given dict made maps each child to its record (head input,
+    tail input, cut, ()): the child is the head's slots before the cut and
+    the tail's from it on."""
     cut = rng.randrange(len(a))
     children = a[:cut] + b[cut:], b[:cut] + a[cut:]
-    if made is not None and cut >= ORDINARY_END:
+    if made is not None:
         made[children[0]] = (a, b, cut, ())
         made[children[1]] = (b, a, cut, ())
     return children
@@ -267,9 +267,6 @@ def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
 
 
 _by_rank = operator.attrgetter("rank")
-
-# what build_temp_population reads for a child no operator recorded
-_NO_RECORD = (None, None, 0, ())
 
 
 def select(temp, cfg: EngineConfig, rng: random.Random):
@@ -387,29 +384,28 @@ class Engine:
         # slices, then rest, the tail's from gene t on; sites' genes again
         slices = self.homeotic_slices
         point, rest = [], ()
-        if head is not None or tail is not None:
-            h = t = 0
-            if cut > ORDINARY_END:  # a cut inside a gene leaves it to neither input
-                h, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
-                t = h + 1 if inside else h
-                if head is not None and head.key == key:
-                    point += head.point[:h]
-                else:
-                    h = 0
-            if tail is not None and tail.key == key:
-                if t:
-                    rest, slices = tail.point[t:], slices[h:t]
-                else:
-                    for site in sites:
-                        if site >= ORDINARY_END:
-                            break
-                    else:  # every homeotic gene is the tail's
-                        return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
-                    rest, slices = tail.point, ()
-            elif h:
-                slices = slices[h:]
-            else:  # nothing is lent, so every site's gene is looked up below
-                sites = ()
+        h = t = 0
+        if cut > ORDINARY_END:  # a cut inside a gene leaves it to neither input
+            h, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
+            t = h + 1 if inside else h
+            if head is not None and head.key == key:
+                point += head.point[:h]
+            else:
+                h = 0
+        if tail is not None and tail.key == key:
+            if t:
+                rest, slices = tail.point[t:], slices[h:t]
+            else:
+                for site in sites:
+                    if site >= ORDINARY_END:
+                        break
+                else:  # every homeotic gene is the tail's
+                    return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
+                rest, slices = tail.point, ()
+        elif h:
+            slices = slices[h:]
+        else:  # nothing is lent, so every site's gene is looked up below
+            sites = ()
         # the shortcut above stores nothing, so these memos are checked after it
         if self._coordinates_stored >= self._coordinates_limit:
             self._coordinates = {}
@@ -465,9 +461,9 @@ class Engine:
         call the operator only when it fires. They call crossover and mutate
         through this module's globals, where perfbench/tracer.py wraps them.
         Each distinct offspring no parent holds is evaluated once, in temp
-        order. The operators record how they built each child, and it is
-        evaluated from the inputs of its record that the offspring cache
-        holds by then (see evaluate).
+        order, from the record of the operator that built it and the inputs
+        the offspring cache holds by then, None for one it lacks (see
+        evaluate).
         """
         rng = self.rng
         rand = rng.random
@@ -499,7 +495,7 @@ class Engine:
         for chromosome in offspring:
             ind = cache.get(chromosome)
             if ind is None:
-                head, tail, cut, sites = made.get(chromosome, _NO_RECORD)
+                head, tail, cut, sites = made[chromosome]
                 ind = cache[chromosome] = self.evaluate(
                     chromosome, cache.get(head), cache.get(tail), cut, sites)
             temp.append(ind)

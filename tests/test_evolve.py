@@ -504,8 +504,12 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     """Inside build_temp_population, Engine.evaluate runs once for each
     distinct member of the returned temp that no parent holds, and for
     nothing else: not for a mutant or crossover child that a later operator
-    left out of temp. Some mutants are evaluated from their parent and, once
-    pairs cross, some crossover children from their two parents."""
+    left out of temp. A call counts as lent when the rule lends an input's
+    coordinates: the tail's key is the child's and some gene lies wholly
+    after the cut, or the head's key is and some gene lies wholly before it.
+    Some mutants are lent by their parent and, once pairs cross, some
+    crossover children by their two parents, among them children cut inside
+    the ordinary genes, which only the tail can lend to."""
     monkeypatch.setattr(evolve, "adapt_rates", lambda d, gen, cfg: Rates(p_c, p_m, 0.0))
     real_evaluate, real_build = Engine.evaluate, Engine.build_temp_population
     evaluated = []
@@ -514,12 +518,21 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     def evaluate(self, chromosome, head=None, tail=None, cut=0, sites=()):
         evaluated.append(chromosome)
         ind = real_evaluate(self, chromosome, head, tail, cut, sites)
-        # a parent lends its coordinates only under the child's ordinary values
-        if all(parent is None or parent.key != ind.key for parent in (head, tail)):
+        # an input lends its coordinates only under the child's ordinary values
+        from_tail = (tail is not None and tail.key == ind.key
+                     and cut <= len(chromosome) - HOMEOTIC_GENE_LEN)
+        from_head = (head is not None and head.key == ind.key
+                     and cut >= ORDINARY_END + HOMEOTIC_GENE_LEN)
+        if not (from_tail or from_head):
             calls["whole"] += 1
-        else:  # a mutant's record has cut 0 and its parent twice
-            assert cut or head is tail
-            calls["from two parents" if cut else "from a parent"] += 1
+        elif head is tail:  # a mutant's record has cut 0 and its parent twice
+            assert cut == 0
+            calls["from a parent"] += 1
+        else:
+            calls["from two parents"] += 1
+            if cut < ORDINARY_END:
+                assert from_tail
+                calls["cut in the ordinary genes"] += 1
         return ind
 
     def build(self, parents, rates):
@@ -538,6 +551,7 @@ def test_temp_population_evaluates_each_new_chromosome_once(p_c, p_m, monkeypatc
     assert calls["from a parent"] > 0
     assert calls["whole"] > 0
     assert (calls["from two parents"] > 0) == (p_c > 0.0)
+    assert (calls["cut in the ordinary genes"] > 0) == (p_c > 0.0)
 
 
 def test_temp_population_keeps_a_parent_that_a_mutant_equals(monkeypatch):
@@ -944,16 +958,17 @@ def test_evaluate_from_a_parent_matches_the_full_decode(name, dim, monkeypatch):
 @pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
 def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch):
     """A crossover child evaluated from its record, (head, tail, cut, ()),
-    has the bits of the full decode. The cuts fall at ORDINARY_END, one slot
-    after it, at every homeotic gene boundary and mid-gene; a cut inside the
-    ordinary genes makes no record. The tail's ordinary genes are the head's
-    or not. A child rewritten at homeotic sites after the cut has a record
-    with both a cut and sites. Between the parents' evaluation and the
-    child's comes each of STAGES."""
+    has the bits of the full decode. The cuts fall at 0, where the child is
+    its tail input, inside the ordinary genes, at ORDINARY_END, one slot
+    after it, at every homeotic gene boundary and mid-gene. The tail's
+    ordinary genes are the head's or not; a child cut at or before
+    ORDINARY_END whose key is the tail's takes the tail's point. A child
+    rewritten at homeotic sites has a record with both a cut and sites.
+    Between the parents' evaluation and the child's comes each of STAGES."""
     eng, decoded = _counted_engine(name, dim, monkeypatch)
     rng = random.Random(43)
     homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
-    cuts = [ORDINARY_END // 2, ORDINARY_END - 1, ORDINARY_END + 1]
+    cuts = [0, ORDINARY_END // 2, ORDINARY_END - 1, ORDINARY_END + 1]
     for g in range(dim):
         start = ORDINARY_END + g * HOMEOTIC_GENE_LEN
         cuts += [start, start + HOMEOTIC_GENE_LEN // 2]
@@ -972,12 +987,9 @@ def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch
                     made = {}
                     children = crossover(a, other, ScriptedRng([cut]), made)
                     assert children == (a[:cut] + other[cut:], other[:cut] + a[cut:])
-                    if cut < ORDINARY_END:
-                        assert made == {}
-                        continue
                     assert made == {children[0]: (a, other, cut, ()), children[1]: (other, a, cut, ())}
                     # a gene the cut falls inside is neither parent's
-                    first, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
+                    first, inside = divmod(max(cut - ORDINARY_END, 0), HOMEOTIC_GENE_LEN)
                     sites = tuple(rng.sample(homeotic, 2))
                     rewritten = _rewritten(children[0], eng.alphabets, sites, rng)
                     for child, (head, tail, _, sites) in [*made.items(),
@@ -987,14 +999,17 @@ def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch
                         ind, n_decoded = _check_from_record(eng, decoded, child, record, stage, rng)
                         if sites:
                             checked[stage, "crossed and rewritten"] += 1
-                        elif head.key != ind.key:
+                            continue
+                        if cut <= ORDINARY_END and tail.key == ind.key:
+                            # every homeotic gene is the tail's
+                            assert ind.point is tail.point
+                            checked[stage, "tail's point", cut < ORDINARY_END] += 1
+                        if head.key != ind.key:
                             checked[stage, "keys differ"] += 1
                         elif tail.key == ind.key:
                             checked[stage, "both keys equal"] += 1
                             if stage == "memo reset":  # the gene the cut falls inside alone
                                 assert n_decoded == (1 if inside else 0)
-                            if cut == ORDINARY_END:  # every homeotic gene is the tail's
-                                assert ind.point is tail.point
                         else:
                             checked[stage, "head key equal"] += 1
                             if stage == "memo reset":  # the genes from the cut on
@@ -1002,6 +1017,7 @@ def test_evaluate_from_two_inputs_matches_the_full_decode(name, dim, monkeypatch
     for stage in STAGES:
         assert checked[stage, "both keys equal"] and checked[stage, "head key equal"], checked
         assert checked[stage, "crossed and rewritten"]
+        assert checked[stage, "tail's point", True] and checked[stage, "tail's point", False]
     assert checked["constant reset", "keys differ"], checked
 
 
@@ -1032,6 +1048,31 @@ def test_evaluate_from_a_mutants_input_matches_the_full_decode(name, dim, monkey
         assert checked[stage, "neutral", True] and checked[stage, "homeotic", True]
         assert checked[stage, "changing", False] and checked[stage, "mixed", True]
     assert checked["constant reset", "neutral", False]
+
+
+@pytest.mark.parametrize("name, dim", [("f9", 1), ("f8", 2), ("f9", 30), ("f12", 3)])
+def test_evaluate_from_a_record_with_no_input_at_hand(name, dim, monkeypatch):
+    """A child whose inputs the offspring cache does not hold is evaluated
+    from its record with None for both: a mutant's (None, None, 0, sites),
+    a rewritten crossover child's (None, None, cut, sites), a crossover
+    child's (None, None, cut, ()). It has the bits of the full decode and
+    decodes each distinct homeotic gene once after a memo reset. Before the
+    child comes each of STAGES."""
+    eng, decoded = _counted_engine(name, dim, monkeypatch)
+    rng = random.Random(53)
+    homeotic = range(ORDINARY_END, ORDINARY_END + dim * HOMEOTIC_GENE_LEN)
+    for stage in STAGES:
+        for i in range(10):
+            eng.constants = _fresh_constants(eng, rng)
+            child = random_chromosome(eng.alphabets, rng)
+            cut = rng.randrange(len(child))
+            # two homeotic sites, or an ordinary and a homeotic one
+            sites = (tuple(rng.sample(homeotic, 2)) if i % 2 else
+                     (rng.randrange(ORDINARY_END), rng.choice(homeotic)))
+            for record in [(None, None, 0, sites), (None, None, cut, sites), (None, None, cut, ())]:
+                _, n_decoded = _check_from_record(eng, decoded, child, record, stage, rng)
+                if stage == "memo reset":
+                    assert n_decoded == len({child[where] for where in eng.homeotic_slices})
 
 
 def test_coordinate_memo_keeps_signed_zeros_apart():
