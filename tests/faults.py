@@ -12,8 +12,7 @@ updates the entry in the same change.
 
 Run it from the repository root:
 
-    python tests/faults.py           # every entry
-    python tests/faults.py NAME ...  # the named entries
+    python tests/faults.py
 
 pytest does not collect this file: its name does not match test_*.py.
 """
@@ -184,7 +183,7 @@ def planted(fault: Fault) -> str:
 def failing_tests(root: Path, tests) -> set[str]:
     """The node ids of the tests that fail or error when pytest runs tests in
     root; raises RuntimeError when pytest cannot run them."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=root, env=env, capture_output=True, text=True)
@@ -198,24 +197,19 @@ def fails(test: str, failures) -> bool:
     return any(f == test or f.startswith(test + "[") for f in failures)
 
 
-def main(names) -> int:
-    unknown = set(names) - {f.name for f in FAULTS}
-    if unknown:
-        print(f"no such fault: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    faults = [f for f in FAULTS if not names or f.name in names]
-    sources = [planted(fault) for fault in faults]  # a stale entry fails before any run
+def main() -> int:
+    sources = [planted(fault) for fault in FAULTS]  # a stale entry fails before any run
     with tempfile.TemporaryDirectory() as clean:
         clean = Path(clean)
         copy_tree(clean)
-        tests = sorted({t for f in faults for t in f.tests})
+        tests = sorted({t for f in FAULTS for t in f.tests})
         failures = failing_tests(clean, tests)
         failing = [t for t in tests if fails(t, failures)]
         if failing:
             print(f"fail with no fault planted: {', '.join(failing)}")
             return 1
     survived = 0
-    for fault, source in zip(faults, sources):
+    for fault, source in zip(FAULTS, sources):
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as root:
             root = Path(root)
@@ -229,9 +223,9 @@ def main(names) -> int:
             print(f"SURVIVED {fault.name} ({took:.1f} s): passes {', '.join(passing)}")
         else:
             print(f"killed   {fault.name} ({took:.1f} s)")
-    print(f"{len(faults) - survived} of {len(faults)} faults killed")
+    print(f"{len(FAULTS) - survived} of {len(FAULTS)} faults killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
