@@ -180,16 +180,15 @@ def adapt_rates(d: float, gen: int, cfg: EngineConfig) -> Rates:
     return Rates(p_c, p_m, r_c)
 
 
-def crossover(a: str, b: str, rng: random.Random, made=None) -> tuple[str, str]:
+def crossover(a: str, b: str, rng: random.Random, made: dict) -> tuple[str, str]:
     """One-point crossover of two chromosome strings; the caller draws the
-    p_c coin. A given dict made maps each child to its record (head input,
-    tail input, cut, ()): the child is the head's slots before the cut and
-    the tail's from it on."""
+    p_c coin. made maps each child to its record (head input, tail input,
+    cut, ()): the child is the head's slots before the cut and the tail's
+    from it on."""
     cut = rng.randrange(len(a))
     children = a[:cut] + b[cut:], b[:cut] + a[cut:]
-    if made is not None:
-        made[children[0]] = (a, b, cut, ())
-        made[children[1]] = (b, a, cut, ())
+    made[children[0]] = (a, b, cut, ())
+    made[children[1]] = (b, a, cut, ())
     return children
 
 
@@ -226,11 +225,11 @@ def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
     return n, n.bit_length(), tuple(others)
 
 
-def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
+def mutate(chromosome: str, alphabets, rng: random.Random, made: dict) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
-    symbols; the caller draws the p_m coin. A given dict made maps the child
-    to its record (chromosome, chromosome, 0, sites), as crossover writes
-    one, sites being the rewritten positions in draw order."""
+    symbols; the caller draws the p_m coin. made maps the child to its
+    record (chromosome, chromosome, 0, sites), as crossover writes one,
+    sites being the rewritten positions in draw order."""
     global _last_mutate_plan
     if _last_mutate_plan[0] is not alphabets:
         _last_mutate_plan = (alphabets, tuple(map(_slot_plan, alphabets)))
@@ -261,8 +260,7 @@ def mutate(chromosome: str, alphabets, rng: random.Random, made=None) -> str:
         except TypeError:  # others holds None for a symbol outside the alphabet
             raise ValueError(f"{chr(flat[pos])!r} is not a symbol of slot {pos}") from None
     child = rebuild(flat)
-    if made is not None:
-        made[child] = (chromosome, chromosome, 0, sites)
+    made[child] = (chromosome, chromosome, 0, sites)
     return child
 
 
@@ -366,7 +364,8 @@ class Engine:
         a homeotic gene the chromosome shares with an input whose key equals
         its own takes that input's coordinate, and every other gene is looked
         up; a chromosome whose homeotic genes are all the tail's takes the
-        tail's point, fitness and rank."""
+        tail's point, fitness and rank. Sites' genes are looked up last on
+        every path; where nothing is lent, they are memo hits."""
         if (self.constants is not self._genes_constants
                 or len(self._genes) >= self._genes_limit):
             self._genes = {}
@@ -404,8 +403,6 @@ class Engine:
                 rest, slices = tail.point, ()
         elif h:
             slices = slices[h:]
-        else:  # nothing is lent, so every site's gene is looked up below
-            sites = ()
         # the shortcut above stores nothing, so these memos are checked after it
         if self._coordinates_stored >= self._coordinates_limit:
             self._coordinates = {}

@@ -46,7 +46,14 @@ FROM_A_PARENT = TEST_EVOLVE + "test_evaluate_from_a_parent_matches_the_full_deco
 FROM_A_MUTANTS_INPUT = TEST_EVOLVE + "test_evaluate_from_a_mutants_input_matches_the_full_decode"
 EACH_NEW_ONCE = TEST_EVOLVE + "test_temp_population_evaluates_each_new_chromosome_once"
 MEMOS_BOUNDED = TEST_EVOLVE + "test_memos_stay_bounded"
-RECORD_EVERY_CUT = "    if made is not None:\n        made[children[0]]"
+# crossover's record lines, and the same lines under a condition on the cut
+RECORD_EVERY_CUT = "    made[children[0]] = (a, b, cut, ())\n    made[children[1]] = (b, a, cut, ())\n"
+
+
+def record_only_if(condition: str) -> str:
+    return f"    if {condition}:\n" + RECORD_EVERY_CUT.replace("    made", "        made")
+
+
 # decode._compile numbers each node's children breadth first, as K-expressions read
 BREADTH_FIRST = '''\
     first = [1]
@@ -65,6 +72,31 @@ DEPTH_FIRST = '''\
         if shape[i] == 0:
             return terminal.format(i=i)
         children = ", ".join(node(next(depth_first)) for _ in range(shape[i]))
+'''
+# select's tournament: the first of equal ranks in draw order wins, or the
+# one with the smallest temp index
+DRAW_ORDER_TIES = '''\
+        best_rank = best.rank
+        for _ in rivals:
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+            contender = temp[j]
+            if contender.rank < best_rank:
+                best = contender
+'''
+LOWEST_INDEX_TIES = '''\
+        best_rank = best.rank
+        best_j = j
+        for _ in rivals:
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
+            contender = temp[j]
+            if contender.rank < best_rank or contender.rank == best_rank and j < best_j:
+                best, best_j = contender, j
 '''
 
 FAULTS = (
@@ -95,10 +127,10 @@ FAULTS = (
           (FROM_TWO_INPUTS,)),
     # the records the operators write
     Fault("cut-at-ordinary-end-unrecorded", EVOLVE,
-          RECORD_EVERY_CUT, RECORD_EVERY_CUT.replace("None:", "None and cut != ORDINARY_END:"),
+          RECORD_EVERY_CUT, record_only_if("cut != ORDINARY_END"),
           (FROM_TWO_INPUTS,)),
     Fault("cuts-in-ordinary-genes-unrecorded", EVOLVE,
-          RECORD_EVERY_CUT, RECORD_EVERY_CUT.replace("None:", "None and cut >= ORDINARY_END:"),
+          RECORD_EVERY_CUT, record_only_if("cut >= ORDINARY_END"),
           (FROM_TWO_INPUTS, EACH_NEW_ONCE)),
     # the memos' bounds
     Fault("coordinate-count-dropped", EVOLVE,
@@ -120,6 +152,8 @@ FAULTS = (
     # selection, resets and diversity
     Fault("select-tie-to-later-contender", EVOLVE,
           "if contender.rank < best_rank:", "if contender.rank <= best_rank:",
+          (TEST_EVOLVE + "test_select_matches_stdlib_reference",)),
+    Fault("select-tie-to-lowest-index", EVOLVE, DRAW_ORDER_TIES, LOWEST_INDEX_TIES,
           (TEST_EVOLVE + "test_select_matches_stdlib_reference",)),
     Fault("reset-in-first-half", EVOLVE,
           "        if gen <= self.cfg.max_gen / 2.0:\n            return population, False",

@@ -315,6 +315,18 @@ def test_nan_tolerance_exits_1_from_flag_or_config(tmp_path, capsys, key):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("tolerance", "-1e-3"),
+                                        ("termination_tolerance", "-1e-9")])
+def test_negative_exponent_tolerance_in_key_value_form_exits_1(tmp_path, capsys, key, value):
+    # argparse takes "--tolerance -1e-3" for two flags, so a negative value
+    # with an exponent reaches the range check only as --key=value
+    argv = _run_args(tmp_path, "--problem", "f1", "--runs", "1", "--generations", "3",
+                     "--pop-size", "10", f"--{key.replace('_', '-')}={value}")
+    assert cli.main(argv) == 1
+    assert f"error: {key} must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_seed_exits_1_before_any_run(tmp_path, capsys):
     # random.Random(-2) draws as random.Random(2) does, so runs 0 and 4 of
     # seeds -2..2 would repeat each other and the summary would count both

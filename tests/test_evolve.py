@@ -195,7 +195,7 @@ def test_crossover_cut_zero_swaps_parents():
     a = random_chromosome(ALPHABETS, rng)
     b = random_chromosome(ALPHABETS, rng)
     scripted = ScriptedRng(randranges=[0])  # it has no random(), so no coin
-    assert crossover(a, b, scripted) == (b, a)
+    assert crossover(a, b, scripted, {}) == (b, a)
 
 
 def test_crossover_exchanges_suffixes():
@@ -204,7 +204,7 @@ def test_crossover_exchanges_suffixes():
     b = random_chromosome(ALPHABETS, rng)
     cut = 13
     scripted = ScriptedRng(randranges=[cut])
-    child_a, child_b = crossover(a, b, scripted)
+    child_a, child_b = crossover(a, b, scripted, {})
     assert child_a == a[:cut] + b[cut:]
     assert child_b == b[:cut] + a[cut:]
 
@@ -214,7 +214,7 @@ def test_crossover_offspring_always_valid():
     for _ in range(1000):
         a = random_chromosome(ALPHABETS, rng)
         b = random_chromosome(ALPHABETS, rng)
-        for child in crossover(a, b, rng):
+        for child in crossover(a, b, rng, {}):
             assert oracles.validate(child, N_HOMEOTIC) == []
 
 
@@ -237,7 +237,7 @@ def test_mutate_changes_k_distinct_positions():
     rng = random.Random(5)
     for _ in range(200):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, ALPHABETS, rng)
+        m = mutate(c, ALPHABETS, rng, {})
         diff = sum(1 for x, y in zip(c, m) if x != y)
         assert diff == 2  # every slot alphabet has >= 2 symbols, so both stick
 
@@ -246,7 +246,7 @@ def test_mutate_respects_position_alphabets():
     rng = random.Random(6)
     for _ in range(1000):
         c = random_chromosome(ALPHABETS, rng)
-        m = mutate(c, ALPHABETS, rng)
+        m = mutate(c, ALPHABETS, rng, {})
         assert oracles.validate(m, N_HOMEOTIC) == []
 
 
@@ -377,7 +377,7 @@ def test_mutate_matches_stdlib_reference(n_homeotic, operators):
     drawn = set()
     for _ in range(300):
         c = random_chromosome(alphabets, genomes)
-        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours)
+        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours, {})
         assert m == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin)
         drawn |= {len(alphabets[pos]) - 1 for pos, (a, b) in enumerate(zip(c, m)) if a != b}
     assert ours.getstate() == twin.getstate()
@@ -394,7 +394,7 @@ def test_mutate_plan_follows_the_alphabets_it_is_given():
     for i in range(400):
         alphabets = layouts[i % 2]
         c = random_chromosome(alphabets, genomes)
-        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours)
+        m = c if ours.random() >= 0.5 else mutate(c, alphabets, ours, {})
         assert m == oracles.ref_mutate(c, 0.5, MUTATIONS_PER_INDIVIDUAL, alphabets, twin)
         assert ours.getstate() == twin.getstate()
 
@@ -404,17 +404,17 @@ def test_mutate_rejects_symbols_outside_the_alphabets():
     a symbol that is not one ASCII character raises UnicodeEncodeError."""
     outside = "~" * len(ALPHABETS)  # in no alphabet, so whichever slot is drawn
     with pytest.raises(ValueError):
-        mutate(outside, ALPHABETS, random.Random(1))
+        mutate(outside, ALPHABETS, random.Random(1), {})
     c = random_chromosome(ALPHABETS, random.Random(2))
     with pytest.raises(UnicodeEncodeError):
-        mutate("\u00e9" + c[1:], ALPHABETS, random.Random(1))
+        mutate("\u00e9" + c[1:], ALPHABETS, random.Random(1), {})
 
 
 @pytest.mark.parametrize("n_homeotic, operators", [
     (1, ()), (N_HOMEOTIC, ()), (30, ()), (3, ("S", "C", "Q", "E"))])
 def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators):
-    """Given a dict, mutate returns the string it returns without one, from
-    the same draws, and records every mutant as (input, input, 0, sites),
+    """mutate returns the same string from the same draws whichever dict it
+    is given, and records every mutant as (input, input, 0, sites),
     sites being its changed slots, so the record tells the homeotic-only
     mutants exactly: those whose sites all lie at or after ORDINARY_END."""
     alphabets = position_alphabets(n_homeotic, operators)
@@ -425,7 +425,7 @@ def test_mutate_records_exactly_the_homeotic_only_mutants(n_homeotic, operators)
     for _ in range(400):
         c = random_chromosome(alphabets, genomes)
         m = mutate(c, alphabets, ours, record)
-        assert m == mutate(c, alphabets, twin)
+        assert m == mutate(c, alphabets, twin, {})
         changed = {pos for pos, (a, b) in enumerate(zip(c, m)) if a != b}
         homeotic = min(changed) >= ORDINARY_END
         kinds[homeotic] += 1
@@ -774,8 +774,8 @@ def test_evaluate_matches_reference_decode_bit_for_bit(name, dim, monkeypatch):
     rng = random.Random(17)
     parents = [random_chromosome(eng.alphabets, rng) for _ in range(40)]
     # offspring keep most genes of a parent, so most coordinates come from the memo
-    chromosomes = parents + [mutate(c, eng.alphabets, rng) for c in parents]
-    chromosomes += [crossover(a, b, rng)[0] for a, b in zip(parents, parents[1:])]
+    chromosomes = parents + [mutate(c, eng.alphabets, rng, {}) for c in parents]
+    chromosomes += [crossover(a, b, rng, {})[0] for a, b in zip(parents, parents[1:])]
     real = evolve.eval_homeotic
     calls = Counter()
 
