@@ -9,7 +9,6 @@ offspring.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import operator
@@ -210,30 +209,13 @@ def _shuffle(rng: random.Random, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-# the alphabets mutate last drew for, and one _slot_plan entry per slot
-_last_mutate_plan: tuple = (None, ())
-
-
-@functools.cache
-def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
-    """(n, bits, others): n = len(alphabet) - 1, its bit length, and others[c],
-    the bytes of the other symbols than the one with ASCII code c, or None."""
-    n = len(alphabet) - 1
-    others = [None] * 128
-    for s in alphabet:
-        others[ord(s)] = "".join(o for o in alphabet if o != s).encode("ascii")
-    return n, n.bit_length(), tuple(others)
-
-
 def mutate(chromosome: str, alphabets, rng: random.Random, made: dict) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
-    symbols; the caller draws the p_m coin. made maps the child to its
-    record (chromosome, chromosome, 0, sites), as crossover writes one,
-    sites being the rewritten positions in draw order."""
-    global _last_mutate_plan
-    if _last_mutate_plan[0] is not alphabets:
-        _last_mutate_plan = (alphabets, tuple(map(_slot_plan, alphabets)))
-    plan = _last_mutate_plan[1]
+    symbols, each drawn through the slot's entry of alphabets.slot_plans,
+    the table position_alphabets built; the caller draws the p_m coin. made
+    maps the child to its record (chromosome, chromosome, 0, sites), as
+    crossover writes one, sites being the rewritten positions in draw order."""
+    plan = alphabets.slot_plans
     flat = flatten(chromosome)
     slots = len(flat)
     getrandbits = rng.getrandbits

@@ -15,6 +15,10 @@ two 32-bit words.  Most slots are settled by the top byte of the first word
 alone, through one bytes.translate table per alphabet; the few whose top
 byte straddles a symbol boundary are computed from both words in full.
 random_chromosome's docstring gives the word layout and the argument.
+
+position_alphabets builds those tables once per layout and operator set,
+with mutate's per-slot table, and hands them out on the Alphabets tuple it
+returns; the draws read them from there.
 """
 
 from __future__ import annotations
@@ -80,14 +84,21 @@ def random_constant_set(lower: float, upper: float, rng: random.Random) -> tuple
     return tuple(rng.uniform(lower, upper) for _ in range(N_CONSTANTS))
 
 
-@functools.cache
-def position_alphabets(n_homeotic: int, extra_operators=()) -> tuple[tuple[str, ...], ...]:
-    """Legal symbols for every slot of a chromosome with n_homeotic homeotic
-    genes, in order; the functions are the four arithmetic operators and
-    extra_operators.
+class Alphabets(tuple):
+    """position_alphabets' per-slot alphabets, carrying the draw tables built
+    from them: runs, one (slots, _top_byte_table) pair per run of slots that
+    share one alphabet, for random_chromosome, and slot_plans, one _slot_plan
+    entry per slot, for mutate.  Its slices and copies are plain tuples."""
 
-    Memoized, so every engine of one problem gets the same tuple and
-    random_chromosome plans its draw for that tuple once.
+
+@functools.cache
+def position_alphabets(n_homeotic: int, extra_operators=()) -> Alphabets:
+    """Legal symbols for every slot of a chromosome with n_homeotic homeotic
+    genes, in order, with the draw tables for them; the functions are the
+    four arithmetic operators and extra_operators.
+
+    Memoized, so every engine of one problem gets the same Alphabets and the
+    tables are built once per problem, when its first engine is made.
     """
     if n_homeotic < 1:
         raise ValueError("n_homeotic must be positive")
@@ -101,15 +112,20 @@ def position_alphabets(n_homeotic: int, extra_operators=()) -> tuple[tuple[str, 
     ordinary = ([functions + TERMINALS] * ORDINARY_HEAD_LEN + [TERMINALS] * ORDINARY_TAIL_LEN
                 + [DC_ALPHABET] * DC_LEN)
     homeotic = [functions + refs] * HOMEOTIC_HEAD_LEN + [refs] * HOMEOTIC_TAIL_LEN
-    return tuple(ordinary * len(refs) + homeotic * n_homeotic)
+    alphabets = Alphabets(ordinary * len(refs) + homeotic * n_homeotic)
+    # the runs: each ordinary gene's head, tail and Dc region, and each
+    # offset inside the homeotic genes
+    ends = (0, ORDINARY_HEAD_LEN, DC_START, ORDINARY_GENE_LEN)
+    runs = [slice(g * ORDINARY_GENE_LEN + start, g * ORDINARY_GENE_LEN + stop)
+            for g in range(len(refs)) for start, stop in zip(ends, ends[1:])]
+    runs += [slice(ORDINARY_END + j, None, HOMEOTIC_GENE_LEN) for j in range(HOMEOTIC_GENE_LEN)]
+    alphabets.runs = tuple((run, _top_byte_table(alphabets[run.start])) for run in runs)
+    alphabets.slot_plans = tuple(map(_slot_plan, alphabets))
+    return alphabets
 
 
 # the two 32-bit words of one slot's draw, in the order the generator gave them
 _SLOT_WORDS = struct.Struct("<II")
-
-# the alphabets random_chromosome last drew from, and its plan for them; every
-# engine of one problem gets the same alphabets object from position_alphabets
-_last_plan: tuple = (None, ())
 
 
 @functools.cache
@@ -119,8 +135,6 @@ def _top_byte_table(alpha: tuple[str, ...]) -> bytes:
     draws with that top byte pick different symbols."""
     n = len(alpha)
     symbols = "".join(alpha).encode("ascii")
-    if len(symbols) != n:
-        raise ValueError(f"alphabet {alpha!r} is not one ASCII character per symbol")
     table = bytearray(256)
     for t in range(256):
         # the draws with top byte t span [t/256, (t+1)/256 - 2**-53], and
@@ -131,33 +145,22 @@ def _top_byte_table(alpha: tuple[str, ...]) -> bytes:
     return bytes(table)
 
 
-def _plan(alphabets) -> tuple[tuple[slice, bytes], ...]:
-    """One (slots, table) pair per run of slots that position_alphabets gives
-    one alphabet: each ordinary gene's head, tail and Dc region, and each
-    offset inside the homeotic genes.  Raises ValueError unless every slot's
-    alphabet is its run's."""
-    slots = len(alphabets)
-    n_homeotic, rest = divmod(slots - ORDINARY_END, HOMEOTIC_GENE_LEN)
-    if n_homeotic < 1 or rest:
-        raise ValueError(f"{slots} slots do not make a chromosome")
-    runs = [slice(g * ORDINARY_GENE_LEN + start, g * ORDINARY_GENE_LEN + stop)
-            for g in range(len(GENE_REFERENCES))
-            for start, stop in ((0, ORDINARY_HEAD_LEN), (ORDINARY_HEAD_LEN, DC_START),
-                                (DC_START, ORDINARY_GENE_LEN))]
-    runs += [slice(ORDINARY_END + j, slots, HOMEOTIC_GENE_LEN) for j in range(HOMEOTIC_GENE_LEN)]
-    plan = []
-    for run in runs:
-        alpha = alphabets[run.start]
-        if any(a != alpha for a in alphabets[run]):
-            raise ValueError(f"the slots of {run} do not share one alphabet")
-        plan.append((run, _top_byte_table(alpha)))
-    return tuple(plan)
+@functools.cache
+def _slot_plan(alphabet: tuple[str, ...]) -> tuple[int, int, tuple]:
+    """mutate's draw for a slot: (n, bits, others), n = len(alphabet) - 1,
+    its bit length, and others[c], the bytes of the other symbols than the
+    one with ASCII code c, or None."""
+    n = len(alphabet) - 1
+    others = [None] * 128
+    for s in alphabet:
+        others[ord(s)] = "".join(o for o in alphabet if o != s).encode("ascii")
+    return n, n.bit_length(), tuple(others)
 
 
 def random_chromosome(alphabets, rng: random.Random) -> str:
-    """Uniform draw per slot from that slot's legal alphabet, given per slot
-    as position_alphabets lists them; raises ValueError for alphabets that
-    do not follow its layout.
+    """Uniform draw per slot from that slot's legal alphabet, translated
+    through the tables alphabets carries; raises ValueError before any draw
+    unless alphabets is what position_alphabets returned.
 
     Slot i takes alpha[int(r * len(alpha))] for the r that the i-th
     rng.random() call would return, which is the draw rng.choices makes, so
@@ -172,14 +175,13 @@ def random_chromosome(alphabets, rng: random.Random) -> str:
     inside that interval; such top bytes translate to 0, and every slot that
     holds 0 is computed from both words in full.
     """
-    global _last_plan
-    if _last_plan[0] is not alphabets:
-        _last_plan = (alphabets, _plan(alphabets))
+    if type(alphabets) is not Alphabets:
+        raise ValueError("alphabets do not come from position_alphabets")
     slots = len(alphabets)
     raw = rng.getrandbits(64 * slots).to_bytes(8 * slots, "little")
     top = raw[3::8]
     out = bytearray(slots)
-    for run, table in _last_plan[1]:
+    for run, table in alphabets.runs:
         out[run] = top[run].translate(table)
     i = out.find(0)
     while i >= 0:

@@ -40,6 +40,7 @@ class Fault(NamedTuple):
 
 
 EVOLVE = "src/fuzzygep/evolve.py"
+GENOME = "src/fuzzygep/genome.py"
 TEST_EVOLVE = "tests/test_evolve.py::"
 FROM_TWO_INPUTS = TEST_EVOLVE + "test_evaluate_from_two_inputs_matches_the_full_decode"
 FROM_A_PARENT = TEST_EVOLVE + "test_evaluate_from_a_parent_matches_the_full_decode"
@@ -169,7 +170,13 @@ FAULTS = (
           "return max(1, round(0.01 * self.pop_size))", "return max(1, int(0.01 * self.pop_size))",
           (TEST_EVOLVE + "test_config_derived_counts",)),
     # genome, decode, fuzzy and cli
-    Fault("every-top-byte-decides-the-symbol", "src/fuzzygep/genome.py",
+    Fault("run-table-from-slot-0", GENOME,
+          "_top_byte_table(alphabets[run.start])", "_top_byte_table(alphabets[0])",
+          ("tests/test_genome.py::test_random_chromosome_equals_region_by_region_choices",)),
+    Fault("slot-plans-reversed", GENOME,
+          "tuple(map(_slot_plan, alphabets))", "tuple(map(_slot_plan, alphabets[::-1]))",
+          (TEST_EVOLVE + "test_mutate_matches_stdlib_reference",)),
+    Fault("every-top-byte-decides-the-symbol", GENOME,
           "        if first == int(((t + 1) / 256 - 2.0 ** -53) * n):\n"
           "            table[t] = symbols[first]",
           "        table[t] = symbols[first]",

@@ -385,7 +385,7 @@ def test_mutate_matches_stdlib_reference(n_homeotic, operators):
 
 
 def test_mutate_plan_follows_the_alphabets_it_is_given():
-    """mutate keeps one plan, for the last alphabets object it met; two
+    """mutate draws from the table of the alphabets object it is given; two
     layouts taken in turn, call by call, each get their own symbols and
     draws, so both match the reference after every call."""
     layouts = [position_alphabets(N_HOMEOTIC), position_alphabets(3, ("S", "C", "Q", "E"))]

@@ -211,9 +211,10 @@ def test_random_chromosome_top_byte_boundaries_match_the_full_draw():
 
 
 def test_random_chromosome_rejects_alphabets_off_the_layout():
-    """Alphabets whose slots do not share their region's alphabet, or whose
-    symbols are not one ASCII character each, raise before any draw, so no
-    slot is drawn from another's table."""
+    """Alphabets that position_alphabets did not return raise before any
+    draw: slots that do not share their region's alphabet, symbols that are
+    not one ASCII character each, and even a plain-tuple copy with the right
+    contents, which carries no draw tables."""
     alphabets = position_alphabets(3, ("S",))
     homeotic_tail = ORDINARY_END + 2 * HOMEOTIC_GENE_LEN + HOMEOTIC_HEAD_LEN
     cases = []
@@ -224,6 +225,7 @@ def test_random_chromosome_rejects_alphabets_off_the_layout():
     cases += [alphabets[:-1], alphabets[:ORDINARY_END]]
     # every Dc slot alike, but one symbol is two characters
     cases.append(tuple(("AB", "C") if a == DC_ALPHABET else a for a in alphabets))
+    cases.append(tuple(alphabets))
     for bad in cases:
         rng = random.Random(4)
         state = rng.getstate()
