@@ -31,6 +31,7 @@ from .genome import (
     GENE_REFERENCES,
     HOMEOTIC_GENE_LEN,
     ORDINARY_END,
+    Alphabets,
     flatten,
     gene_slices,
     position_alphabets,
@@ -213,8 +214,12 @@ def mutate(chromosome: str, alphabets, rng: random.Random, made: dict) -> str:
     """Rewrite MUTATIONS_PER_INDIVIDUAL distinct positions to new legal
     symbols, each drawn through the slot's entry of alphabets.slot_plans,
     the table position_alphabets built; the caller draws the p_m coin. made
-    maps the child to its record (chromosome, chromosome, 0, sites), as
-    crossover writes one, sites being the rewritten positions in draw order."""
+    maps the child to its record (chromosome, chromosome, 0, sites), sites
+    being the rewritten positions in draw order. ValueError: other alphabets
+    (before any draw), or a drawn slot holding a symbol its alphabet lacks;
+    UnicodeEncodeError: a non-ASCII chromosome."""
+    if type(alphabets) is not Alphabets:
+        raise ValueError("alphabets do not come from position_alphabets")
     plan = alphabets.slot_plans
     flat = flatten(chromosome)
     slots = len(flat)
@@ -342,12 +347,12 @@ class Engine:
         says the chromosome is head's slots before cut and tail's from cut
         on, with the slots in sites rewritten; head and tail here are those
         inputs' Individuals, None for one not at hand. A coordinate depends
-        only on its homeotic gene's string and the ordinary-gene values. So
-        a homeotic gene the chromosome shares with an input whose key equals
-        its own takes that input's coordinate, and every other gene is looked
-        up; a chromosome whose homeotic genes are all the tail's takes the
-        tail's point, fitness and rank. Sites' genes are looked up last on
-        every path; where nothing is lent, they are memo hits."""
+        only on its homeotic gene and the ordinary-gene values, so genes
+        [0, h) take the head's coordinates, [h, t) are looked up and [t, dim)
+        take the tail's, h and t being the genes before and from the cut (one
+        it splits is neither's); h is 0 unless head.key is the chromosome's,
+        t is dim unless tail.key is. Sites' genes are looked up again. If all
+        homeotic genes are the tail's, so are the point, fitness and rank."""
         if (self.constants is not self._genes_constants
                 or len(self._genes) >= self._genes_limit):
             self._genes = {}
@@ -361,30 +366,22 @@ class Engine:
                 value = genes[gene] = eval_ordinary(gene, self.constants)
             values.append(value)
         key = self._pack_ordinary(*values)
-        # the point: head's first h coordinates, one looked up per gene of
-        # slices, then rest, the tail's from gene t on; sites' genes again
+        # genes [0, h) are the head's, [h, t) looked up, [t, dim) the tail's
         slices = self.homeotic_slices
-        point, rest = [], ()
         h = t = 0
         if cut > ORDINARY_END:  # a cut inside a gene leaves it to neither input
             h, inside = divmod(cut - ORDINARY_END, HOMEOTIC_GENE_LEN)
             t = h + 1 if inside else h
-            if head is not None and head.key == key:
-                point += head.point[:h]
-            else:
+            if head is None or head.key != key:
                 h = 0
-        if tail is not None and tail.key == key:
-            if t:
-                rest, slices = tail.point[t:], slices[h:t]
-            else:
-                for site in sites:
-                    if site >= ORDINARY_END:
-                        break
-                else:  # every homeotic gene is the tail's
-                    return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
-                rest, slices = tail.point, ()
-        elif h:
-            slices = slices[h:]
+        if tail is None or tail.key != key:
+            t = len(slices)
+        elif not t:
+            for site in sites:
+                if site >= ORDINARY_END:
+                    break
+            else:  # every homeotic gene is the tail's
+                return Individual(chromosome, tail.point, tail.fitness, tail.rank, key)
         # the shortcut above stores nothing, so these memos are checked after it
         if self._coordinates_stored >= self._coordinates_limit:
             self._coordinates = {}
@@ -395,26 +392,26 @@ class Engine:
         if entry is None:
             entry = self._coordinates[key] = ({}, dict(zip(GENE_REFERENCES, values)))
         coordinates, ordinary = entry
-        for where in slices:
+        point = list(head.point[:h]) if h else []
+        for where in slices[h:t]:
             gene = chromosome[where]
             x = coordinates.get(gene)
             if x is None:
                 x = coordinates[gene] = eval_homeotic(gene, ordinary)
                 self._coordinates_stored += 1
             point.append(x)
-        if sites:
-            point += rest
-            rest = ()
-            for site in sites:  # a second site in one gene finds it stored
-                if site >= ORDINARY_END:
-                    g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
-                    gene = chromosome[self.homeotic_slices[g]]
-                    x = coordinates.get(gene)
-                    if x is None:
-                        x = coordinates[gene] = eval_homeotic(gene, ordinary)
-                        self._coordinates_stored += 1
-                    point[g] = x
-        point = tuple(point) + rest
+        if t < len(slices):
+            point += tail.point[t:]
+        for site in sites:  # a second site in one gene finds it stored
+            if site >= ORDINARY_END:
+                g = (site - ORDINARY_END) // HOMEOTIC_GENE_LEN
+                gene = chromosome[slices[g]]
+                x = coordinates.get(gene)
+                if x is None:
+                    x = coordinates[gene] = eval_homeotic(gene, ordinary)
+                    self._coordinates_stored += 1
+                point[g] = x
+        point = tuple(point)
         fitness_key = self._pack_point(*point)
         fitness = self._fitnesses.get(fitness_key)
         if fitness is None:

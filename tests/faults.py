@@ -113,18 +113,21 @@ FAULTS = (
           "divmod(cut - ORDINARY_END - 1, HOMEOTIC_GENE_LEN)",
           (FROM_TWO_INPUTS,)),
     Fault("head-key-unchecked", EVOLVE,
-          "if head is not None and head.key == key:", "if head is not None:",
+          "if head is None or head.key != key:", "if head is None:",
           (FROM_TWO_INPUTS,)),
     Fault("tail-key-unchecked", EVOLVE,
-          "if tail is not None and tail.key == key:", "if tail is not None:",
+          "if tail is None or tail.key != key:", "if tail is None:",
           (FROM_TWO_INPUTS, FROM_A_PARENT, FROM_A_MUTANTS_INPUT)),
     Fault("all-tail-test-moved-one-slot", EVOLVE,
-          "                    if site >= ORDINARY_END:\n                        break",
-          "                    if site >= ORDINARY_END + 1:\n                        break",
+          "                if site >= ORDINARY_END:\n                    break",
+          "                if site >= ORDINARY_END + 1:\n                    break",
           (FROM_A_MUTANTS_INPUT,)),
     Fault("crossover-sites-ignored", EVOLVE,
-          "        if sites:\n            point += rest",
-          "        if sites and not cut:\n            point += rest",
+          "for site in sites:  # a second site in one gene finds it stored",
+          "for site in (() if cut else sites):  # a second site in one gene finds it stored",
+          (FROM_TWO_INPUTS,)),
+    Fault("tail-suffix-from-next-gene", EVOLVE,
+          "point += tail.point[t:]", "point += tail.point[t + 1:]",
           (FROM_TWO_INPUTS,)),
     # the records the operators write
     Fault("cut-at-ordinary-end-unrecorded", EVOLVE,

@@ -401,11 +401,18 @@ def test_mutate_plan_follows_the_alphabets_it_is_given():
 
 def test_mutate_rejects_symbols_outside_the_alphabets():
     """A slot that holds a symbol its alphabet lacks raises ValueError, and
-    a symbol that is not one ASCII character raises UnicodeEncodeError."""
+    a symbol that is not one ASCII character raises UnicodeEncodeError.
+    Alphabets that position_alphabets did not return, even a plain-tuple
+    copy of its own, raise ValueError before any draw."""
     outside = "~" * len(ALPHABETS)  # in no alphabet, so whichever slot is drawn
     with pytest.raises(ValueError):
         mutate(outside, ALPHABETS, random.Random(1), {})
     c = random_chromosome(ALPHABETS, random.Random(2))
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        mutate(c, tuple(ALPHABETS), rng, {})
+    assert rng.getstate() == state
     with pytest.raises(UnicodeEncodeError):
         mutate("\u00e9" + c[1:], ALPHABETS, random.Random(1), {})
 
